@@ -705,7 +705,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = args.handler(problem, args)
     except (DulacError, ZeroDivisionError, ArithmeticError) as exc:
         code = _exit_code_for(exc)
-        report = _base_report(problem, args.command, problem.trunc_order)
+        try:
+            order = _effective_order(problem, args)
+        except SchemaError:  # the override itself was rejected
+            order = problem.trunc_order
+        report = _base_report(problem, args.command, order)
         report["error"] = _error_payload(exc, problem.variables)
         _emit(report, args.verbose, code)
         return code

@@ -2,13 +2,19 @@
 
 Every ideal here is really ``I + <x>^N`` for a user-chosen truncation
 order N: the quotient-ring device that turns formal power-series
-statements into finite computations.  Membership is decided with a
-reduced Groebner basis of the generators together with all monomials of
-degree N.  The degree-N monomials take part in the pair processing —
-a polynomial whose leading term has low-degree tail content can reveal
-new members through them (e.g. ``x^2*y + y`` at N = 4 yields ``y``) —
-but only the ones not swallowed by polynomial leading terms survive into
-the reduced basis.
+statements into finite computations.  R_N = K[[x]]/<x>^N is a
+finite-dimensional vector space, and the ideal is a subspace of it,
+spanned by the truncated shifts x^a*g of the generators.  Gaussian
+elimination of those shifts, columns ordered by descending grlex,
+gives the reduced row-echelon form.  It is unique, and its rows at the
+minimal pivots, with the degree-N monomials under no pivot, form the
+reduced Groebner basis of the generators together with all degree-N
+monomials.  Truncation takes part in the elimination: a polynomial whose
+leading term has low-degree tail content can reveal new members
+(g = ``x^2*y + y`` at N = 4 yields ``y``: x^2*g is x^2*y modulo degree
+4, so y = g - x^2*g is a member).  Membership is then one pass over the
+terms: each pivot term is replaced by its row's tail, which holds
+standard monomials only.
 
 On top of the ideal arithmetic sit the semi-invariant extraction
 routines: weight decomposition certified by exact (confluent)
@@ -19,7 +25,6 @@ against an independently computed weight decomposition.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +44,6 @@ from .normalform import is_pdnf, lg_nilpotency_index
 from .poly import (
     Exponent,
     Series,
-    TERM_ORDERS,
     VectorField,
     grlex_key,
     iter_exponents,
@@ -68,14 +72,6 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _lcm_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _coprime(a: Exponent, b: Exponent) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def _at_order(s: Series, order: int) -> Series:
     """View a series in R_order; reject inputs that know too little."""
     if s.trunc is not None and s.trunc < order:
@@ -86,185 +82,127 @@ def _at_order(s: Series, order: int) -> Series:
     return Series(s.nvars, s.terms, order)
 
 
-def _shift_terms(g: Series, shift: Exponent, order: int) -> Dict[Exponent, Scalar]:
-    """Terms of x^shift * g, truncated at the given order."""
-    bump = sum(shift)
-    out: Dict[Exponent, Scalar] = {}
-    for e, c in g.terms.items():
-        if sum(e) + bump >= order:
-            continue
-        out[tuple(a + b for a, b in zip(e, shift))] = c
+Tails = Dict[Exponent, Dict[Exponent, Scalar]]
+
+
+def _subtract_multiple(
+    acc: Dict[Exponent, Scalar], c: Scalar, tail: Dict[Exponent, Scalar]
+) -> None:
+    """acc -= c * tail, in place, dropping cancelled terms."""
+    for e, v in tail.items():
+        prev = acc.get(e)
+        val = -c * v if prev is None else prev - c * v
+        if val.is_zero():
+            acc.pop(e, None)
+        else:
+            acc[e] = val
+
+
+def _insert_row(tails: Tails, row: Dict[Exponent, Scalar]) -> None:
+    """Reduce the row by its leading terms against the stored pivots and
+    store what is left, made monic, under its new pivot."""
+    while row:
+        lm = max(row, key=grlex_key)
+        c = row.pop(lm)
+        tail = tails.get(lm)
+        if tail is None:
+            if c != ONE:
+                inv = c.inverse()
+                row = {e: v * inv for e, v in row.items()}
+            tails[lm] = row
+            return
+        _subtract_multiple(row, c, tail)
+
+
+def _substitute(terms: Dict[Exponent, Scalar], tails: Tails) -> Dict[Exponent, Scalar]:
+    """Replace every pivot term c*m by -c*tail(m).  When the tails hold
+    standard monomials only, so does the result."""
+    out = {e: c for e, c in terms.items() if e not in tails}
+    for e, c in terms.items():
+        tail = tails.get(e)
+        if tail is not None:
+            _subtract_multiple(out, c, tail)
     return out
 
 
-def _reduce(p: Series, basis: Sequence[Tuple[Exponent, Series]], key) -> Series:
-    """Full normal form of p against monic reducers (leading monomials
-    precomputed), working top-down so every exponent is settled once."""
-    order = p.trunc
-    work = dict(p.terms)
-    out: Dict[Exponent, Scalar] = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        hit = None
-        for lm, g in basis:
-            if _divides(lm, e):
-                hit = (lm, g)
-                break
-        if hit is None:
-            out[e] = c
-            continue
-        lm, g = hit
-        shift = tuple(a - b for a, b in zip(e, lm))
-        for ge, gc in g.terms.items():
-            if ge == lm:
-                continue
-            ne = tuple(a + b for a, b in zip(ge, shift))
-            if order is not None and sum(ne) >= order:
-                continue
-            acc = work.get(ne)
-            val = -c * gc if acc is None else acc - c * gc
-            if val.is_zero():
-                work.pop(ne, None)
-            else:
-                work[ne] = val
-    return Series(p.nvars, out, order)
-
-
 class ReducedBasis(NamedTuple):
-    """Reduced basis of ``<gens> + <x>^N``: monic interreduced polynomials
-    plus the degree-N monomials not absorbed by their leading terms."""
+    """Reduced basis of ``<gens> + <x>^N`` in grlex order.
+
+    ``polys`` are the monic basis polynomials below degree N, largest
+    leading monomial first; ``monomials`` are the degree-N monomials that
+    no leading monomial divides.  ``tails`` is the reduced echelon form
+    behind both: every leading monomial of the ideal below degree N,
+    mapped to the tail of its row, which has standard monomials only.
+    """
 
     polys: Tuple[Series, ...]
     monomials: Tuple[Exponent, ...]
+    tails: Tails
 
 
 def groebner(
     gens: Iterable[Series],
     trunc_order: int,
-    order: str = "grlex",
     nvars: Optional[int] = None,
 ) -> ReducedBasis:
-    """Buchberger's algorithm on the generators plus all degree-N monomials.
+    """The reduced basis of the generators plus all degree-N monomials,
+    read off the reduced row-echelon form of the ideal inside R_N.
 
-    Pairs of two degree-N monomials cancel exactly and are skipped;
-    pairs of a polynomial with a degree-N monomial reduce to a shifted
-    copy of the polynomial's tail and are processed whenever that tail
-    can reach below degree N.  Leading coefficients are normalized and
-    the result interreduced, so the basis is the unique reduced one.
+    R_N is finite-dimensional, and the image of the ideal in it is the
+    K-span of the truncated shifts x^a*g with |a| + mindeg(g) < N (the
+    Macaulay-matrix view behind F4).  Each shift is reduced by its
+    leading terms against the rows stored so far, one dict lookup per
+    leading term, and kept monic under a new pivot if anything is left.  The pivots
+    are then the leading monomials of the ideal below degree N.  A pass
+    in ascending grlex order substitutes the rows of smaller pivots into
+    the tails, so every tail ends up with standard monomials only.  That
+    reduced echelon form depends on the ideal alone, not on the order
+    the shifts arrived in, and so does everything read off it: the rows
+    at the minimal pivots (no ``m - e_i`` among the pivots) are the
+    unique reduced basis polynomials, and a degree-N monomial belongs to
+    the basis exactly when none of its degree-(N-1) divisors is a pivot.
     """
     if trunc_order < 1:
         raise ValueError("truncation order must be a positive integer")
-    key = TERM_ORDERS[order]
-    polys: List[Series] = []
+    generators = []
     for g in gens:
         if nvars is None:
             nvars = g.nvars
         elif g.nvars != nvars:
             raise ValueError("generators live in different variable sets")
-        t = _at_order(g, trunc_order)
-        if not t.is_zero():
-            t = t.monic(key)
-            if t not in polys:
-                polys.append(t)
+        terms = [(e, sum(e), c) for e, c in _at_order(g, trunc_order).terms.items()]
+        if terms:
+            generators.append((min(d for _, d, _ in terms), terms))
     if nvars is None:
         raise ValueError("an empty generating set needs an explicit variable count")
-    monos = tuple(iter_exponents(nvars, trunc_order))
+    tails: Tails = {}
+    # Shifts of high degree go first: truncation makes them short, and the
+    # longer rows that come later reduce against them cheaply.
+    for k in reversed(range(trunc_order)):
+        for shift in iter_exponents(nvars, k):
+            for low, terms in generators:
+                if low + k < trunc_order:
+                    row = {
+                        tuple(a + b for a, b in zip(e, shift)): c
+                        for e, d, c in terms
+                        if d + k < trunc_order
+                    }
+                    _insert_row(tails, row)
+    for m in sorted(tails, key=grlex_key):
+        tails[m] = _substitute(tails[m], tails)
 
-    basis: List[Series] = []
-    lms: List[Exponent] = []
-    pairs: List[tuple] = []
-    tick = itertools.count()
+    def minimal(m: Exponent) -> bool:
+        return not any(
+            m[:i] + (m[i] - 1,) + m[i + 1:] in tails for i in range(nvars) if m[i]
+        )
 
-    def enqueue(idx: int) -> None:
-        lm_new = lms[idx]
-        for j in range(idx):
-            if _coprime(lms[j], lm_new):
-                continue
-            lcm = _lcm_exp(lms[j], lm_new)
-            heapq.heappush(pairs, (key(lcm), next(tick), "pp", j, idx))
-        g = basis[idx]
-        if g.min_degree() == sum(lm_new):
-            return  # homogeneous: every monomial pair vanishes at truncation
-        tail_min = min(sum(e) for e in g.terms if e != lm_new)
-        seen = set()
-        for m in monos:
-            if _coprime(lm_new, m):
-                continue
-            shift = tuple(max(a - b, 0) for a, b in zip(m, lm_new))
-            if shift in seen:
-                continue
-            seen.add(shift)
-            if tail_min + sum(shift) >= trunc_order:
-                continue
-            lcm = tuple(a + b for a, b in zip(shift, lm_new))
-            heapq.heappush(pairs, (key(lcm), next(tick), "pm", idx, shift))
-
-    def adjoin(p: Series) -> None:
-        basis.append(p)
-        lms.append(p.leading_monomial(key))
-        enqueue(len(basis) - 1)
-
-    for g in polys:
-        adjoin(g)
-
-    reducers = lambda: list(zip(lms, basis))
-    while pairs:
-        _, _, kind, i, payload = heapq.heappop(pairs)
-        if kind == "pp":
-            j = payload
-            lcm = _lcm_exp(lms[i], lms[j])
-            s = Series(
-                nvars, _shift_terms(basis[i], tuple(a - b for a, b in zip(lcm, lms[i])), trunc_order), trunc_order
-            ) - Series(
-                nvars, _shift_terms(basis[j], tuple(a - b for a, b in zip(lcm, lms[j])), trunc_order), trunc_order
-            )
-        else:
-            s = Series(nvars, _shift_terms(basis[i], payload, trunc_order), trunc_order)
-        r = _reduce(s, reducers(), key)
-        if not r.is_zero():
-            adjoin(r.monic(key))
-
-    # Minimal generators: drop polynomials whose leading monomial is a
-    # multiple of another's, then interreduce tails to the unique form.
-    minimal: List[Series] = []
-    for idx, g in enumerate(basis):
-        lm = lms[idx]
-        if any(
-            _divides(lms[j], lm) and (j < idx or lms[j] != lm)
-            for j in range(len(basis))
-            if j != idx
-        ):
-            continue
-        minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            g = minimal[idx]
-            if g is None:
-                continue
-            others = [
-                (h.leading_monomial(key), h)
-                for pos, h in enumerate(minimal)
-                if pos != idx and h is not None
-            ]
-            r = _reduce(g, others, key)
-            if r.is_zero():
-                minimal[idx] = None
-                changed = True
-            elif r != g:
-                minimal[idx] = r.monic(key)
-                changed = True
-    final = [g for g in minimal if g is not None]
-    final.sort(key=lambda g: key(g.leading_monomial(key)), reverse=True)
-    final_lms = [g.leading_monomial(key) for g in final]
-    survivors = tuple(
-        m
-        for m in sorted(monos, key=key, reverse=True)
-        if not any(_divides(lm, m) for lm in final_lms)
+    polys = tuple(
+        Series(nvars, {m: ONE, **tails[m]}, trunc_order)
+        for m in sorted(tails, key=grlex_key, reverse=True)
+        if minimal(m)
     )
-    return ReducedBasis(tuple(final), survivors)
+    monomials = tuple(m for m in iter_exponents(nvars, trunc_order) if minimal(m))
+    return ReducedBasis(polys, monomials, tails)
 
 
 class IdealHandle:
@@ -275,19 +213,16 @@ class IdealHandle:
     read-only after that single initialization.
     """
 
-    __slots__ = ("generators", "trunc_order", "order_name", "nvars", "_basis")
+    __slots__ = ("generators", "trunc_order", "nvars", "_basis")
 
     def __init__(
         self,
         generators: Iterable[Series],
         trunc_order: int,
-        order: str = "grlex",
         nvars: Optional[int] = None,
     ):
         if trunc_order < 1:
             raise ValueError("truncation order must be a positive integer")
-        if order not in TERM_ORDERS:
-            raise ValueError(f"unknown term order {order!r}")
         gens = []
         for g in generators:
             if nvars is None:
@@ -299,7 +234,6 @@ class IdealHandle:
             raise ValueError("an empty generating set needs an explicit variable count")
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "trunc_order", trunc_order)
-        object.__setattr__(self, "order_name", order)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_basis", None)
 
@@ -308,9 +242,7 @@ class IdealHandle:
 
     def _ensure_basis(self) -> ReducedBasis:
         if self._basis is None:
-            computed = groebner(
-                self.generators, self.trunc_order, self.order_name, self.nvars
-            )
+            computed = groebner(self.generators, self.trunc_order, self.nvars)
             object.__setattr__(self, "_basis", computed)
         return self._basis
 
@@ -323,14 +255,13 @@ class IdealHandle:
         return self._ensure_basis().monomials
 
     def normal_form(self, psi: Series) -> Series:
-        """The unique remainder of psi modulo the ideal (zero iff member)."""
+        """The unique remainder of psi modulo the ideal (zero iff member):
+        one pass that replaces every pivot term by its reduced tail."""
         if psi.nvars != self.nvars:
             raise ValueError("variable counts differ")
-        key = TERM_ORDERS[self.order_name]
         rep = _at_order(psi, self.trunc_order)
-        basis = self._ensure_basis()
-        reducers = [(g.leading_monomial(key), g) for g in basis.polys]
-        return _reduce(rep, reducers, key)
+        out = _substitute(rep.terms, self._ensure_basis().tails)
+        return Series(self.nvars, out, self.trunc_order)
 
     def member(self, psi: Series) -> bool:
         return self.normal_form(psi).is_zero()
@@ -339,7 +270,6 @@ class IdealHandle:
         return IdealHandle(
             tuple(self.generators) + tuple(extra),
             self.trunc_order,
-            self.order_name,
             self.nvars,
         )
 
@@ -410,7 +340,6 @@ def close_under_lie(ideal: IdealHandle, f) -> IdealHandle:
         current = IdealHandle(
             current.reduced_basis + tuple(fresh),
             ideal.trunc_order,
-            ideal.order_name,
             ideal.nvars,
         )
     raise ArithmeticError("ideal closure failed to stabilize")  # pragma: no cover

@@ -36,7 +36,6 @@ __all__ = [
     "VectorField",
     "WeightDecomposition",
     "grlex_key",
-    "grevlex_key",
     "iter_exponents",
     "weight",
     "series_weights",
@@ -51,14 +50,6 @@ __all__ = [
 def grlex_key(e: Exponent):
     """Graded lexicographic sort key (higher key = larger monomial)."""
     return (sum(e), e)
-
-
-def grevlex_key(e: Exponent):
-    """Graded reverse lexicographic sort key."""
-    return (sum(e), tuple(-k for k in reversed(e)))
-
-
-TERM_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
 
 
 def iter_exponents(nvars: int, total: int) -> Iterator[Exponent]:
@@ -164,24 +155,25 @@ class Series:
     def coefficient(self, exps: Exponent) -> Scalar:
         return self.terms.get(tuple(exps), ZERO)
 
-    def sorted_terms(self, key=grlex_key, reverse: bool = True):
-        """Terms as (exponent, coefficient), leading monomial first by default."""
+    def sorted_terms(self, reverse: bool = True):
+        """Terms as (exponent, coefficient) in grlex order, leading monomial
+        first by default."""
         return [
             (e, self.terms[e])
-            for e in sorted(self.terms, key=key, reverse=reverse)
+            for e in sorted(self.terms, key=grlex_key, reverse=reverse)
         ]
 
-    def leading_monomial(self, key=grlex_key) -> Optional[Exponent]:
+    def leading_monomial(self) -> Optional[Exponent]:
         if not self.terms:
             return None
-        return max(self.terms, key=key)
+        return max(self.terms, key=grlex_key)
 
-    def leading_coefficient(self, key=grlex_key) -> Scalar:
-        lm = self.leading_monomial(key)
+    def leading_coefficient(self) -> Scalar:
+        lm = self.leading_monomial()
         return ZERO if lm is None else self.terms[lm]
 
-    def monic(self, key=grlex_key) -> "Series":
-        lc = self.leading_coefficient(key)
+    def monic(self) -> "Series":
+        lc = self.leading_coefficient()
         if lc.is_zero() or lc == ONE:
             return self
         return self * lc.inverse()

@@ -96,6 +96,16 @@ def test_extract_reports_non_invariant_seed(problem, capsys):
     assert err["witness"]["reduced_lie_derivative"] == "-y"
 
 
+def test_error_report_carries_trunc_order_override(problem, capsys):
+    path = problem(GOLDEN)
+    code, report, _ = run(
+        capsys, ["extract", path, "--ideal", "psi", "--trunc-order", "6"]
+    )
+    assert code == 4
+    assert report["error"]["type"] == "NotInvariantError"
+    assert report["trunc_order"] == 6
+
+
 def test_extract_without_certificates(problem, capsys):
     path = problem(GOLDEN)
     code, report, _ = run(

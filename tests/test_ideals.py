@@ -1,9 +1,11 @@
 """Tests for truncated Groebner bases, invariance, and extraction."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dulac.errors import (
     CertificateError,
@@ -145,6 +147,80 @@ def test_groebner_unit_ideal():
     basis = groebner([one], 4)
     assert [dict(p.terms) for p in basis.polys] == [{(0, 0): ONE}]
     assert basis.monomials == ()
+
+
+def _sympy_instances():
+    rng = random.Random(1811)
+    for _ in range(40):
+        nvars = rng.choice([2, 3])
+        order = rng.randint(4, 7)
+        gens = [
+            random_series(rng, nvars, order, max_terms=3, min_degree=1)
+            for _ in range(rng.randint(1, 3))
+        ]
+        psis = [random_series(rng, nvars, order, max_terms=6) for _ in range(3)]
+        yield nvars, order, gens, psis
+    for order in range(10, 15):
+        g = Series(3, {(2, 0, 0): ONE, (0, 1, 0): ONE}, order)
+        psis = [random_series(rng, 3, order, max_terms=6) for _ in range(3)]
+        yield 3, order, [g], psis
+
+
+def test_groebner_and_normal_form_match_sympy():
+    # sympy's grlex with x0 > x1 > ... is dulac's grlex_key order.  The
+    # reduced basis of <gens> + <x>^N splits into polynomials below degree
+    # N and degree-N monomials (a degree-N element is a monomial, since
+    # every degree-N monomial is a member).
+    def terms_of(p):
+        return {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c}
+
+    def grlex(e):
+        return (sum(e), e)
+
+    def lead(terms):
+        return max(terms, key=grlex)
+
+    for nvars, order, gens, psis in _sympy_instances():
+        syms = sympy.symbols(f"x0:{nvars}")
+
+        def to_sympy(s):
+            return sympy.Poly(
+                sum(
+                    sympy.Rational(c.re.numerator, c.re.denominator)
+                    * sympy.prod(x**k for x, k in zip(syms, e))
+                    for e, c in s.terms.items()
+                ),
+                *syms, domain="QQ",
+            )
+
+        top = [
+            sympy.prod(x**k for x, k in zip(syms, e))
+            for e in itertools.product(range(order + 1), repeat=nvars)
+            if sum(e) == order
+        ]
+        oracle = sympy.groebner(
+            [to_sympy(g) for g in gens] + top, *syms, order="grlex", domain="QQ"
+        )
+        want = [terms_of(p) for p in oracle.polys]
+        want_polys = sorted(
+            (t for t in want if sum(lead(t)) < order),
+            key=lambda t: grlex(lead(t)), reverse=True,
+        )
+        want_monos = sorted(
+            (lead(t) for t in want if sum(lead(t)) == order),
+            key=grlex, reverse=True,
+        )
+        assert all(len(t) == 1 for t in want if sum(lead(t)) == order)
+
+        basis = groebner(gens, order, nvars=nvars)
+        assert [{e: c.re for e, c in p.terms.items()} for p in basis.polys] == want_polys
+        assert list(basis.monomials) == want_monos
+
+        handle = IdealHandle(gens, order, nvars=nvars)
+        for psi in psis:
+            _, remainder = oracle.reduce(to_sympy(psi))
+            got = handle.normal_form(psi)
+            assert {e: c.re for e, c in got.terms.items()} == terms_of(remainder)
 
 
 # -- membership ----------------------------------------------------------------

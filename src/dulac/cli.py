@@ -33,8 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ideals as ideal_ops
 from .errors import (
-    CertificateError,
-    CompositionError,
     DulacError,
     ExprSyntaxError,
     HypothesisError,
@@ -43,7 +41,6 @@ from .errors import (
     NotNormalFormError,
     SchemaError,
     SingularMatrixError,
-    TruncationError,
     UnsupportedSpectrumError,
 )
 from .exprs import format_series, parse_expression
@@ -59,8 +56,9 @@ from .field import (
     weight_embed,
     weights_from_scalars,
 )
+from .linalg import ExactMatrix
 from .normalform import conjugacy_residual, is_pdnf, normalize
-from .poly import Series, VectorField, weight_decompose
+from .poly import Series, VectorField, linear_components, weight_decompose
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -281,6 +279,12 @@ def build_field(problem: Problem, order: int) -> VectorField:
     if problem.vector_field is None:
         raise SchemaError("the problem file declares no 'vector_field'")
     comps = [_parse_series(problem, src, order) for src in problem.vector_field]
+    for name, comp in zip(problem.variables, comps):
+        if not comp.constant_term().is_zero():
+            raise SchemaError(
+                f"the 'vector_field' component for {name!r} has a nonzero "
+                "constant term; the field must vanish at the origin"
+            )
     field = VectorField.from_components(comps)
     scalars = field.eigenvalue_scalars()
     if problem.field_mode == "rational" and any(not s.is_rational() for s in scalars):
@@ -487,7 +491,7 @@ def cmd_extract(problem: Problem, args) -> Tuple[dict, int]:
                     "cannot close ideals"
                 )
             lam = [weight_embed(w, embedding) for w in weights]
-            diag = ideal_ops._diagonal_components(lam, len(problem.variables))
+            diag = linear_components(ExactMatrix.diagonal(lam))
             work = ideal_ops.close_under_lie(handle, diag)
             work = work.with_extra(seeds)
         generators, certificates = ideal_ops.extract_semiinvariants(
@@ -499,24 +503,9 @@ def cmd_extract(problem: Problem, args) -> Tuple[dict, int]:
         work = handle
         if args.close:
             work = ideal_ops.close_under_lie(handle, field)
-        invariant, witness = ideal_ops.is_invariant(work, field)
-        if not invariant:
-            raise NotInvariantError(
-                "the ideal is not invariant along the field "
-                "(pass --close to close it first)",
-                witness=witness,
-            )
-        pieces: List[Series] = []
-        certificates = []
-        for seed in seeds:
-            components, certificate = ideal_ops.extract_from_member(
-                seed, work, field
-            )
-            pieces.extend(components)
-            if certificate is not None:
-                certificates.append(certificate)
-        generators = ideal_ops._collect_generators(pieces)
-        certificates = tuple(certificates)
+        generators, certificates = ideal_ops.lf_extract_semiinvariants(
+            work, field, seeds
+        )
         report["route"] = "lie-derivative"
 
     report["closed"] = bool(args.close)
@@ -653,33 +642,17 @@ def _error_payload(exc: Exception, variables: Optional[List[str]]) -> dict:
     return payload
 
 
+# First match wins; the last row catches everything main handles.
 _EXIT_BY_TYPE = (
     ((SchemaError, ExprSyntaxError), EXIT_PARSE),
-    ((HypothesisError,), EXIT_HYPOTHESIS),
-    ((UnsupportedSpectrumError,), EXIT_MODE),
-    (
-        (
-            NotInvariantError,
-            NotNormalFormError,
-            NotDiagonalError,
-            CertificateError,
-            TruncationError,
-            CompositionError,
-            SingularMatrixError,
-            DulacError,
-            ZeroDivisionError,
-            ArithmeticError,
-        ),
-        EXIT_MATH,
-    ),
+    (HypothesisError, EXIT_HYPOTHESIS),
+    (UnsupportedSpectrumError, EXIT_MODE),
+    ((DulacError, ArithmeticError), EXIT_MATH),
 )
 
 
 def _exit_code_for(exc: Exception) -> int:
-    for types, code in _EXIT_BY_TYPE:
-        if isinstance(exc, types):
-            return code
-    raise exc
+    return next(code for types, code in _EXIT_BY_TYPE if isinstance(exc, types))
 
 
 def _emit(report: dict, verbose: bool, code: int) -> None:
@@ -698,12 +671,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"dulac: cannot read problem file: {exc}\n")
         return EXIT_IO
     except (SchemaError, UnsupportedSpectrumError) as exc:
-        code = EXIT_PARSE if isinstance(exc, SchemaError) else EXIT_MODE
+        code = _exit_code_for(exc)
         _emit({"error": _error_payload(exc, None)}, args.verbose, code)
         return code
     try:
         report, code = args.handler(problem, args)
-    except (DulacError, ZeroDivisionError, ArithmeticError) as exc:
+    except (DulacError, ArithmeticError) as exc:
         code = _exit_code_for(exc)
         try:
             order = _effective_order(problem, args)

@@ -25,10 +25,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "IMAG",
-    "scalar_add",
-    "scalar_mul",
-    "scalar_inv",
-    "weight_eq",
     "weight_embed",
     "weights_from_scalars",
     "format_fraction",
@@ -191,18 +187,6 @@ ONE = Scalar(1)
 IMAG = Scalar(0, 1)
 
 
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_inv(a: Scalar) -> Scalar:
-    return a.inverse()
-
-
 class Weight:
     """A rational vector in Q^d over an abstract Q-linearly independent basis.
 
@@ -269,13 +253,6 @@ class Weight:
 
     def __str__(self) -> str:
         return format_weight(self)
-
-
-def weight_eq(u: Weight, v: Weight) -> bool:
-    """Exact equality of two weights of the same dimension."""
-    if u.dim != v.dim:
-        raise ValueError(f"weight dimensions differ: {u.dim} != {v.dim}")
-    return u.coords == v.coords
 
 
 def weight_embed(w: Weight, basis_values: Sequence[Scalar]) -> Scalar:
@@ -366,11 +343,6 @@ def format_weight(w: Weight) -> str:
     if w.dim == 1:
         return format_fraction(w.coords[0])
     return "[" + ", ".join(format_fraction(c) for c in w.coords) + "]"
-
-
-def weight_to_strings(w: Weight) -> list:
-    """JSON-interface form: array of rational strings."""
-    return [format_fraction(c) for c in w.coords]
 
 
 def parse_weight(values: Sequence[str]) -> Weight:

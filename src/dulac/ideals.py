@@ -48,6 +48,7 @@ from .poly import (
     grlex_key,
     iter_exponents,
     lie_derivative,
+    linear_components,
     weight_decompose,
 )
 
@@ -473,14 +474,6 @@ def _collect_generators(pieces: Iterable[Series]) -> Tuple[Series, ...]:
     return tuple(unique)
 
 
-def _diagonal_components(lam: Sequence[Scalar], nvars: int) -> Tuple[Series, ...]:
-    comps = []
-    for i in range(nvars):
-        e = tuple(1 if k == i else 0 for k in range(nvars))
-        comps.append(Series(nvars, {e: lam[i]}))
-    return tuple(comps)
-
-
 def _symbolic_images(g: Series, eigenvalues: Sequence[Weight]) -> List[Series]:
     """Per-basis-coordinate pieces of the semisimple Lie derivative.
 
@@ -534,7 +527,7 @@ def extract_semiinvariants(
         return _extract_symbolic(ideal, eigenvalues), None
 
     lam = [weight_embed(w, embedding) for w in eigenvalues]
-    diag = _diagonal_components(lam, ideal.nvars)
+    diag = linear_components(linalg.ExactMatrix.diagonal(lam))
     for g in ideal.generators:
         image = lie_derivative(diag, g)
         residue = ideal.normal_form(image)
@@ -705,21 +698,31 @@ def extract_from_member(
 
 
 def lf_extract_semiinvariants(
-    ideal: IdealHandle, f: VectorField
+    ideal: IdealHandle, f: VectorField, members: Iterable[Series]
 ) -> Tuple[Tuple[Series, ...], Tuple[ExtractionCertificate, ...]]:
-    """Semi-invariant generators of an L_f-invariant ideal for f in
-    normal form: the confluent-Vandermonde extraction applied to every
-    generator, proving the ideal is already generated by weight-
+    """Semi-invariant generators from ``members`` of an L_f-invariant
+    ideal, for f in normal form.
+
+    Each member is split into its weight components by the certified
+    confluent-Vandermonde extraction (:func:`extract_from_member`); the
+    components are returned monic and deduplicated, with one certificate
+    per nonzero member.  Every member must lie in the ideal.  Passing
+    ``ideal.generators`` proves that the ideal is generated by weight-
     homogeneous elements (hence invariant under the semisimple part
-    alone)."""
+    alone).  After ``closed = close_under_lie(seed, f)``, passing the
+    seed generators extracts from the original seeds rather than from
+    the closure, as ``dulac extract --close`` does.
+    """
     invariant, witness = is_invariant(ideal, f)
     if not invariant:
         raise NotInvariantError(
-            "the ideal is not invariant along the field", witness=witness
+            "the ideal is not invariant along the field "
+            "(pass --close to close it first)",
+            witness=witness,
         )
     pieces: List[Series] = []
     certificates: List[ExtractionCertificate] = []
-    for g in ideal.generators:
+    for g in members:
         components, certificate = extract_from_member(g, ideal, f)
         pieces.extend(components)
         if certificate is not None:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import SingularMatrixError, UnsupportedSpectrumError
-from .field import ONE, ZERO, Scalar, Weight
+from .field import ONE, ZERO, Scalar
 
 __all__ = [
     "ExactMatrix",
@@ -31,7 +31,6 @@ __all__ = [
     "jordan_chevalley",
     "vandermonde_matrix",
     "confluent_vandermonde_matrix",
-    "homogeneous_eigenvalues",
 ]
 
 
@@ -296,71 +295,16 @@ def _bareiss_gauss(m: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
 # -- elimination --------------------------------------------------------------
 
 
-def rank(matrix: ExactMatrix) -> int:
-    rows = [list(row) for row in matrix.rows()]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
+def _reduced_echelon(rows: List[List[Scalar]]) -> List[int]:
+    """Bring the rows to reduced row-echelon form in place (Gauss-Jordan
+    with exact pivots); returns the pivot column of each nonzero row."""
+    nrows = len(rows)
+    pivots: List[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
         if r == nrows:
             break
-    return r
-
-
-def inverse(matrix: ExactMatrix) -> ExactMatrix:
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    n = matrix.nrows
-    aug = [list(matrix.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, n):
-            if aug[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrixError(
-                "matrix is singular", rank=rank(matrix)
-            )
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return ExactMatrix([row[n:] for row in aug])
-
-
-def kernel_basis(matrix: ExactMatrix) -> List[Tuple[Scalar, ...]]:
-    """A deterministic basis of the right kernel, from the reduced echelon form."""
-    rows = [list(row) for row in matrix.rows()]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -371,10 +315,37 @@ def kernel_basis(matrix: ExactMatrix) -> List[Tuple[Scalar, ...]]:
                 factor = rows[i][col]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return pivots
+
+
+def rank(matrix: ExactMatrix) -> int:
+    return len(_reduced_echelon([list(row) for row in matrix.rows()]))
+
+
+def inverse(matrix: ExactMatrix) -> ExactMatrix:
+    """Exact inverse, read off the reduced echelon form of [A | I]."""
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = matrix.nrows
+    aug = [list(matrix.row(i)) + [ONE if j == i else ZERO for j in range(n)]
+           for i in range(n)]
+    pivots = _reduced_echelon(aug)
+    # [A | I] has rank n; A is invertible exactly when all n pivots lie in A.
+    a_rank = sum(1 for col in pivots if col < n)
+    if a_rank < n:
+        raise SingularMatrixError("matrix is singular", rank=a_rank)
+    return ExactMatrix([row[n:] for row in aug])
+
+
+def kernel_basis(matrix: ExactMatrix) -> List[Tuple[Scalar, ...]]:
+    """A deterministic basis of the right kernel, from the reduced echelon form."""
+    rows = [list(row) for row in matrix.rows()]
+    pivots = _reduced_echelon(rows)
+    ncols = matrix.ncols
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
         for prow, pcol in enumerate(pivots):
@@ -765,14 +736,3 @@ def confluent_vandermonde_matrix(nodes: Sequence[Scalar], m: int) -> ExactMatrix
                     row.append(powers[k][ell - p + 1] * math.comb(ell, p - 1))
         rows.append(row)
     return ExactMatrix(rows)
-
-
-def homogeneous_eigenvalues(eigenvalues: Sequence[Weight], k: int) -> Tuple[Weight, ...]:
-    """Weights of all degree-k monomials: the spectrum of the semisimple
-    derivation on the degree-k homogeneous component."""
-    from .poly import iter_exponents, weight
-
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    found = {weight(e, eigenvalues) for e in iter_exponents(len(eigenvalues), k)}
-    return tuple(sorted(found, key=lambda w: w.sort_key()))

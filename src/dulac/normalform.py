@@ -30,6 +30,7 @@ from .poly import (
     compose,
     lie_bracket,
     lie_derivative,
+    linear_components,
     weight,
 )
 
@@ -107,32 +108,20 @@ def _series_matrix_vec(a, v, nvars, trunc):
     return out
 
 
-def _linear_substitution(matrix: linalg.ExactMatrix, nvars: int, trunc) -> List[Series]:
-    subs = []
-    for j in range(nvars):
-        terms = {}
-        for k in range(nvars):
-            c = matrix[j, k]
-            if not c.is_zero():
-                e = tuple(1 if t == k else 0 for t in range(nvars))
-                terms[e] = c
-        subs.append(Series(nvars, terms, trunc))
-    return subs
-
-
 def _conjugate_components(
     components: Sequence[Series], t: linalg.ExactMatrix, t_inv: linalg.ExactMatrix, trunc
 ) -> List[Series]:
     """Components of T^-1 f(T y) for a linear change of coordinates T."""
-    nvars = len(components)
-    subs = _linear_substitution(t, nvars, trunc)
+    subs = linear_components(t, trunc)
     composed = [compose(c, subs) for c in components]
     return linalg.matvec_series(t_inv, composed)
 
 
-def _ad_nilpotent(nil: linalg.ExactMatrix, vec: List[Series], nvars, trunc) -> List[Series]:
-    """[B_n y, u] = Du . (B_n y) - B_n u on a vector of series."""
-    nil_comps = _linear_substitution(nil, nvars, trunc)
+def _ad_nilpotent(
+    nil: linalg.ExactMatrix, nil_comps: Sequence[Series], vec: List[Series]
+) -> List[Series]:
+    """[B_n y, u] = Du . (B_n y) - B_n u on a vector of series, where
+    ``nil_comps`` are the components of the linear field B_n y."""
     part1 = [lie_derivative(nil_comps, u) for u in vec]
     part2 = linalg.matvec_series(nil, vec)
     return [a - b for a, b in zip(part1, part2)]
@@ -165,6 +154,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         comps = _conjugate_components(work_field.components, t, t_inv, m_order)
         nil = t_inv * f.nilpotent * t
 
+    nil_comps = linear_components(nil, m_order)
     transform = [Series.variable(i, nvars, m_order) for i in range(nvars)]
     identity_subs = [Series.variable(i, nvars, m_order) for i in range(nvars)]
 
@@ -197,7 +187,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
                 h_vec = [h + t_i for h, t_i in zip(h_vec, term)]
                 term = [
                     t_i * (-1) * c_inv
-                    for t_i in _ad_nilpotent(nil, term, nvars, m_order)
+                    for t_i in _ad_nilpotent(nil, nil_comps, term)
                 ]
                 guard += 1
                 if guard > nvars * (degree + 2) ** nvars + 4:
@@ -231,7 +221,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         t = f.diagonalizer
         t_inv = linalg.inverse(t)
         comps = _conjugate_components(comps, t_inv, t, m_order)
-        inv_subs = _linear_substitution(t_inv, nvars, m_order)
+        inv_subs = linear_components(t_inv, m_order)
         transform = linalg.matvec_series(
             t, [compose(t_i, inv_subs) for t_i in transform]
         )

@@ -16,7 +16,7 @@ arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, TruncationError
 from .field import (
@@ -38,12 +38,12 @@ __all__ = [
     "grlex_key",
     "iter_exponents",
     "weight",
-    "series_weights",
     "weight_decompose",
     "lie_derivative",
     "lie_derivative_iter",
     "lie_bracket",
     "compose",
+    "linear_components",
 ]
 
 
@@ -60,6 +60,11 @@ def iter_exponents(nvars: int, total: int) -> Iterator[Exponent]:
     for head in range(total, -1, -1):
         for tail in iter_exponents(nvars - 1, total - head):
             yield (head,) + tail
+
+
+def _unit(j: int, n: int) -> Exponent:
+    """The exponent of the variable x_j among n variables."""
+    return (0,) * j + (1,) + (0,) * (n - j - 1)
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -117,8 +122,7 @@ class Series:
     def variable(cls, index: int, nvars: int, trunc: Optional[int] = None) -> "Series":
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
-        exps = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls(nvars, {exps: ONE}, trunc)
+        return cls(nvars, {_unit(index, nvars): ONE}, trunc)
 
     @classmethod
     def monomial(
@@ -192,9 +196,6 @@ class Series:
             )
         picked = {e: c for e, c in self.terms.items() if sum(e) == k}
         return Series(self.nvars, picked, self.trunc)
-
-    def homogeneous_degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted({sum(e) for e in self.terms}))
 
     def truncate(self, order: int) -> "Series":
         """View this series modulo <x>^order (order must not exceed what is known)."""
@@ -325,11 +326,6 @@ def weight(exps: Exponent, eigenvalues: Sequence[Weight]) -> Weight:
     return total
 
 
-def series_weights(s: Series, eigenvalues: Sequence[Weight]):
-    """The set of weights appearing among the terms of a series."""
-    return {weight(e, eigenvalues) for e in s.terms}
-
-
 class WeightDecomposition:
     """A series split into its weight-homogeneous components.
 
@@ -361,12 +357,6 @@ class WeightDecomposition:
 
     def __iter__(self):
         return iter(self.components.items())
-
-    def reconstruct(self, nvars: int, trunc: Optional[int]) -> Series:
-        total = Series.zero(nvars, trunc)
-        for part in self.components.values():
-            total = total + part
-        return total
 
 
 def weight_decompose(s: Series, eigenvalues: Sequence[Weight]) -> WeightDecomposition:
@@ -473,6 +463,15 @@ def compose(s: Series, subs: Sequence[Series]) -> Series:
     return total
 
 
+def linear_components(matrix, trunc: Optional[int] = None) -> Tuple[Series, ...]:
+    """Components of the linear field x -> M x: row i is sum_j M[i, j] x_j."""
+    n = matrix.nrows
+    return tuple(
+        Series(n, {_unit(j, n): matrix[i, j] for j in range(n)}, trunc)
+        for i in range(n)
+    )
+
+
 # -- vector fields -----------------------------------------------------------
 
 
@@ -519,8 +518,7 @@ class VectorField:
             raise ValueError("linear part has the wrong shape")
         for i, comp in enumerate(components):
             for j in range(n):
-                e = tuple(1 if k == j else 0 for k in range(n))
-                if comp.coefficient(e) != linear[i, j]:
+                if comp.coefficient(_unit(j, n)) != linear[i, j]:
                     raise ValueError(
                         "degree-1 terms of the components disagree with the linear part"
                     )
@@ -563,11 +561,7 @@ class VectorField:
         for comp in components:
             if comp.nvars != n:
                 raise ValueError("component variable count does not match dimension")
-            row = []
-            for j in range(n):
-                e = tuple(1 if k == j else 0 for k in range(n))
-                row.append(comp.coefficient(e))
-            rows.append(row)
+            rows.append([comp.coefficient(_unit(j, n)) for j in range(n)])
         linear = linalg.ExactMatrix.from_rows(rows)
         pair = linalg.jordan_chevalley(linear)
         if pair.semisimple.is_diagonal():
@@ -586,21 +580,6 @@ class VectorField:
             embedding,
             diagonalizer,
         )
-
-    @classmethod
-    def linear_field(cls, matrix, trunc: Optional[int] = None) -> "VectorField":
-        """The linear field x -> M x as a VectorField."""
-        n = matrix.nrows
-        comps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                c = matrix[i, j]
-                if not c.is_zero():
-                    e = tuple(1 if k == j else 0 for k in range(n))
-                    terms[e] = c
-            comps.append(Series(n, terms, trunc))
-        return cls.from_components(comps)
 
     # -- derived views ---------------------------------------------------
 
@@ -623,17 +602,7 @@ class VectorField:
 
     def semisimple_components(self) -> Tuple[Series, ...]:
         """Components of the linear field B_s x (exact polynomials)."""
-        n = self.nvars
-        comps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                c = self.semisimple[i, j]
-                if not c.is_zero():
-                    e = tuple(1 if k == j else 0 for k in range(n))
-                    terms[e] = c
-            comps.append(Series(n, terms))
-        return tuple(comps)
+        return linear_components(self.semisimple)
 
     def g_components(self) -> Tuple[Series, ...]:
         """f minus its semisimple linear part: the operand of L_g."""

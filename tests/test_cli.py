@@ -349,6 +349,16 @@ def test_expression_errors_carry_positions(problem, capsys):
     assert "line 1, column 2" in report["error"]["message"]
 
 
+def test_field_with_constant_term_exits_2(problem, capsys):
+    data = dict(GOLDEN)
+    data["vector_field"] = ["1 + x", "3*y"]
+    path = problem(data)
+    code, report, _ = run(capsys, ["normalize", path])
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+    assert "constant term" in report["error"]["message"]
+
+
 def test_declared_eigenvalues_must_match_field(problem, capsys):
     data = dict(GOLDEN)
     data["eigenvalues"] = ["1", "4"]

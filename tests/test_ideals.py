@@ -15,6 +15,7 @@ from dulac.errors import (
     NotNormalFormError,
     TruncationError,
 )
+from dulac.exprs import format_series, parse_expression
 from dulac.field import IMAG, ONE, Scalar, Weight, weights_from_scalars
 from dulac.ideals import (
     IdealHandle,
@@ -506,7 +507,7 @@ def test_extract_from_member_zero_series():
 def test_lf_extract_semiinvariants_golden():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     closed = IdealHandle([_s({(3, 0): 1}, 8), _s({Y: 1}, 8)], 8)
-    gens, certs = lf_extract_semiinvariants(closed, f)
+    gens, certs = lf_extract_semiinvariants(closed, f, closed.generators)
     assert [dict(g.terms) for g in gens] == [{(3, 0): ONE}, {Y: ONE}]
     assert len(certs) == 2
     for cert in certs:
@@ -522,8 +523,27 @@ def test_lf_extract_semiinvariants_requires_invariant_ideal():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     seed = IdealHandle([_s({(3, 0): 1, Y: 1}, 8), _s({(0, 2): 1}, 8)], 8)
     with pytest.raises(NotInvariantError) as info:
-        lf_extract_semiinvariants(seed, f)
+        lf_extract_semiinvariants(seed, f, seed.generators)
     assert info.value.witness is not None
+
+
+def test_lf_extract_semiinvariants_from_seed_members():
+    # The README example: the closure is <x^3, y>, and extracting from the
+    # seed psi instead gives what `dulac extract --close` reports.
+    names = ("x", "y")
+    f = VectorField.from_components([
+        parse_expression("x", names, trunc_order=8),
+        parse_expression("3*y + x^3", names, trunc_order=8),
+    ])
+    psi = parse_expression("x^3 + y + y^2", names, trunc_order=8)
+    closed = close_under_lie(IdealHandle([psi], 8), f)
+    gens, certs = lf_extract_semiinvariants(closed, f, [psi])
+    assert [format_series(g, names) for g in gens] == ["x^3 + y", "y^2"]
+    assert [cert.source for cert in certs] == [psi]
+    from_closure, _ = lf_extract_semiinvariants(closed, f, closed.generators)
+    assert [format_series(g, names) for g in from_closure] == [
+        "x^2*y^2", "x^3 + y", "y^3", "y^2", "y",
+    ]
 
 
 def test_extraction_generators_monic_and_sorted():

@@ -1,5 +1,6 @@
 """Tests for exact matrices: elimination, spectra, Chevalley splitting."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -112,6 +113,62 @@ def test_inverse_singular_reports_rank():
     with pytest.raises(SingularMatrixError) as info:
         inverse(m)
     assert info.value.rank == 1
+
+
+def _rand_entry(rng, gaussian):
+    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if gaussian and rng.random() < 0.5:
+        return Scalar(re, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return Scalar(re)
+
+
+def _from_sympy(value):
+    re, im = value.as_real_imag()
+    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _rand_rows(rng, nrows, ncols, gaussian):
+    return [[_rand_entry(rng, gaussian) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_elimination_matches_sympy():
+    # rank, inverse and kernel_basis read one reduced echelon form; sympy's
+    # nullspace is built from the free columns of the same unique RREF, so
+    # the kernel bases must agree exactly, not just span the same space.
+    rng = random.Random(2024)
+    for square, gaussian, deficient in itertools.product((True, False), repeat=3):
+        for _ in range(6):
+            nrows = rng.randint(1, 4)
+            ncols = nrows if square else rng.choice([c for c in range(1, 5) if c != nrows])
+            full = min(nrows, ncols)
+            if not deficient:
+                m = ExactMatrix(_rand_rows(rng, nrows, ncols, gaussian))
+            elif full == 1:
+                m = ExactMatrix.zeros(nrows, ncols)
+            else:
+                # a product through a narrower middle dimension
+                inner = rng.randint(1, full - 1)
+                m = ExactMatrix(_rand_rows(rng, nrows, inner, gaussian)) * ExactMatrix(
+                    _rand_rows(rng, inner, ncols, gaussian)
+                )
+            sm = _to_sympy(m)
+            want_rank = sm.rank()
+            assert (want_rank < full) == deficient
+            assert rank(m) == want_rank
+            assert kernel_basis(m) == [
+                tuple(_from_sympy(v) for v in vec) for vec in sm.nullspace()
+            ]
+            if not square:
+                continue
+            if deficient:
+                with pytest.raises(SingularMatrixError) as info:
+                    inverse(m)
+                assert info.value.rank == want_rank
+            else:
+                want = sm.inv()
+                assert inverse(m) == ExactMatrix(
+                    [[_from_sympy(want[i, j]) for j in range(ncols)] for i in range(nrows)]
+                )
 
 
 def test_solve_round_trip():

@@ -1,12 +1,14 @@
 """Exact coefficient arithmetic: Gaussian rationals and rational weight vectors.
 
 Everything in this package is computed over Q(i).  A :class:`Scalar` stores
-its real and imaginary parts as `fractions.Fraction`, which keeps every
-value in canonical reduced form automatically.  A :class:`Weight` is a
-vector in Q^d over some fixed Q-linearly independent basis; weights track
-eigenvalue combinations exactly even when the eigenvalues are kept
-symbolic, and can be embedded back into Q(i) when concrete basis values
-are available.
+the value ``(a + b*i) / d`` as three Python integers in canonical form
+(``d > 0``, ``gcd(a, b, d) == 1``), kept canonical with one gcd per
+operation (two smaller ones for a sum with unequal denominators); its
+parts ``re``/``im`` are `fractions.Fraction` values derived from that
+triple on access.  A :class:`Weight` is a vector in Q^d over some fixed
+Q-linearly independent basis; weights track eigenvalue combinations
+exactly even when the eigenvalues are kept symbolic, and can be embedded
+back into Q(i) when concrete basis values are available.
 
 Serialization uses the plain-text forms ``p/q`` for rationals and
 ``p/q+r/s*i`` for Gaussian rationals; weights serialize as JSON arrays of
@@ -16,6 +18,7 @@ rational strings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -47,94 +50,119 @@ def _as_fraction(value) -> Fraction:
 
 
 class Scalar:
-    """A Gaussian rational ``re + im*i`` in canonical form.
+    """A Gaussian rational ``(a + b*i) / d`` in canonical form.
 
-    Instances are immutable and hashable; arithmetic is exact.  The
-    canonical form (coprime numerator/denominator, positive denominator)
-    is maintained by `Fraction` itself, so construction is idempotent.
+    The value is held as three integers with ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so every value has exactly one triple and
+    equality is an integer compare.  The real and imaginary parts
+    ``re = a/d`` and ``im = b/d`` are read-only `Fraction` properties
+    derived from the triple.  Instances are immutable and hashable;
+    arithmetic is exact.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        re = _as_fraction(re)
+        im = _as_fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # Over d = lcm(q, s) the triple is already canonical: a prime that
+        # divides d to its full power in q cannot divide p, likewise for s.
+        d = q // gcd(q, s) * s
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     # -- ring operations -----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return (
+                self._a == other._a and self._b == other._b and self._d == other._d
+            )
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return (
+                not self._b
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _add(other._a, other._b, other._d, -self._a, -self._b, self._d)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _mul(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; zero has none."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero scalar")
-        if not self.im:
-            return Scalar(1 / self.re)
-        norm = self.re * self.re + self.im * self.im
-        return Scalar(self.re / norm, -self.im / norm)
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of the zero scalar")
+            return _new(d, 0, a) if a > 0 else _new(-d, 0, -a)
+        # 1 / ((a + b i)/d) = d (a - b i) / (a^2 + b^2)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Scalar":
@@ -148,6 +176,9 @@ class Scalar:
             raise TypeError("scalar exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        if not self._b:
+            # gcd(a, d) == 1 carries over to every power.
+            return _new(self._a ** exponent, 0, self._d ** exponent)
         result = ONE
         base = self
         e = exponent
@@ -161,11 +192,11 @@ class Scalar:
     # -- structure maps -------------------------------------------------
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def magnitude_squared(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -174,11 +205,67 @@ class Scalar:
         return format_scalar(self)
 
 
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_d = Scalar._d.__set__
+_object_new = object.__new__
+
+
+def _new(a: int, b: int, d: int) -> Scalar:
+    """A Scalar from a triple that is already canonical."""
+    s = _object_new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """A Scalar from any triple with ``d > 0``."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _new(a, b, d)
+
+
+def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Scalar:
+    if d1 == d2:
+        if d1 == 1:
+            return _new(a1 + a2, b1 + b2, 1)
+        return _reduced(a1 + a2, b1 + b2, d1)
+    # As in Fraction.__add__: with g = gcd(d1, d2), only primes of g can
+    # divide all of the result, so the remaining gcd is taken against g.
+    g = gcd(d1, d2)
+    if g == 1:
+        return _new(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s = d1 // g
+    t = d2 // g
+    a = a1 * t + a2 * s
+    b = b1 * t + b2 * s
+    h = gcd(a, b, g)
+    if h == 1:
+        return _new(a, b, s * d2)
+    return _new(a // h, b // h, s * (d2 // h))
+
+
+def _mul(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Scalar:
+    if not b1 and not b2:
+        a = a1 * a2
+        d = d1 * d2
+        if d == 1:
+            return _new(a, 0, 1)
+        g = gcd(a, d)
+        if g == 1:
+            return _new(a, 0, d)
+        return _new(a // g, 0, d // g)
+    return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
 def _coerce(value):
-    if isinstance(value, Scalar):
-        return value
     if isinstance(value, (int, Fraction)):
-        return Scalar(value)
+        return _new(value.numerator, 0, value.denominator)
     return None
 
 

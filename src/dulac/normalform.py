@@ -218,8 +218,6 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         transform = [compose(t_i, phi) for t_i in transform]
 
     if not diagonal_already:
-        t = f.diagonalizer
-        t_inv = linalg.inverse(t)
         comps = _conjugate_components(comps, t_inv, t, m_order)
         inv_subs = linear_components(t_inv, m_order)
         transform = linalg.matvec_series(

@@ -5,9 +5,13 @@ the JSON report from stdout, which is exactly what a subprocess run would
 see, minus the fork.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.cli import main
 
@@ -437,3 +441,137 @@ def test_reports_are_deterministic(problem, capsys):
     main(["extract", path, "--ideal", "psi", "--close"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# -- fuzzing: every problem file ends in a documented exit code ---------------
+
+_NAMES = ("x", "y", "z")
+_COEFFS = {
+    "rational": ("", "2*", "1/3*", "beta*", "7/2*"),
+    "gaussian": ("", "2*", "beta*", "(1+1*i)*", "(0-2*i)*"),
+}
+_MALFORMED = (
+    "", "x^", "(x", "x**2", "2 x", "x^-1", "1/0*x", "x/y", "i*x", "1 + x",
+    "x^2.5", "1.5*x", "()", "@", "q*x", "(1+1*i", "x^1000001", "+", "x +",
+)
+# Every documented exit code except 1, which needs an unreadable file.
+_REPORTED_CODES = {0, 2, 3, 4, 5}
+
+
+def _term(coeff, exps):
+    monomial = "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(_NAMES, exps) if e
+    )
+    if not monomial:
+        return coeff.rstrip("*") or "1"
+    return coeff + monomial
+
+
+@st.composite
+def _polynomials(draw, nvars, mode, lead=None, min_degree=0):
+    """A sum of terms of degree >= ``min_degree``, led by ``x_lead`` if given."""
+    terms = []
+    if lead is not None:
+        exps = [int(k == lead) for k in range(nvars)]
+        terms.append(_term(draw(st.sampled_from(_COEFFS[mode])), exps))
+    for _ in range(draw(st.integers(0 if terms else 1, 2))):
+        exps = draw(
+            st.one_of(
+                st.just([0] * nvars),
+                st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars),
+            )
+        )
+        if sum(exps) < min_degree:
+            exps[0] += min_degree - sum(exps)
+        terms.append(_term(draw(st.sampled_from(_COEFFS[mode])), exps))
+    signs = draw(
+        st.lists(st.sampled_from("+-"), min_size=len(terms), max_size=len(terms))
+    )
+    return " ".join(f"{sign} {term}" for sign, term in zip(signs, terms))
+
+
+_garbage = st.one_of(
+    st.sampled_from(_MALFORMED),
+    st.text(alphabet="xyzi0123456789+-*/^() ", max_size=10),
+)
+
+# One key of a valid problem file replaced by something malformed.
+_CORRUPTIONS = {
+    "vector_field": st.sampled_from(([], ["x", "y", "z", "x"], "x", [1])),
+    "ideals": st.one_of(
+        _garbage.map(lambda g: {"I": [g]}),
+        st.sampled_from(({}, {"I": "x"}, {"1": ["x"]}, [])),
+    ),
+    "trunc_order": st.sampled_from((-1, 0, 1, 2.5, "8", True, None)),
+    "parameters": st.sampled_from(
+        ({"beta": "x"}, {"beta": "1/0"}, {"i": "1"}, {"x": "2"})
+    ),
+    "eigenvalues": st.sampled_from((["1"], ["zz"], ["1", "2", "3"], [["1"]])),
+    "resonance": st.sampled_from((["x"], "1", [1])),
+    "field_mode": st.sampled_from(("symbolic", "real", 3)),
+    "variables": st.sampled_from(([], ["x", "x"], ["i"], "x", [1])),
+}
+
+
+@st.composite
+def _problem_files(draw):
+    nvars = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(("rational", "gaussian")))
+    data = {
+        "variables": list(_NAMES[:nvars]),
+        "field_mode": mode,
+        "parameters": {"beta": draw(st.sampled_from(("1/2", "-3", "0")))},
+        "trunc_order": draw(st.integers(2, 7)),
+        "vector_field": [
+            draw(_polynomials(nvars, mode, lead=k, min_degree=1)) for k in range(nvars)
+        ],
+        "ideals": {
+            "I": draw(st.lists(_polynomials(nvars, mode), min_size=1, max_size=2))
+        },
+        "resonance": draw(
+            st.lists(st.sampled_from(("-1", "-2", "1", "1/2")), max_size=3)
+        ),
+    }
+    if draw(st.booleans()):
+        data["ideals"]["J"] = [draw(_polynomials(nvars, mode))]
+    key = draw(st.sampled_from((None, "component", *_CORRUPTIONS)))
+    if key == "component":
+        # A constant term, an imaginary coefficient, or a malformed string.
+        k = draw(st.integers(0, nvars - 1))
+        constant = _polynomials(nvars, mode).map(lambda p: f"{p} + 1")
+        imaginary = st.just("(0+1*i)*x")
+        data["vector_field"][k] = draw(st.one_of(constant, imaginary, _garbage))
+    elif key is not None:
+        data[key] = draw(_CORRUPTIONS[key])
+    return data
+
+
+_COMMANDS = (
+    ("check-pdnf", st.just([])),
+    ("normalize", st.just([])),
+    ("weights", st.sampled_from(([], ["--index", "1"]))),
+    ("invariance", st.sampled_from(([], ["--semisimple"], ["--basis"]))),
+    (
+        "extract",
+        st.sampled_from(([], ["--close"], ["--semisimple"], ["--no-certificate"])),
+    ),
+    ("resonance", st.just([])),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "problem.json"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=_problem_files(), flags=st.tuples(*(flags for _, flags in _COMMANDS)))
+def test_fuzzed_problem_files_end_in_documented_codes(fuzz_path, data, flags):
+    fuzz_path.write_text(json.dumps(data))
+    for (command, _), extra in zip(_COMMANDS, flags):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(fuzz_path), *extra])
+        assert code in _REPORTED_CODES, (command, code, err.getvalue())
+        text = out.getvalue()
+        assert text == "" or isinstance(json.loads(text), dict)

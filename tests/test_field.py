@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.field import (
     IMAG,
@@ -139,3 +141,122 @@ def test_format_parse_weight():
     assert parse_weight(["1/2", "-3"]) == w
     scalar_like = Weight((Fraction(5),))
     assert format_weight(scalar_like) == "5"
+
+
+# -- oracle: the integer-triple kernel against a pair of Fractions -------------
+
+
+class _FractionPair:
+    """Reference Gaussian rational: real and imaginary part as `Fraction`."""
+
+    def __init__(self, re, im=Fraction(0)):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return _FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _FractionPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _FractionPair(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __neg__(self):
+        return _FractionPair(-self.re, -self.im)
+
+    def conjugate(self):
+        return _FractionPair(self.re, -self.im)
+
+    def magnitude_squared(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        norm = self.magnitude_squared()
+        return _FractionPair(self.re / norm, -self.im / norm)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, exponent):
+        base = self.inverse() if exponent < 0 else self
+        result = _FractionPair(1)
+        for _ in range(abs(exponent)):
+            result = result * base
+        return result
+
+
+_WIDE = 2**64
+_numerators = st.one_of(
+    st.just(0),
+    st.integers(-12, 12),
+    st.integers(_WIDE, _WIDE**2),
+    st.integers(-(_WIDE**2), -_WIDE),
+)
+_denominators = st.one_of(
+    st.just(1), st.integers(1, 12), st.integers(_WIDE, _WIDE**2)
+)
+_rationals = st.builds(Fraction, _numerators, _denominators)
+_parts = st.tuples(_rationals, st.one_of(st.just(Fraction(0)), _rationals))
+_operands = st.one_of(st.integers(-12, 12), st.integers(_WIDE, _WIDE**2), _rationals)
+
+
+def _agrees(value, ref):
+    """Same value, and the same canonical triple as a freshly built Scalar."""
+    assert isinstance(value, Scalar)
+    assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert (value.re, value.im) == (ref.re, ref.im)
+    fresh = Scalar(ref.re, ref.im)
+    assert value == fresh and hash(value) == hash(fresh)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(x=_parts, y=_parts, k=_operands, e=st.integers(-4, 5))
+def test_scalar_matches_fraction_pair_reference(x, y, k, e):
+    s, t = Scalar(*x), Scalar(*y)
+    r, q = _FractionPair(*x), _FractionPair(*y)
+    kr = _FractionPair(k)
+
+    _agrees(s, r)
+    _agrees(s + t, r + q)
+    _agrees(s - t, r - q)
+    _agrees(s * t, r * q)
+    _agrees(-s, -r)
+    _agrees(s.conjugate(), r.conjugate())
+    assert s.magnitude_squared() == r.magnitude_squared()
+    assert type(s.magnitude_squared()) is Fraction
+
+    # Mixed int / Fraction operands on both sides.
+    _agrees(s + k, r + kr)
+    _agrees(k + s, kr + r)
+    _agrees(s - k, r - kr)
+    _agrees(k - s, kr - r)
+    _agrees(s * k, r * kr)
+    _agrees(k * s, kr * r)
+    if k:
+        _agrees(s / k, r / kr)
+    assert (Scalar(k) == k) and (Scalar(k) + 0 == Scalar(Fraction(k)))
+
+    if t.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            t.inverse()
+        with pytest.raises(ZeroDivisionError):
+            s / t
+        with pytest.raises(ZeroDivisionError):
+            k / t
+    else:
+        _agrees(t.inverse(), q.inverse())
+        _agrees(s / t, r / q)
+        _agrees(k / t, kr / q)
+        # Equal values reached by different routes are one triple.
+        assert (s * t) / t == s and hash((s * t) / t) == hash(s)
+        assert t * t.inverse() == ONE
+
+    if s.is_zero() and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            s ** e
+    else:
+        _agrees(s ** e, r ** e)

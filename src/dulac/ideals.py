@@ -40,7 +40,7 @@ from .errors import (
     TruncationError,
 )
 from .field import ONE, Scalar, Weight, weight_embed
-from .normalform import is_pdnf, lg_nilpotency_index
+from .normalform import lg_nilpotency_index
 from .poly import (
     Exponent,
     Series,
@@ -642,11 +642,14 @@ def extract_from_member(
             "semisimple part; normalize in the diagonalizing basis first"
         )
     _check_field_order(f, order)
-    ok, residual = is_pdnf(f, order if f.trunc_order is None else min(order, f.trunc_order))
-    if not ok:
+    # lg_nilpotency_index checks the normal form before it reads phi, so
+    # that check still precedes the truncation and membership checks.
+    try:
+        m = lg_nilpotency_index(f, phi, order)
+    except NotNormalFormError as exc:
         raise NotNormalFormError(
-            "the field must be in normal form for weight extraction", residual
-        )
+            "the field must be in normal form for weight extraction", exc.residual
+        ) from None
     rep = _at_order(phi, order)
     if not ideal.member(rep):
         raise NotInvariantError(
@@ -655,7 +658,6 @@ def extract_from_member(
         )
     if rep.is_zero():
         return (), None
-    m = lg_nilpotency_index(f, rep, order)
     dec = weight_decompose(rep, f.eigenvalues)
     weights = dec.weights
     q = len(weights)

@@ -3,11 +3,14 @@
 A field is in normal form when it commutes with the semisimple part of
 its own linearization: ``[f, B_s x] = 0`` at the working truncation
 order.  :func:`normalize` removes every non-resonant term degree by
-degree with near-identity substitutions, inverting the homological
-operator on each nonzero eigenspace through a terminating Neumann series
-(the nilpotent summand of the operator is nilpotent on every homogeneous
-component).  Resonant kernel directions are projected to zero, i.e. the
-normalized field keeps exactly the resonant terms it must.
+degree with near-identity substitutions x -> x + h_k, h_k homogeneous of
+degree k, inverting the homological operator on each nonzero eigenspace
+through a terminating Neumann series (the nilpotent summand of the
+operator is nilpotent on every homogeneous component).  Resonant kernel
+directions are projected to zero, i.e. the normalized field keeps exactly
+the resonant terms it must.  Each substitution is a finite Taylor sum,
+and the new components g solve ``(I + Dh_k) g = f(x + h_k)`` one degree
+at a time, since Dh_k raises degrees by k - 1.
 
 All transformations are composed and returned, so the conjugacy identity
 ``Dh(x) . normalized(x) = f(h(x))`` holds exactly modulo the truncation
@@ -17,6 +20,7 @@ ideal and can be rechecked via :func:`conjugacy_residual`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -80,32 +84,31 @@ class NormalFormResult:
     trunc_order: int
 
 
-def _series_matrix_mul(a, b, nvars, trunc):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Series.zero(nvars, trunc)
-            for k in range(n):
-                if a[i][k].is_zero() or b[k][j].is_zero():
+def _shift(s: Series, h: Sequence[Series]) -> Series:
+    """s(x + h) by Taylor's formula, the sum of d^alpha s * h^alpha / alpha!.
+
+    The multi-indices alpha are walked as nondecreasing tuples of variable
+    indices; a child tuple appends j >= its parent's last index and derives
+    both factors from its parent's.  With no term of h below degree 2,
+    h^alpha vanishes modulo the truncation ideal once |alpha| is large,
+    which ends the walk.
+    """
+    total = s
+    # (last index, its multiplicity in alpha, d^alpha s / alpha!, h^alpha)
+    frontier = [(0, 0, s, None)]
+    while frontier:
+        grown = []
+        for last, run, d, p in frontier:
+            for j in range(last, s.nvars):
+                m = run + 1 if j == last else 1
+                dj = _partial(d, j) if m == 1 else _partial(d, j) * Fraction(1, m)
+                pj = h[j] if p is None else p * h[j]
+                if dj.is_zero() or pj.is_zero():
                     continue
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _series_matrix_vec(a, v, nvars, trunc):
-    out = []
-    for i in range(len(a)):
-        acc = Series.zero(nvars, trunc)
-        for k in range(len(v)):
-            if a[i][k].is_zero() or v[k].is_zero():
-                continue
-            acc = acc + a[i][k] * v[k]
-        out.append(acc)
-    return out
+                total = total + dj * pj
+                grown.append((j, m, dj, pj))
+        frontier = grown
+    return total
 
 
 def _conjugate_components(
@@ -136,6 +139,11 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
     semisimple part is handled by conjugating with the stored
     diagonalizer and mapping the result back, so the returned data live
     in the original coordinates.
+
+    At degree k the field and the accumulated transformation are shifted
+    by x -> x + h_k with :func:`_shift`, and the Jacobian factor
+    ``(I + Dh_k)^-1`` is applied by the triangular recursion
+    ``g_d = F_d - Dh_k g_(d-k+1)`` on homogeneous parts.
     """
     m_order = order if order is not None else f.trunc_order
     if m_order is None:
@@ -156,7 +164,6 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
 
     nil_comps = linear_components(nil, m_order)
     transform = [Series.variable(i, nvars, m_order) for i in range(nvars)]
-    identity_subs = [Series.variable(i, nvars, m_order) for i in range(nvars)]
 
     for degree in range(2, m_order):
         parts = [c.homogeneous_part(degree) for c in comps]
@@ -194,28 +201,19 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
                     raise ArithmeticError(
                         "homological inversion did not terminate"
                     )
-        phi = [x + h for x, h in zip(identity_subs, h_vec)]
-        composed = [compose(c, phi) for c in comps]
-        jac = [[_partial(h_vec[i], k) for k in range(nvars)] for i in range(nvars)]
-        neumann = [
-            [
-                Series.constant(1, nvars, m_order) if i == k else Series.zero(nvars, m_order)
-                for k in range(nvars)
-            ]
-            for i in range(nvars)
-        ]
-        power = [[-jac[i][k] for k in range(nvars)] for i in range(nvars)]
-        while any(not power[i][k].is_zero() for i in range(nvars) for k in range(nvars)):
-            neumann = [
-                [neumann[i][k] + power[i][k] for k in range(nvars)]
-                for i in range(nvars)
-            ]
-            power = _series_matrix_mul(
-                power, [[-jac[i][k] for k in range(nvars)] for i in range(nvars)],
-                nvars, m_order,
-            )
-        comps = _series_matrix_vec(neumann, composed, nvars, m_order)
-        transform = [compose(t_i, phi) for t_i in transform]
+        # (I + Dh) g = F with F = f(x + h), one homogeneous degree at a time
+        jac = [[_partial(h_i, k) for k in range(nvars)] for h_i in h_vec]
+        shifted = [_shift(c, h_vec) for c in comps]
+        solved = [[c.homogeneous_part(d) for c in shifted] for d in range(m_order)]
+        for d in range(degree, m_order):
+            low = solved[d - degree + 1]
+            for i in range(nvars):
+                for k in range(nvars):
+                    if jac[i][k] and low[k]:
+                        solved[d][i] = solved[d][i] - jac[i][k] * low[k]
+        comps = [sum((part[i] for part in solved), Series.zero(nvars, m_order))
+                 for i in range(nvars)]
+        transform = [_shift(t_i, h_vec) for t_i in transform]
 
     if not diagonal_already:
         comps = _conjugate_components(comps, t_inv, t, m_order)

@@ -16,6 +16,8 @@ arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
+from operator import add
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, TruncationError
@@ -107,6 +109,17 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    @classmethod
+    def _make(cls, nvars: int, terms: Dict[Exponent, Scalar], trunc: Optional[int]):
+        """Wrap a fresh dict of valid terms without re-checking them: every
+        exponent has length nvars and no negative entry, every coefficient
+        is nonzero, and every degree lies below trunc."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "nvars", nvars)
+        object.__setattr__(s, "trunc", trunc)
+        object.__setattr__(s, "terms", terms)
+        return s
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -195,7 +208,7 @@ class Series:
                 f"degree {k} is not represented at truncation order {self.trunc}"
             )
         picked = {e: c for e, c in self.terms.items() if sum(e) == k}
-        return Series(self.nvars, picked, self.trunc)
+        return Series._make(self.nvars, picked, self.trunc)
 
     def truncate(self, order: int) -> "Series":
         """View this series modulo <x>^order (order must not exceed what is known)."""
@@ -230,6 +243,9 @@ class Series:
                     del terms[e]
                 else:
                     terms[e] = s
+        if self.trunc == other.trunc:
+            return Series._make(self.nvars, terms, self.trunc)
+        # the finer truncation still has to drop the coarser side's top terms
         return Series(self.nvars, terms, _min_trunc(self.trunc, other.trunc))
 
     def __sub__(self, other: "Series") -> "Series":
@@ -238,7 +254,7 @@ class Series:
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series(
+        return Series._make(
             self.nvars, {e: -c for e, c in self.terms.items()}, self.trunc
         )
 
@@ -247,13 +263,15 @@ class Series:
             if self.nvars != other.nvars:
                 raise ValueError("variable counts differ")
             trunc = _min_trunc(self.trunc, other.trunc)
+            cap = inf if trunc is None else trunc
+            right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
             terms: Dict[Exponent, Scalar] = {}
             for e1, c1 in self.terms.items():
                 d1 = sum(e1)
-                for e2, c2 in other.terms.items():
-                    if trunc is not None and d1 + sum(e2) >= trunc:
+                for e2, c2, d2 in right:
+                    if d1 + d2 >= cap:
                         continue
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     prod = c1 * c2
                     acc = terms.get(e)
                     if acc is None:
@@ -264,12 +282,12 @@ class Series:
                             del terms[e]
                         else:
                             terms[e] = s
-            return Series(self.nvars, terms, trunc)
+            return Series._make(self.nvars, terms, trunc)
         if isinstance(other, (Scalar, int, Fraction)):
             c = other if isinstance(other, Scalar) else Scalar(other)
             if c.is_zero():
                 return Series.zero(self.nvars, self.trunc)
-            return Series(
+            return Series._make(
                 self.nvars, {e: v * c for e, v in self.terms.items()}, self.trunc
             )
         return NotImplemented
@@ -307,9 +325,8 @@ def _partial(s: Series, j: int) -> Series:
         k = e[j]
         if k == 0:
             continue
-        lowered = tuple(v - 1 if idx == j else v for idx, v in enumerate(e))
-        terms[lowered] = c * k
-    return Series(s.nvars, terms, s.trunc)
+        terms[e[:j] + (k - 1,) + e[j + 1:]] = c * k
+    return Series._make(s.nvars, terms, s.trunc)
 
 
 # -- weights ---------------------------------------------------------------

@@ -3,10 +3,14 @@
 import random
 
 import pytest
+import sympy
 
 from dulac.errors import NotNormalFormError, TruncationError
 from dulac.field import Scalar, weights_from_scalars
+from dulac.linalg import inverse, matvec_series
 from dulac.normalform import (
+    _ad_nilpotent,
+    _conjugate_components,
     conjugacy_residual,
     is_pdnf,
     is_resonant,
@@ -14,7 +18,14 @@ from dulac.normalform import (
     lg_nilpotency_index,
     normalize,
 )
-from dulac.poly import Series, VectorField, lie_bracket
+from dulac.poly import (
+    Series,
+    VectorField,
+    _partial,
+    compose,
+    lie_bracket,
+    linear_components,
+)
 
 from _gen import (
     diagonalized_components,
@@ -202,3 +213,127 @@ def test_normalize_diagonalized_output_matches_direct_diagonal_run():
         for exps in comp.terms:
             if sum(exps) >= 2:
                 assert is_resonant(exps, i, f.eigenvalues)
+
+
+def _varied_fields(seed, count, orders):
+    """Seeded fields of every linear kind: diagonal, Jordan and
+    non-diagonal semisimple, with rational or Gaussian coefficients."""
+    rng = random.Random(seed)
+    fields = []
+    for index in range(count):
+        n = rng.choice([2, 3])
+        linear = splitting_linear_part(rng, n)
+        fields.append(
+            field_with_linear_part(
+                rng, linear, rng.choice(orders), max_terms=5, gaussian=index % 2 == 1
+            )
+        )
+    return fields
+
+
+def _kind(f):
+    if not f.semisimple_is_diagonal():
+        return "non-diagonal"
+    return "diagonal" if f.nilpotent.is_zero() else "jordan"
+
+
+def _neumann_step(comps, transform, h, order):
+    """The degree step as first written: compose with x + h, then apply
+    sum_j (-Dh)^j as a matrix of series."""
+    n = len(h)
+    phi = [Series.variable(i, n, order) + h_i for i, h_i in enumerate(h)]
+    composed = [compose(c, phi) for c in comps]
+    minus_jac = [[-_partial(h_i, k) for k in range(n)] for h_i in h]
+
+    def matmul(a, b):
+        return [
+            [sum((a[i][j] * b[j][k] for j in range(n)), Series.zero(n, order))
+             for k in range(n)]
+            for i in range(n)
+        ]
+
+    one, zero = Series.constant(1, n, order), Series.zero(n, order)
+    neumann = [[one if i == k else zero for k in range(n)] for i in range(n)]
+    power = minus_jac
+    while any(entry for row in power for entry in row):
+        neumann = [[a + b for a, b in zip(r, q)] for r, q in zip(neumann, power)]
+        power = matmul(power, minus_jac)
+    new = [sum((row[k] * composed[k] for k in range(n)), zero) for row in neumann]
+    return new, [compose(t_i, phi) for t_i in transform]
+
+
+def _reference_normalize(f):
+    order, n = f.trunc_order, f.nvars
+    lam = f.eigenvalue_scalars()
+    diagonal = f.semisimple_is_diagonal()
+    if diagonal:
+        comps, nil = list(f.components), f.nilpotent
+    else:
+        t = f.diagonalizer
+        t_inv = inverse(t)
+        comps = _conjugate_components(f.components, t, t_inv, order)
+        nil = t_inv * f.nilpotent * t
+    nil_comps = linear_components(nil, order)
+    transform = [Series.variable(i, n, order) for i in range(n)]
+    for degree in range(2, order):
+        groups = {}
+        for i, comp in enumerate(comps):
+            for e, c in comp.homogeneous_part(degree).terms.items():
+                mu = sum((lam[k] * e_k for k, e_k in enumerate(e)), -lam[i])
+                if not mu.is_zero():
+                    groups.setdefault(mu, [{} for _ in range(n)])[i][e] = c
+        if not groups:
+            continue
+        h = [Series.zero(n, order)] * n
+        for mu, buckets in groups.items():
+            mu_inv = mu.inverse()
+            term = [Series(n, b, order) * mu_inv for b in buckets]
+            while any(term):
+                h = [a + b for a, b in zip(h, term)]
+                term = [u * -mu_inv for u in _ad_nilpotent(nil, nil_comps, term)]
+        comps, transform = _neumann_step(comps, transform, h, order)
+    if not diagonal:
+        comps = _conjugate_components(comps, t_inv, t, order)
+        back = linear_components(t_inv, order)
+        transform = matvec_series(t, [compose(t_i, back) for t_i in transform])
+    return tuple(comps), tuple(transform)
+
+
+def test_normalize_matches_the_compose_and_neumann_degree_step():
+    fields = _varied_fields(2024, 40, range(4, 9))
+    assert {_kind(f) for f in fields} == {"diagonal", "jordan", "non-diagonal"}
+    for f in fields:
+        result = normalize(f)
+        comps, transform = _reference_normalize(f)
+        assert result.normalized.components == comps
+        assert result.transformation == transform
+
+
+def test_normalize_conjugacy_holds_in_sympy():
+    # Dh . normalized = f(h) modulo <x>^N, in sympy's sparse polynomials
+    for f in _varied_fields(77, 10, range(4, 7)):
+        result = normalize(f)
+        order = result.trunc_order
+        ring, *xs = sympy.polys.rings.ring(f"x0:{f.nvars}", sympy.QQ_I)
+
+        def to_ring(s):
+            return ring({
+                e: sympy.QQ_I(sympy.Rational(c.re), sympy.Rational(c.im))
+                for e, c in s.terms.items()
+            })
+
+        def below_order(p):
+            return ring({m: c for m, c in p.items() if sum(m) < order})
+
+        g = [to_ring(c) for c in result.normalized.components]
+        h = [to_ring(c) for c in result.transformation]
+        for h_i, f_i in zip(h, map(to_ring, f.components)):
+            f_at_h = ring.zero
+            for exps, c in f_i.items():
+                term = ring({(0,) * f.nvars: c})
+                for h_j, k in zip(h, exps):
+                    for _ in range(k):
+                        term = below_order(term * h_j)
+                f_at_h += term
+            lhs = sum((h_i.diff(x) * g_j for x, g_j in zip(xs, g)), ring.zero)
+            assert all(sum(m) >= order for m in (lhs - f_at_h).monoms())

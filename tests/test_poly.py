@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import CompositionError, TruncationError
 from dulac.field import Scalar, Weight, weights_from_scalars
 from dulac.poly import (
     Series,
     VectorField,
+    _partial,
     compose,
     grlex_key,
     iter_exponents,
@@ -225,6 +228,49 @@ def test_compose_associates_with_lie_derivative_pullback():
     lhs = lie_derivative(pulled, compose(psi, phi))
     rhs = compose(lie_derivative(f, psi), phi)
     assert lhs == rhs
+
+
+def _series_of(nvars, truncs, min_degree=0):
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars).filter(
+        lambda e: sum(e) >= min_degree
+    )
+    coeffs = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    return st.builds(
+        Series, st.just(nvars), st.dictionaries(exponents, coeffs, max_size=5), truncs
+    )
+
+
+def _assert_canonical(r):
+    for e, c in r.terms.items():
+        assert len(e) == r.nvars and min(e) >= 0
+        assert not c.is_zero()
+        assert r.trunc is None or sum(e) < r.trunc
+    assert r == Series(r.nvars, r.terms, r.trunc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_series_results_are_canonical_under_mixed_truncations(data, nvars):
+    any_trunc = st.sampled_from([None, 2, 3, 4, 5])
+    a = data.draw(_series_of(nvars, any_trunc))
+    b = data.draw(_series_of(nvars, any_trunc))
+    # a copy of a at another truncation makes cancellations likely
+    a_cut = Series(nvars, a.terms, data.draw(any_trunc))
+    c = data.draw(st.sampled_from([Scalar(0), Scalar(-1), Scalar(2, 1), 3]))
+    k = data.draw(st.integers(0, (a.trunc or 6) - 1))
+    j = data.draw(st.integers(0, nvars - 1))
+    # bounded truncations keep composition small
+    field = data.draw(st.lists(
+        _series_of(nvars, st.sampled_from([2, 3, 4]), min_degree=1),
+        min_size=nvars, max_size=nvars,
+    ))
+    results = [
+        a + b, a - b, a - a_cut, a * b, -a, a * c, c * a,
+        a.homogeneous_part(k), _partial(a, j),
+        lie_derivative(field, a), compose(a, field),
+    ]
+    for r in results:
+        _assert_canonical(r)
 
 
 def test_vector_field_from_components_diagonal():

@@ -5,7 +5,8 @@ the value ``(a + b*i) / d`` as three Python integers in canonical form
 (``d > 0``, ``gcd(a, b, d) == 1``), kept canonical with one gcd per
 operation (two smaller ones for a sum with unequal denominators); its
 parts ``re``/``im`` are `fractions.Fraction` values derived from that
-triple on access.  A :class:`Weight` is a vector in Q^d over some fixed
+triple on access, and ``as_gaussian_ratio`` returns the triple itself.
+A :class:`Weight` is a vector in Q^d over some fixed
 Q-linearly independent basis; weights track eigenvalue combinations
 exactly even when the eigenvalues are kept symbolic, and can be embedded
 back into Q(i) when concrete basis values are available.
@@ -84,6 +85,10 @@ class Scalar:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def as_gaussian_ratio(self) -> tuple:
+        """The canonical triple ``(a, b, d)`` of ``(a + b*i) / d``."""
+        return self._a, self._b, self._d
 
     # -- predicates ----------------------------------------------------
 

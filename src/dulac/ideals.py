@@ -17,10 +17,12 @@ terms: each pivot term is replaced by its row's tail, which holds
 standard monomials only.
 
 On top of the ideal arithmetic sit the semi-invariant extraction
-routines: weight decomposition certified by exact (confluent)
-Vandermonde solves, with every right-hand side and every extracted
-component re-verified by membership, and the solution re-verified
-against an independently computed weight decomposition.
+routines.  The weight components of a member, and their iterated images
+under the nilpotent part, are computed directly from the exponents; a
+(confluent) Vandermonde certificate then replays them: its determinant
+is nonzero, so the solution of matrix * x = rhs is unique, the
+components reproduce the iterated Lie derivatives exactly, and every
+right-hand side and every component is re-verified by membership.
 """
 
 from __future__ import annotations
@@ -437,10 +439,12 @@ def _divide_homogeneous(num: Series, den: Series) -> Optional[Series]:
 class ExtractionCertificate:
     """A machine-checkable record of one Vandermonde extraction.
 
-    ``matrix * solution = rhs`` holds exactly; the rhs entries are the
-    iterated Lie derivatives of ``source``; the first ``len(weights)``
-    solution entries are the weight components of ``source``.  All rhs
-    and solution entries are verified members of the ideal before the
+    ``determinant`` is the exact, nonzero determinant of ``matrix``, so
+    ``matrix * solution = rhs`` has ``solution`` as its only solution,
+    and the identity holds exactly; the rhs entries are the iterated Lie
+    derivatives of ``source``; the first ``len(weights)`` solution
+    entries are the weight components of ``source``.  All rhs and
+    solution entries are verified members of the ideal before the
     certificate is issued.
     """
 
@@ -505,13 +509,13 @@ def extract_semiinvariants(
 
     Concrete spectra (one-dimensional weights, or an explicit embedding
     of the weight basis into Q(i)) get the full certified route: the
-    right-hand sides are honestly iterated Lie derivatives, the
-    Vandermonde system on the distinct weights is solved by exact
-    elimination, and the solution is cross-checked against the weight
-    decomposition computed directly from the exponents.  Symbolic
-    spectra skip the matrix (its entries would live in Q(lambda)) and
-    verify the decomposition componentwise instead, returning None for
-    the certificates.
+    weight components, computed directly from the exponents, are the
+    solution, and the certificate replays them against the Vandermonde
+    matrix on the distinct weights, whose nonzero determinant makes them
+    the only solution, with the honestly iterated Lie derivatives as the
+    right-hand sides.  Symbolic spectra skip the matrix (its entries
+    would live in Q(lambda)) and verify the decomposition componentwise
+    instead, returning None for the certificates.
     """
     if len(eigenvalues) != ideal.nvars:
         raise ValueError("eigenvalue count does not match the ideal's variables")
@@ -543,7 +547,7 @@ def extract_semiinvariants(
             continue
         dec = weight_decompose(g, eigenvalues)
         nodes = tuple(weight_embed(w, embedding) for w in dec.weights)
-        if len(set((v.re, v.im) for v in nodes)) != len(nodes):
+        if len(set(nodes)) != len(nodes):
             raise ValueError(
                 "the embedding collapses distinct weights; "
                 "its basis values must be Q-linearly independent"
@@ -552,11 +556,8 @@ def extract_semiinvariants(
         rhs: List[Series] = [g]
         for _ in range(len(nodes) - 1):
             rhs.append(lie_derivative(diag, rhs[-1]))
-        solution = linalg.solve(matrix, rhs)
-        _verify_certificate(
-            ideal, matrix, rhs, solution,
-            [dec[w] for w in dec.weights],
-        )
+        solution = [dec[w] for w in dec.weights]
+        det = _verify_certificate(ideal, matrix, rhs, solution)
         certificates.append(
             ExtractionCertificate(
                 matrix=matrix,
@@ -564,7 +565,7 @@ def extract_semiinvariants(
                 solution=tuple(solution),
                 weights=dec.weights,
                 nodes=nodes,
-                determinant=linalg.determinant(matrix),
+                determinant=det,
                 block_count=1,
                 source=g,
                 trunc_order=ideal.trunc_order,
@@ -598,16 +599,18 @@ def _extract_symbolic(
     return _collect_generators(pieces)
 
 
-def _verify_certificate(ideal, matrix, rhs, solution, expected_block0) -> None:
+def _verify_certificate(ideal, matrix, rhs, solution) -> Scalar:
+    """Replay matrix * solution = rhs and recheck every membership.  A
+    nonzero determinant makes the solution unique, so it is the one an
+    exact solve would return; the determinant is returned for the
+    certificate."""
+    det = linalg.determinant(matrix)
+    if det.is_zero():
+        raise CertificateError("the certificate matrix is singular")
     product = linalg.matvec_series(matrix, solution)
     for got, want in zip(product, rhs):
         if got != want:
             raise CertificateError("matrix * solution does not reproduce the rhs")
-    for k, component in enumerate(expected_block0):
-        if solution[k] != component:
-            raise CertificateError(
-                "solved components disagree with the direct weight decomposition"
-            )
     for entry in rhs:
         if not ideal.member(entry):
             raise NotInvariantError(
@@ -617,8 +620,9 @@ def _verify_certificate(ideal, matrix, rhs, solution, expected_block0) -> None:
     for entry in solution:
         if not ideal.member(entry):
             raise CertificateError(
-                "a solved component failed the membership recheck"
+                "a solution entry failed the membership recheck"
             )
+    return det
 
 
 def extract_from_member(
@@ -631,9 +635,11 @@ def extract_from_member(
     non-semisimple rest of f) and ``q`` the number of distinct weights;
     the system has size q*m.  Its right-hand sides are the iterated
     L_f-derivatives of phi; the solution stacks the L_g-iterates of the
-    weight components blockwise, and block 0 — the components themselves
-    — is returned.  Everything is re-verified: the matrix identity, the
-    independently computed L_g-iterates, and membership of every entry.
+    directly decomposed weight components blockwise, and block 0 — the
+    components themselves — is returned.  The certificate is replayed
+    before it is issued: the determinant is nonzero, so the solution is
+    the only one, matrix * solution reproduces the rhs exactly, and every
+    entry is a member of the ideal.
     """
     order = ideal.trunc_order
     if not f.semisimple_is_diagonal():
@@ -668,30 +674,23 @@ def extract_from_member(
     rhs: List[Series] = [rep]
     for _ in range(q * m - 1):
         rhs.append(lie_derivative(f_comps, rhs[-1]))
-    solution = linalg.solve(matrix, rhs)
-    # Dual route: recompute every block entry as an iterated L_g image of
-    # the directly decomposed weight components.
+    # Block j of the solution holds the j-th L_g images of the weight
+    # components; the replay below certifies it.
     g_comps = tuple(c.truncate(order) if c.trunc is None or c.trunc > order else c
                     for c in f.g_components())
-    expected: List[Series] = [dec[w] for w in weights]
+    solution: List[Series] = [dec[w] for w in weights]
     for j in range(1, m):
         start = (j - 1) * q
         for k in range(q):
-            expected.append(lie_derivative(g_comps, expected[start + k]))
-    for got, want in zip(solution, expected):
-        if got != want:
-            raise CertificateError(
-                "solved blocks disagree with the iterated images of the "
-                "weight components"
-            )
-    _verify_certificate(ideal, matrix, rhs, solution, expected[:q])
+            solution.append(lie_derivative(g_comps, solution[start + k]))
+    det = _verify_certificate(ideal, matrix, rhs, solution)
     certificate = ExtractionCertificate(
         matrix=matrix,
         rhs=tuple(rhs),
         solution=tuple(solution),
         weights=weights,
         nodes=nodes,
-        determinant=linalg.determinant(matrix),
+        determinant=det,
         block_count=m,
         source=rep,
         trunc_order=order,

@@ -1,9 +1,10 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Everything here is exact: determinants use fraction-free Bareiss
-elimination on Gaussian integers, linear solves use Gaussian elimination
-with exact pivots, and the Jordan-Chevalley decomposition is computed
-from the characteristic polynomial through explicit spectral idempotents.
+elimination on Gaussian integers, rank, inverse and kernels read one
+reduced echelon form with exact pivots, and the Jordan-Chevalley
+decomposition is assembled from kernel bases of the generalized
+eigenspaces.
 Eigenvalue extraction enumerates Gaussian-integer root candidates of the
 integerized characteristic polynomial, which finds every root in Q(i)
 when the polynomial splits there and reports an unsupported spectrum
@@ -24,7 +25,6 @@ __all__ = [
     "ExactMatrix",
     "ChevalleyPair",
     "determinant",
-    "solve",
     "matvec_series",
     "charpoly",
     "gaussian_roots",
@@ -193,57 +193,22 @@ def _dot(row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
 
 
 def determinant(matrix: ExactMatrix) -> Scalar:
-    """Exact determinant via Bareiss elimination on Gaussian integers."""
+    """Exact determinant via Bareiss elimination on Gaussian integers.
+
+    Each row is scaled by the lcm of its entries' denominators first, and
+    the product of those scales divides the integer determinant back out.
+    """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.nrows
-    scale = Fraction(1)
+    scale = 1
     int_rows: List[List[Tuple[int, int]]] = []
-    real_only = True
     for row in matrix.rows():
-        lcm = 1
-        for e in row:
-            lcm = lcm * e.re.denominator // math.gcd(lcm, e.re.denominator)
-            lcm = lcm * e.im.denominator // math.gcd(lcm, e.im.denominator)
+        triples = [e.as_gaussian_ratio() for e in row]
+        lcm = math.lcm(*(d for _, _, d in triples))
         scale *= lcm
-        ints = []
-        for e in row:
-            re = e.re.numerator * (lcm // e.re.denominator)
-            im = e.im.numerator * (lcm // e.im.denominator)
-            if im:
-                real_only = False
-            ints.append((re, im))
-        int_rows.append(ints)
-    if real_only:
-        det_re, det_im = _bareiss_int([[c[0] for c in row] for row in int_rows]), 0
-    else:
-        det_re, det_im = _bareiss_gauss(int_rows)
-    return Scalar(Fraction(det_re) / scale, Fraction(det_im) / scale)
-
-
-def _bareiss_int(m: List[List[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+        int_rows.append([(a * (lcm // d), b * (lcm // d)) for a, b, d in triples])
+    det_re, det_im = _bareiss(int_rows)
+    return Scalar(Fraction(det_re, scale), Fraction(det_im, scale))
 
 
 def _gmul(a, b):
@@ -266,7 +231,7 @@ def _gdiv_exact(a, b):
     return (qre, qim)
 
 
-def _bareiss_gauss(m: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
+def _bareiss(m: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
     n = len(m)
     sign = 1
     prev = (1, 0)
@@ -352,46 +317,6 @@ def kernel_basis(matrix: ExactMatrix) -> List[Tuple[Scalar, ...]]:
             vec[pcol] = -rows[prow][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def solve(matrix: ExactMatrix, rhs: Sequence) -> list:
-    """Solve A x = b exactly for a square A.
-
-    The right-hand side entries may be scalars or series: anything that
-    supports addition among themselves and multiplication by a Scalar.
-    Raises :class:`~dulac.errors.SingularMatrixError` carrying the exact
-    rank when A is singular.
-    """
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("solve requires a square matrix")
-    n = matrix.nrows
-    if len(rhs) != n:
-        raise ValueError("right-hand side length does not match")
-    a = [list(matrix.row(i)) for i in range(n)]
-    b = list(rhs)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrixError("singular system", rank=rank(matrix))
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                factor = a[i][col] * a[col][col].inverse()
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-                b[i] = b[i] - b[col] * factor
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            if a[i][j]:
-                acc = acc - x[j] * a[i][j]
-        x[i] = acc * a[i][i].inverse()
-    return x
 
 
 def matvec_series(matrix: ExactMatrix, vec: Sequence) -> list:
@@ -484,16 +409,13 @@ def gaussian_roots(coeffs: Sequence[Scalar]) -> List[Tuple[Scalar, int]]:
     n = len(coeffs) - 1
     if n == 0:
         return []
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.re.denominator // math.gcd(denom, c.re.denominator)
-        denom = denom * c.im.denominator // math.gcd(denom, c.im.denominator)
-    scaled = []
-    for k, c in enumerate(coeffs):
-        factor = denom ** (n - k)
-        re = c.re * factor
-        im = c.im * factor
-        scaled.append((int(re), int(im)))
+    triples = [c.as_gaussian_ratio() for c in coeffs]
+    denom = math.lcm(*(d for _, _, d in triples))
+    # Monic: the leading triple is (1, 0, 1), and d divides denom elsewhere.
+    scaled = [
+        (a * (denom ** (n - k) // d), b * (denom ** (n - k) // d))
+        for k, (a, b, d) in enumerate(triples)
+    ]
     zero_mult = 0
     while scaled and scaled[0] == (0, 0):
         scaled.pop(0)
@@ -540,78 +462,6 @@ def gaussian_roots(coeffs: Sequence[Scalar]) -> List[Tuple[Scalar, int]]:
 
 # -- Jordan-Chevalley ----------------------------------------------------------
 
-_Poly = List[Scalar]  # ascending coefficients
-
-
-def _poly_mul(p: _Poly, q: _Poly) -> _Poly:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _poly_add(p: _Poly, q: _Poly) -> _Poly:
-    out = [ZERO] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] = out[i] + a
-    for i, b in enumerate(q):
-        out[i] = out[i] + b
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _poly_deflate(p: _Poly, a: Scalar) -> Tuple[_Poly, Scalar]:
-    """Divide by (lambda - a): returns (quotient, remainder)."""
-    out = [ZERO] * (len(p) - 1)
-    carry = p[-1]
-    for k in range(len(p) - 2, -1, -1):
-        out[k] = carry
-        carry = carry * a + p[k]
-    return out, carry
-
-
-def _poly_shift(p: _Poly, a: Scalar) -> _Poly:
-    """Taylor coefficients of p(a + t) in t, via repeated division."""
-    work = list(p)
-    out = []
-    for _ in range(len(p)):
-        work, rem = _poly_deflate(work, a) if len(work) > 1 else ([ZERO], work[0])
-        out.append(rem)
-        if len(work) == 1 and work[0].is_zero():
-            out.extend([ZERO] * (len(p) - len(out)))
-            break
-    return out[: len(p)]
-
-
-def _series_inverse(coeffs: _Poly, order: int) -> _Poly:
-    """Inverse of a unit power series modulo t^order."""
-    c0 = coeffs[0]
-    inv0 = c0.inverse()
-    out = [inv0]
-    for k in range(1, order):
-        acc = ZERO
-        for i in range(1, k + 1):
-            ci = coeffs[i] if i < len(coeffs) else ZERO
-            if ci:
-                acc = acc + ci * out[k - i]
-        out.append(-inv0 * acc)
-    return out
-
-
-def _matrix_polyval(coeffs: _Poly, matrix: ExactMatrix) -> ExactMatrix:
-    n = matrix.nrows
-    result = ExactMatrix.identity(n) * coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        result = result * matrix + ExactMatrix.identity(n) * coeffs[k]
-    return result
-
 
 @dataclass(frozen=True)
 class ChevalleyPair:
@@ -626,37 +476,31 @@ class ChevalleyPair:
 def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
     """Exact semisimple/nilpotent splitting of a matrix over Q(i).
 
-    The semisimple part is the matrix evaluated at the interpolation
-    polynomial that is congruent to each eigenvalue modulo the
-    corresponding primary factor, so both parts commute by construction.
-    The diagonalizer's columns are eigenspace bases of the semisimple
-    part; for an already-diagonal semisimple part it is the identity and
-    the eigenvalue order follows the diagonal.
+    For each eigenvalue lambda of multiplicity m, the kernel basis of
+    (A - lambda I)^m spans its generalized eigenspace; with these columns
+    as P, the semisimple part is S = P diag(lambda, ...) P^-1.  Each
+    generalized eigenspace is also the kernel of S - lambda I, so P is a
+    diagonalizer whose columns are eigenspace bases of S; for an
+    already-diagonal S the diagonalizer is the identity instead and the
+    eigenvalue order follows the diagonal.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("jordan_chevalley of a non-square matrix")
     n = matrix.nrows
-    p = charpoly(matrix)
-    root_list = gaussian_roots(p)
-    if len(root_list) == 1:
-        lam = root_list[0][0]
-        semisimple = ExactMatrix.identity(n) * lam
-    else:
-        s_poly = [ZERO]
-        for lam, mult in root_list:
-            q_k = list(p)
-            for _ in range(mult):
-                q_k, rem = _poly_deflate(q_k, lam)
-                if not rem.is_zero():
-                    raise ArithmeticError("primary factor division was inexact")
-            shifted = _poly_shift(q_k, lam)
-            inv = _series_inverse(shifted, mult)
-            h_k = [inv[mult - 1]]
-            for j in range(mult - 2, -1, -1):
-                h_k = _poly_add(_poly_mul(h_k, [-lam, ONE]), [inv[j]])
-            e_k = _poly_mul(h_k, q_k)
-            s_poly = _poly_add(s_poly, [c * lam for c in e_k])
-        semisimple = _matrix_polyval(s_poly, matrix)
+    columns: List[Tuple[Scalar, ...]] = []
+    eigen: List[Scalar] = []
+    for lam, mult in gaussian_roots(charpoly(matrix)):
+        shifted = matrix - ExactMatrix.identity(n) * lam
+        power = shifted
+        for _ in range(mult - 1):
+            power = power * shifted
+        basis = kernel_basis(power)
+        if len(basis) != mult:
+            raise ArithmeticError("generalized eigenspace dimension mismatch")
+        columns.extend(basis)
+        eigen.extend([lam] * mult)
+    p = ExactMatrix([[columns[j][i] for j in range(n)] for i in range(n)])
+    semisimple = p * ExactMatrix.diagonal(eigen) * inverse(p)
     nilpotent = matrix - semisimple
     if semisimple * nilpotent != nilpotent * semisimple:
         raise ArithmeticError("computed parts do not commute")
@@ -670,19 +514,8 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
         eigenvalues = tuple(semisimple[i, i] for i in range(n))
         diagonalizer = ExactMatrix.identity(n)
     else:
-        columns: List[Tuple[Scalar, ...]] = []
-        eigen: List[Scalar] = []
-        for lam, mult in root_list:
-            shifted_m = semisimple - ExactMatrix.identity(n) * lam
-            basis = kernel_basis(shifted_m)
-            if len(basis) != mult:
-                raise ArithmeticError("eigenspace dimension mismatch")
-            columns.extend(basis)
-            eigen.extend([lam] * mult)
-        diagonalizer = ExactMatrix(
-            [[columns[j][i] for j in range(n)] for i in range(n)]
-        )
         eigenvalues = tuple(eigen)
+        diagonalizer = p
     return ChevalleyPair(semisimple, nilpotent, eigenvalues, diagonalizer)
 
 
@@ -694,7 +527,7 @@ def vandermonde_matrix(nodes: Sequence[Scalar]) -> ExactMatrix:
     q = len(nodes)
     if q == 0:
         raise ValueError("need at least one node")
-    if len({(s.re, s.im) for s in nodes}) != q:
+    if len(set(nodes)) != q:
         raise ValueError("vandermonde nodes must be pairwise distinct")
     rows = []
     current = [ONE] * q
@@ -718,7 +551,7 @@ def confluent_vandermonde_matrix(nodes: Sequence[Scalar], m: int) -> ExactMatrix
         raise ValueError("need at least one node")
     if m < 1:
         raise ValueError("block count must be positive")
-    if len({(s.re, s.im) for s in nodes}) != q:
+    if len(set(nodes)) != q:
         raise ValueError("vandermonde nodes must be pairwise distinct")
     size = q * m
     powers = [[ONE] for _ in range(q)]

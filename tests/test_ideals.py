@@ -29,7 +29,9 @@ from dulac.ideals import (
     member,
     normal_form,
     single_resonance_primes,
+    _verify_certificate,
 )
+from dulac.linalg import ExactMatrix, determinant, matvec_series
 from dulac.poly import Series, VectorField, lie_derivative, weight_decompose
 
 from _gen import (
@@ -502,6 +504,88 @@ def test_extract_from_member_zero_series():
     components, cert = extract_from_member(Series.zero(2, 6), handle, f)
     assert components == ()
     assert cert is None
+
+
+def _readme_certificate():
+    names = ("x", "y")
+    f = VectorField.from_components([
+        parse_expression("x", names, trunc_order=8),
+        parse_expression("3*y + x^3", names, trunc_order=8),
+    ])
+    psi = parse_expression("x^3 + y + y^2", names, trunc_order=8)
+    closed = close_under_lie(IdealHandle([psi], 8), f)
+    _, cert = extract_from_member(psi, closed, f)
+    return closed, cert
+
+
+def _replace(seq, k, value):
+    out = list(seq)
+    out[k] = value
+    return out
+
+
+def test_certificate_replay_accepts_the_issued_certificate():
+    closed, cert = _readme_certificate()
+    det = _verify_certificate(closed, cert.matrix, cert.rhs, cert.solution)
+    assert det == cert.determinant == determinant(cert.matrix)
+    assert abs(det.re) == 19683
+
+
+def test_certificate_replay_rejects_a_tampered_solution_entry():
+    closed, cert = _readme_certificate()
+    y = _s({Y: 1}, 8)
+    # still a member, so only the matrix identity can catch it
+    for k in (0, len(cert.solution) - 1):
+        tampered = _replace(cert.solution, k, cert.solution[k] + y)
+        assert all(closed.member(e) for e in tampered)
+        with pytest.raises(CertificateError, match="does not reproduce"):
+            _verify_certificate(closed, cert.matrix, cert.rhs, tampered)
+
+
+def test_certificate_replay_rejects_a_tampered_rhs_entry():
+    closed, cert = _readme_certificate()
+    tampered = _replace(cert.rhs, 2, cert.rhs[2] + _s({(3, 0): 1}, 8))
+    with pytest.raises(CertificateError, match="does not reproduce"):
+        _verify_certificate(closed, cert.matrix, tampered, cert.solution)
+
+
+def test_certificate_replay_rejects_a_tampered_matrix_entry():
+    closed, cert = _readme_certificate()
+    rows = [list(row) for row in cert.matrix.rows()]
+    rows[3][1] = rows[3][1] + ONE
+    tampered = ExactMatrix(rows)
+    assert not determinant(tampered).is_zero()
+    with pytest.raises(CertificateError, match="does not reproduce"):
+        _verify_certificate(closed, tampered, cert.rhs, cert.solution)
+
+
+def test_certificate_replay_rejects_a_singular_matrix():
+    closed, cert = _readme_certificate()
+    # Zero the last column and recompute the rhs from it: the identity
+    # and every membership still hold, and only the determinant fails.
+    rows = [list(row[:-1]) + [Scalar(0)] for row in cert.matrix.rows()]
+    singular = ExactMatrix(rows)
+    rhs = matvec_series(singular, cert.solution)
+    assert all(closed.member(e) for e in rhs)
+    with pytest.raises(CertificateError, match="singular"):
+        _verify_certificate(closed, singular, rhs, cert.solution)
+
+
+def test_extract_semiinvariants_gaussian_embedding_certificate():
+    weights, embedding = weights_from_scalars([IMAG, -IMAG])
+    # x^2 + x*y mixes the weights 2i and 0; the ideal is spanned by
+    # weight-homogeneous members, so it is invariant under diag(i, -i).
+    mixed = _s({(2, 0): 1, (1, 1): 1}, 6)
+    handle = IdealHandle([mixed, _s({(2, 0): 1}, 6)], 6)
+    out, certs = extract_semiinvariants(handle, weights, embedding)
+    assert [dict(g.terms) for g in out] == [{(2, 0): ONE}, {(1, 1): ONE}]
+    cert = certs[0]
+    assert cert.source == mixed
+    assert sorted(cert.nodes, key=str) == sorted([Scalar(0, 2), Scalar(0)], key=str)
+    assert cert.determinant.magnitude_squared() == 4
+    assert list(cert.solution) == [component for _, component in weight_decompose(mixed, weights)]
+    assert matvec_series(cert.matrix, cert.solution) == list(cert.rhs)
+    assert _verify_certificate(handle, cert.matrix, cert.rhs, cert.solution) == cert.determinant
 
 
 def test_lf_extract_semiinvariants_golden():

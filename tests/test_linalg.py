@@ -19,10 +19,8 @@ from dulac.linalg import (
     jordan_chevalley,
     kernel_basis,
     rank,
-    solve,
     vandermonde_matrix,
 )
-from dulac.poly import Series
 
 
 def _rand_matrix(rng, n, span=5, gaussian=False):
@@ -72,10 +70,14 @@ def test_determinant_against_sympy():
     for _ in range(60):
         n = rng.randint(1, 5)
         gaussian = rng.random() < 0.4
-        m = _rand_matrix(rng, n, gaussian=gaussian)
-        got = determinant(m)
-        want = sympy.expand(_to_sympy(m).det())
-        assert sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im) == want
+        # integer entries, then entries with unlike denominators per row
+        for m in (
+            _rand_matrix(rng, n, gaussian=gaussian),
+            ExactMatrix(_rand_rows(rng, n, n, gaussian)),
+        ):
+            got = determinant(m)
+            want = sympy.expand(_to_sympy(m).det())
+            assert sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im) == want
 
 
 def test_determinant_of_known_matrices():
@@ -171,29 +173,6 @@ def test_elimination_matches_sympy():
                 )
 
 
-def test_solve_round_trip():
-    rng = random.Random(15)
-    done = 0
-    while done < 20:
-        n = rng.randint(1, 4)
-        m = _rand_matrix(rng, n)
-        if determinant(m).is_zero():
-            continue
-        x = [Scalar(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in range(n)]
-        rhs = m.matvec(x)
-        assert solve(m, rhs) == list(x)
-        done += 1
-
-
-def test_solve_accepts_series_rhs():
-    m = ExactMatrix.from_rows([[1, 1], [1, -1]])
-    a = Series(1, {(2,): Scalar(1)}, 5)
-    b = Series(1, {(1,): Scalar(1)}, 5)
-    got = solve(m, [a + b, a - b])
-    assert got[0] == a
-    assert got[1] == b
-
-
 def test_charpoly_matches_sympy():
     rng = random.Random(23)
     for _ in range(25):
@@ -216,6 +195,17 @@ def test_gaussian_roots_rational_and_imaginary():
     # repeated root: (z - 1)^2 = 1 - 2z + z^2
     roots = dict(gaussian_roots([Scalar(1), Scalar(-2), Scalar(1)]))
     assert roots == {Scalar(1): 2}
+
+
+def test_gaussian_roots_with_gaussian_rational_roots():
+    # (t - 1/2)(t - 1/3 - 2i/3)^2, ascending coefficients
+    half, mu = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3), Fraction(2, 3))
+    coeffs = [ONE]
+    for root in (half, mu, mu):
+        shifted = [Scalar(0)] + coeffs
+        coeffs = [a - root * b for a, b in zip(shifted, coeffs + [Scalar(0)])]
+    assert coeffs[-1] == ONE and coeffs[0] == -half * mu * mu
+    assert gaussian_roots(coeffs) == [(mu, 2), (half, 1)]
 
 
 def test_gaussian_roots_rejects_non_split():
@@ -247,6 +237,35 @@ def test_jordan_chevalley_properties():
         assert power.is_zero()
         # the semisimple part of an upper-triangular matrix keeps the diagonal
         assert all(s[i, i] == diag[i] for i in range(n))
+
+
+def test_jordan_chevalley_of_conjugated_jordan_forms():
+    # S of P J P^-1 is P diag(J) P^-1 by uniqueness, for any invertible P.
+    rng = random.Random(37)
+    shapes = [[(1, 2)], [(2, 1), (3, 1)], [(-1, 2), (2, 1)], [(1, 1), (1, 1), (4, 1)],
+              [(2, 3)], [(0, 1), (5, 2)]]
+    for blocks in shapes * 3:
+        gaussian = rng.random() < 0.5
+        lams = [Scalar(lam, rng.randint(-2, 2) if gaussian else 0) for lam, _ in blocks]
+        diag = [lam for lam, (_, size) in zip(lams, blocks) for _ in range(size)]
+        n = len(diag)
+        j_rows = [[diag[i] if i == k else Scalar(0) for k in range(n)] for i in range(n)]
+        start = 0
+        for _, size in blocks:
+            for i in range(start, start + size - 1):
+                j_rows[i][i + 1] = ONE
+            start += size
+        while True:
+            p = ExactMatrix(_rand_rows(rng, n, n, gaussian))
+            if not determinant(p).is_zero():
+                break
+        p_inv = inverse(p)
+        pair = jordan_chevalley(p * ExactMatrix(j_rows) * p_inv)
+        assert pair.semisimple == p * ExactMatrix.diagonal(diag) * p_inv
+        assert pair.nilpotent == p * (ExactMatrix(j_rows) - ExactMatrix.diagonal(diag)) * p_inv
+        d = pair.diagonalizer
+        assert inverse(d) * pair.semisimple * d == ExactMatrix.diagonal(pair.eigenvalues)
+        assert sorted(map(str, pair.eigenvalues)) == sorted(map(str, diag))
 
 
 def test_jordan_chevalley_of_rotation_block():

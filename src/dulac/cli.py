@@ -662,9 +662,16 @@ def _emit(report: dict, verbose: bool, code: int) -> None:
         sys.stderr.write(f"dulac {summary}: exit {code}\n")
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built once per process, on the first call (not at
+    # import); parse_args returns a fresh Namespace each time.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         problem = load_problem(args.problem)
     except OSError as exc:
@@ -675,7 +682,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit({"error": _error_payload(exc, None)}, args.verbose, code)
         return code
     try:
-        report, code = args.handler(problem, args)
+        # By name, so a handler replaced on this module is the one called.
+        report, code = globals()[args.handler.__name__](problem, args)
     except (DulacError, ArithmeticError) as exc:
         code = _exit_code_for(exc)
         try:

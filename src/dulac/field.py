@@ -268,6 +268,14 @@ def _mul(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Scalar:
     return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
+def _times_int(s: Scalar, k: int) -> Scalar:
+    """``s * k`` for a Python int ``k``, without coercing ``k`` to a Scalar."""
+    a, b, d = s._a * k, s._b * k, s._d
+    if d == 1:
+        return _new(a, b, 1)
+    return _reduced(a, b, d)
+
+
 def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return _new(value.numerator, 0, value.denominator)

@@ -5,7 +5,8 @@ elimination on Gaussian integers, rank, inverse and kernels read one
 reduced echelon form with exact pivots, and the Jordan-Chevalley
 decomposition is assembled from kernel bases of the generalized
 eigenspaces.
-Eigenvalue extraction enumerates Gaussian-integer root candidates of the
+A triangular matrix reads its eigenvalues off the diagonal.  Otherwise,
+eigenvalue extraction enumerates Gaussian-integer root candidates of the
 integerized characteristic polynomial, which finds every root in Q(i)
 when the polynomial splits there and reports an unsupported spectrum
 otherwise.
@@ -14,6 +15,7 @@ otherwise.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -473,6 +475,20 @@ class ChevalleyPair:
     diagonalizer: ExactMatrix
 
 
+def _triangular_spectrum(matrix: ExactMatrix):
+    """The eigenvalues of a triangular matrix with their multiplicities,
+    read off its diagonal and sorted as :func:`gaussian_roots` sorts its
+    roots; None when the matrix is neither upper nor lower triangular."""
+    rows = matrix.rows()
+    n = len(rows)
+    if any(rows[i][j] for i in range(n) for j in range(i)) and any(
+        rows[i][j] for i in range(n) for j in range(i + 1, n)
+    ):
+        return None
+    counts = Counter(rows[i][i] for i in range(n))
+    return sorted(counts.items(), key=lambda rm: (rm[0].re, rm[0].im))
+
+
 def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
     """Exact semisimple/nilpotent splitting of a matrix over Q(i).
 
@@ -483,13 +499,35 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
     diagonalizer whose columns are eigenspace bases of S; for an
     already-diagonal S the diagonalizer is the identity instead and the
     eigenvalue order follows the diagonal.
+
+    A triangular matrix takes its eigenvalues from its diagonal, with no
+    characteristic polynomial or root search, so they may be of any size.
+    When diag(A) commutes with the strictly triangular, hence nilpotent,
+    rest A - diag(A), that is the pair by uniqueness; otherwise the
+    eigenspace construction above runs on the diagonal's spectrum.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("jordan_chevalley of a non-square matrix")
     n = matrix.nrows
+    roots = _triangular_spectrum(matrix)
+    if roots is None:
+        roots = gaussian_roots(charpoly(matrix))
+    else:
+        diag = [matrix[i, i] for i in range(n)]
+        # A diagonal S commutes with N exactly when N_ij = 0 wherever the
+        # diagonal entries s_i and s_j differ.
+        if all(
+            diag[i] == diag[j] or not matrix[i, j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            semisimple = ExactMatrix.diagonal(diag)
+            return ChevalleyPair(
+                semisimple, matrix - semisimple, tuple(diag), ExactMatrix.identity(n)
+            )
     columns: List[Tuple[Scalar, ...]] = []
     eigen: List[Scalar] = []
-    for lam, mult in gaussian_roots(charpoly(matrix)):
+    for lam, mult in roots:
         shifted = matrix - ExactMatrix.identity(n) * lam
         power = shifted
         for _ in range(mult - 1):

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import NotNormalFormError, TruncationError
-from .field import Scalar, Weight
+from .field import Scalar, Weight, _times_int
 from .poly import (
     Exponent,
     Series,
@@ -175,7 +175,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
                 c = -lam[i]
                 for k, e in enumerate(exps):
                     if e:
-                        c = c + lam[k] * e
+                        c = c + _times_int(lam[k], e)
                 key = (c.re, c.im)
                 if key == (0, 0):
                     continue  # resonant: stays

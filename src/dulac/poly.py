@@ -26,6 +26,7 @@ from .field import (
     ZERO,
     Scalar,
     Weight,
+    _times_int,
     weight_embed,
     weights_from_scalars,
 )
@@ -325,7 +326,7 @@ def _partial(s: Series, j: int) -> Series:
         k = e[j]
         if k == 0:
             continue
-        terms[e[:j] + (k - 1,) + e[j + 1:]] = c * k
+        terms[e[:j] + (k - 1,) + e[j + 1:]] = _times_int(c, k)
     return Series._make(s.nvars, terms, s.trunc)
 
 
@@ -581,13 +582,7 @@ class VectorField:
             rows.append([comp.coefficient(_unit(j, n)) for j in range(n)])
         linear = linalg.ExactMatrix.from_rows(rows)
         pair = linalg.jordan_chevalley(linear)
-        if pair.semisimple.is_diagonal():
-            scalars = tuple(pair.semisimple[i, i] for i in range(n))
-            diagonalizer = linalg.ExactMatrix.identity(n)
-        else:
-            scalars = pair.eigenvalues
-            diagonalizer = pair.diagonalizer
-        weights, embedding = weights_from_scalars(scalars)
+        weights, embedding = weights_from_scalars(pair.eigenvalues)
         return cls(
             components,
             linear,
@@ -595,7 +590,7 @@ class VectorField:
             pair.nilpotent,
             weights,
             embedding,
-            diagonalizer,
+            pair.diagonalizer,
         )
 
     # -- derived views ---------------------------------------------------

@@ -8,12 +8,18 @@ see, minus the fork.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac.cli import main
+import dulac
+from dulac import cli
+from dulac.cli import build_parser, main
 
 GOLDEN = {
     "variables": ["x", "y"],
@@ -178,6 +184,38 @@ def test_check_pdnf_accepts_golden(problem, capsys):
     assert report["pdnf"] is True
     assert report["residual"] == ["0", "0"]
     assert report["eigenvalues"] == ["1", "3"]
+
+
+@pytest.mark.parametrize(
+    "lams, expected",
+    [((10007, 10009), ["10007", "10009"]),
+     ((1000000007, 998244353), ["998244353", "1000000007"])],
+)
+def test_large_eigenvalues_of_a_triangular_linear_part(problem, lams, expected):
+    # The spectrum is read off the diagonal; a root search over divisors
+    # of these eigenvalues' products used to run for minutes.  A separate
+    # process with a timeout fails this test instead of hanging it.
+    path = problem(
+        {
+            "variables": ["x", "y"],
+            "vector_field": [f"{lams[0]}*x + y", f"{lams[1]}*y"],
+            "trunc_order": 4,
+        }
+    )
+    src = os.path.dirname(os.path.dirname(dulac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dulac.cli", "check-pdnf", path],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["pdnf"] is True
+    assert report["eigenvalues"] == expected
+    assert elapsed < 1
 
 
 def test_check_pdnf_rejects_with_residual(problem, capsys):
@@ -441,6 +479,47 @@ def test_reports_are_deterministic(problem, capsys):
     main(["extract", path, "--ideal", "psi", "--close"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_main_reuses_its_parser_across_calls(problem, capsys):
+    path = problem({**GOLDEN, "ideals": {"psi": GOLDEN["ideals"]["psi"]}})
+    plain = ["extract", path, "--close", "--no-certificate"]
+    with_certificates = ["extract", path, "--close"]
+    first = run(capsys, plain)
+    second = run(capsys, with_certificates)
+    assert run(capsys, plain) == first
+    assert first[0] == second[0] == 0
+    assert "certificates" not in first[1]
+    assert second[1]["certificates"]
+    assert {k: v for k, v in second[1].items() if k != "certificates"} == first[1]
+    # An argparse error in between leaves the next reports unchanged.
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", path, "--no-certificate", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, with_certificates) == second
+    assert run(capsys, plain) == first
+
+
+def test_main_calls_the_handler_bound_on_the_module(problem, capsys, monkeypatch):
+    # The parser outlives one call; a handler replaced on the module after
+    # it was built is still the one that runs.
+    path = problem(GOLDEN)
+    expected = run(capsys, ["check-pdnf", path])
+    calls = []
+    real = cli.cmd_check_pdnf
+    monkeypatch.setattr(
+        cli, "cmd_check_pdnf", lambda *args: calls.append(args) or real(*args)
+    )
+    assert run(capsys, ["check-pdnf", path]) == expected
+    assert len(calls) == 1
+
+
+def test_help_is_the_parser_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 # -- fuzzing: every problem file ends in a documented exit code ---------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from dulac import linalg
 from dulac.errors import SingularMatrixError, UnsupportedSpectrumError
 from dulac.field import IMAG, ONE, Scalar
 from dulac.linalg import (
@@ -266,6 +267,88 @@ def test_jordan_chevalley_of_conjugated_jordan_forms():
         d = pair.diagonalizer
         assert inverse(d) * pair.semisimple * d == ExactMatrix.diagonal(pair.eigenvalues)
         assert sorted(map(str, pair.eigenvalues)) == sorted(map(str, diag))
+
+
+def _rand_triangular(rng, n, gaussian, commuting):
+    # Repeated diagonal entries come from a pool of two values.  They stay
+    # small: the charpoly route's root search grows with their size.  A
+    # scalar matrix is redrawn, since no conjugation moves it off the
+    # triangular route.
+    pool = [
+        Scalar(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])),
+               rng.randint(-1, 1) if gaussian else 0)
+        for _ in range(2)
+    ]
+    while True:
+        diag = [rng.choice(pool) for _ in range(n)]
+        rows = [[diag[i] if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (diag[i] == diag[j] or not commuting) and rng.random() < 0.7:
+                    rows[i][j] = _rand_entry(rng, gaussian)
+        m = ExactMatrix(rows)
+        if m != ExactMatrix.identity(n) * diag[0]:
+            return m.transpose() if rng.random() < 0.5 else m
+
+
+def _rand_unimodular(rng, n):
+    # Unit lower times unit upper triangular: determinant 1, dense.
+    lower = [[Scalar(1) if i == j else Scalar(rng.choice([-2, -1, 1, 2])) if j < i
+              else Scalar(0) for j in range(n)] for i in range(n)]
+    upper = [[Scalar(1) if i == j else Scalar(rng.choice([-2, -1, 1, 2])) if j > i
+              else Scalar(0) for j in range(n)] for i in range(n)]
+    return ExactMatrix(lower) * ExactMatrix(upper)
+
+
+def test_jordan_chevalley_triangular_route_matches_charpoly_route(monkeypatch):
+    # A triangular A skips charpoly; Q A Q^-1 for a dense unimodular Q
+    # takes it.  Both routes must give the same S and N (mapped back by Q)
+    # and the same spectrum; on A itself, the general route must return
+    # the very same pair, diagonalizer and eigenvalue order included.
+    charpolys = []
+    real_charpoly = linalg.charpoly
+    monkeypatch.setattr(
+        linalg, "charpoly", lambda m: charpolys.append(m) or real_charpoly(m)
+    )
+    rng = random.Random(77)
+    cases = []
+    for k in range(48):
+        n = 2 + k % 3
+        a = _rand_triangular(rng, n, gaussian=k % 2 == 1, commuting=k % 4 < 2)
+        pair = jordan_chevalley(a)
+        assert not charpolys
+        while True:
+            q = _rand_unimodular(rng, n)
+            q_inv = inverse(q)
+            conjugated = jordan_chevalley(q * a * q_inv)
+            if charpolys:
+                break
+        charpolys.clear()
+        assert pair.semisimple == q_inv * conjugated.semisimple * q
+        assert pair.nilpotent == q_inv * conjugated.nilpotent * q
+        assert sorted(map(str, pair.eigenvalues)) == sorted(
+            map(str, conjugated.eigenvalues)
+        )
+        cases.append((a, pair))
+    # Both the commuting shortcut and the eigenspace loop were exercised,
+    # the latter with repeated eigenvalues as well.
+    assert any(p.semisimple.is_diagonal() for _, p in cases)
+    assert any(
+        not p.semisimple.is_diagonal() and len(set(p.eigenvalues)) < a.nrows
+        for a, p in cases
+    )
+    monkeypatch.setattr(linalg, "_triangular_spectrum", lambda m: None)
+    for a, pair in cases:
+        assert jordan_chevalley(a) == pair
+
+
+def test_jordan_chevalley_of_triangular_with_distinct_eigenvalues():
+    m = ExactMatrix.from_rows([[1, 1], [0, 2]])
+    pair = jordan_chevalley(m)
+    assert pair.semisimple == m
+    assert pair.nilpotent.is_zero()
+    assert pair.eigenvalues == (Scalar(1), Scalar(2))
+    assert pair.diagonalizer == ExactMatrix.from_rows([[1, 1], [0, 1]])
 
 
 def test_jordan_chevalley_of_rotation_block():

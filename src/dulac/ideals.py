@@ -28,8 +28,10 @@ right-hand side and every component is re-verified by membership.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
@@ -48,7 +50,6 @@ from .poly import (
     Series,
     VectorField,
     grlex_key,
-    iter_exponents,
     lie_derivative,
     linear_components,
     weight_decompose,
@@ -85,11 +86,32 @@ def _at_order(s: Series, order: int) -> Series:
     return Series(s.nvars, s.terms, order)
 
 
-Tails = Dict[Exponent, Dict[Exponent, Scalar]]
+Tails = Dict[int, Dict[int, Scalar]]
+
+
+def _units(nvars: int, order: int) -> Tuple[int, ...]:
+    """Packed keys u_j = B^n + B^(n-1-j) of the variables x_j in R_order.
+
+    A monomial x^e packs to key(e) = sum_j e_j*u_j = |e|*B^n +
+    sum_j e_j*B^(n-1-j) with B = order + 1, which exceeds every exponent
+    of a monomial of degree <= order.  Integer order on the keys is then
+    grlex order (``grlex_key``), and adding two keys multiplies the
+    monomials (Monagan & Pearce, "Polynomial division using dynamic
+    arrays, heaps, and packed exponent vectors", CASC 2007).
+    """
+    base = order + 1
+    top = base ** nvars
+    return tuple(top + base ** (nvars - 1 - j) for j in range(nvars))
+
+
+def _unpack(key: int, nvars: int, order: int) -> Exponent:
+    """The exponent behind a key packed with ``_units(nvars, order)``."""
+    base = order + 1
+    return tuple(key // base ** (nvars - 1 - j) % base for j in range(nvars))
 
 
 def _subtract_multiple(
-    acc: Dict[Exponent, Scalar], c: Scalar, tail: Dict[Exponent, Scalar]
+    acc: Dict[int, Scalar], c: Scalar, tail: Dict[int, Scalar]
 ) -> None:
     """acc -= c * tail, in place, dropping cancelled terms."""
     for e, v in tail.items():
@@ -101,11 +123,11 @@ def _subtract_multiple(
             acc[e] = val
 
 
-def _insert_row(tails: Tails, row: Dict[Exponent, Scalar]) -> None:
+def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> None:
     """Reduce the row by its leading terms against the stored pivots and
     store what is left, made monic, under its new pivot."""
     while row:
-        lm = max(row, key=grlex_key)
+        lm = max(row)
         c = row.pop(lm)
         tail = tails.get(lm)
         if tail is None:
@@ -117,9 +139,11 @@ def _insert_row(tails: Tails, row: Dict[Exponent, Scalar]) -> None:
         _subtract_multiple(row, c, tail)
 
 
-def _substitute(terms: Dict[Exponent, Scalar], tails: Tails) -> Dict[Exponent, Scalar]:
+def _substitute(terms: Dict[int, Scalar], tails: Tails) -> Dict[int, Scalar]:
     """Replace every pivot term c*m by -c*tail(m).  When the tails hold
     standard monomials only, so does the result."""
+    if tails.keys().isdisjoint(terms):
+        return terms
     out = {e: c for e, c in terms.items() if e not in tails}
     for e, c in terms.items():
         tail = tails.get(e)
@@ -133,9 +157,11 @@ class ReducedBasis(NamedTuple):
 
     ``polys`` are the monic basis polynomials below degree N, largest
     leading monomial first; ``monomials`` are the degree-N monomials that
-    no leading monomial divides.  ``tails`` is the reduced echelon form
-    behind both: every leading monomial of the ideal below degree N,
-    mapped to the tail of its row, which has standard monomials only.
+    no leading monomial divides, in descending grlex order.  ``tails`` is
+    the reduced echelon form behind both, keyed by packed monomials (see
+    ``_units``: key(e) = |e|*B^n + sum_j e_j*B^(n-1-j) with B = N + 1):
+    every leading monomial of the ideal below degree N, mapped to the
+    tail of its row, which has standard monomials only.
     """
 
     polys: Tuple[Series, ...]
@@ -164,6 +190,12 @@ def groebner(
     at the minimal pivots (no ``m - e_i`` among the pivots) are the
     unique reduced basis polynomials, and a degree-N monomial belongs to
     the basis exactly when none of its degree-(N-1) divisors is a pivot.
+
+    The echelon form works on packed monomials: key(e) = |e|*B^n +
+    sum_j e_j*B^(n-1-j) with B = N + 1, so a shift is one integer
+    addition, grlex order is integer order, and the minimal pivots and
+    degree-N monomials are those outside {m + key(x_j) : m a pivot}.
+    Only the basis is unpacked; ``tails`` stays keyed by packed monomials.
     """
     if trunc_order < 1:
         raise ValueError("truncation order must be a positive integer")
@@ -173,38 +205,48 @@ def groebner(
             nvars = g.nvars
         elif g.nvars != nvars:
             raise ValueError("generators live in different variable sets")
-        terms = [(e, sum(e), c) for e, c in _at_order(g, trunc_order).terms.items()]
-        if terms:
-            generators.append((min(d for _, d, _ in terms), terms))
+        generators.append(_at_order(g, trunc_order).terms)
     if nvars is None:
         raise ValueError("an empty generating set needs an explicit variable count")
+    units = _units(nvars, trunc_order)
+    packed = []
+    for terms in generators:
+        if terms:
+            keyed = [(sum(map(mul, e, units)), sum(e), c) for e, c in terms.items()]
+            packed.append((min(d for _, d, _ in keyed), keyed))
+    # shifts[k]: the keys of the degree-k monomials, descending
+    shifts = [[0]]
+    for _ in range(trunc_order):
+        shifts.append(sorted({s + u for s in shifts[-1] for u in units}, reverse=True))
     tails: Tails = {}
     # Shifts of high degree go first: truncation makes them short, and the
     # longer rows that come later reduce against them cheaply.
     for k in reversed(range(trunc_order)):
-        for shift in iter_exponents(nvars, k):
-            for low, terms in generators:
+        for shift in shifts[k]:
+            for low, terms in packed:
                 if low + k < trunc_order:
-                    row = {
-                        tuple(a + b for a, b in zip(e, shift)): c
-                        for e, d, c in terms
-                        if d + k < trunc_order
-                    }
+                    row = {e + shift: c for e, d, c in terms if d + k < trunc_order}
                     _insert_row(tails, row)
-    for m in sorted(tails, key=grlex_key):
+    pivots = sorted(tails)
+    for m in pivots:
         tails[m] = _substitute(tails[m], tails)
 
-    def minimal(m: Exponent) -> bool:
-        return not any(
-            m[:i] + (m[i] - 1,) + m[i + 1:] in tails for i in range(nvars) if m[i]
-        )
-
+    blocked = {m + u for m in tails for u in units}
     polys = tuple(
-        Series(nvars, {m: ONE, **tails[m]}, trunc_order)
-        for m in sorted(tails, key=grlex_key, reverse=True)
-        if minimal(m)
+        Series(
+            nvars,
+            {
+                _unpack(e, nvars, trunc_order): c
+                for e, c in [(m, ONE), *tails[m].items()]
+            },
+            trunc_order,
+        )
+        for m in reversed(pivots)
+        if m not in blocked
     )
-    monomials = tuple(m for m in iter_exponents(nvars, trunc_order) if minimal(m))
+    monomials = tuple(
+        _unpack(m, nvars, trunc_order) for m in shifts[trunc_order] if m not in blocked
+    )
     return ReducedBasis(polys, monomials, tails)
 
 
@@ -216,7 +258,7 @@ class IdealHandle:
     read-only after that single initialization.
     """
 
-    __slots__ = ("generators", "trunc_order", "nvars", "_basis")
+    __slots__ = ("generators", "trunc_order", "nvars", "_basis", "_units")
 
     def __init__(
         self,
@@ -239,6 +281,7 @@ class IdealHandle:
         object.__setattr__(self, "trunc_order", trunc_order)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_units", _units(nvars, trunc_order))
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealHandle is immutable")
@@ -259,12 +302,18 @@ class IdealHandle:
 
     def normal_form(self, psi: Series) -> Series:
         """The unique remainder of psi modulo the ideal (zero iff member):
-        one pass that replaces every pivot term by its reduced tail."""
+        one pass that replaces every pivot term by its reduced tail.  The
+        terms of psi are packed like the keys of ``ReducedBasis.tails``,
+        key(e) = |e|*B^n + sum_j e_j*B^(n-1-j) with B = N + 1, and only the
+        remainder is unpacked."""
         if psi.nvars != self.nvars:
             raise ValueError("variable counts differ")
-        rep = _at_order(psi, self.trunc_order)
-        out = _substitute(rep.terms, self._ensure_basis().tails)
-        return Series(self.nvars, out, self.trunc_order)
+        n, order, units = self.nvars, self.trunc_order, self._units
+        packed = {
+            sum(map(mul, e, units)): c for e, c in _at_order(psi, order).terms.items()
+        }
+        out = _substitute(packed, self._ensure_basis().tails)
+        return Series(n, {_unpack(e, n, order): c for e, c in out.items()}, order)
 
     def member(self, psi: Series) -> bool:
         return self.normal_form(psi).is_zero()
@@ -349,9 +398,8 @@ def close_under_lie(ideal: IdealHandle, f) -> IdealHandle:
 
 
 def _rn_dimension(nvars: int, order: int) -> int:
-    return sum(
-        len(tuple(iter_exponents(nvars, k))) for k in range(order)
-    )
+    """dim R_order: the number of monomials of degree < order."""
+    return math.comb(order + nvars - 1, nvars)
 
 
 def is_semiinvariant(psi: Series, f, order: Optional[int] = None) -> Optional[Series]:

@@ -446,6 +446,19 @@ def lie_bracket(f: FieldLike, g: FieldLike) -> Tuple[Series, ...]:
                  for fi, gi in zip(fc, gc))
 
 
+def _image(
+    e: Exponent, subs: Tuple[Series, ...], images: Dict[Exponent, Series]
+) -> Series:
+    """The image of x^e under x_j -> subs[j], memoized in ``images``: the
+    image of x^e / x_j, for the last variable x_j of x^e, times subs[j]."""
+    got = images.get(e)
+    if got is None:
+        j = max(i for i, k in enumerate(e) if k)
+        got = _image(e[:j] + (e[j] - 1,) + e[j + 1:], subs, images) * subs[j]
+        images[e] = got
+    return got
+
+
 def compose(s: Series, subs: Sequence[Series]) -> Series:
     """Substitute subs[j] for x_j; each substituted series needs a zero
     constant term so the result stays in the local ring."""
@@ -462,23 +475,21 @@ def compose(s: Series, subs: Sequence[Series]) -> Series:
         if not h.constant_term().is_zero():
             raise CompositionError("substituted series has a nonzero constant term")
         trunc = _min_trunc(trunc, h.trunc)
-    powers: Dict[int, list] = {j: [Series.constant(ONE, target_nvars, trunc)]
-                               for j in range(s.nvars)}
-
-    def power(j: int, k: int) -> Series:
-        cache = powers[j]
-        while len(cache) <= k:
-            cache.append(cache[-1] * subs[j])
-        return cache[k]
-
-    total = Series.zero(target_nvars, trunc)
+    images = {(0,) * s.nvars: Series.constant(ONE, target_nvars, trunc)}
+    terms: Dict[Exponent, Scalar] = {}
     for e, c in s.terms.items():
-        term = Series.constant(c, target_nvars, trunc)
-        for j, k in enumerate(e):
-            if k:
-                term = term * power(j, k)
-        total = total + term
-    return total
+        for m, v in _image(e, subs, images).terms.items():
+            prod = c * v
+            acc = terms.get(m)
+            if acc is None:
+                terms[m] = prod
+            else:
+                total = acc + prod
+                if total.is_zero():
+                    del terms[m]
+                else:
+                    terms[m] = total
+    return Series._make(target_nvars, terms, trunc)
 
 
 def linear_components(matrix, trunc: Optional[int] = None) -> Tuple[Series, ...]:

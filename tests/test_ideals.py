@@ -29,13 +29,25 @@ from dulac.ideals import (
     member,
     normal_form,
     single_resonance_primes,
+    _rn_dimension,
+    _units,
+    _unpack,
     _verify_certificate,
 )
 from dulac.linalg import ExactMatrix, determinant, matvec_series
-from dulac.poly import Series, VectorField, lie_derivative, weight_decompose
+from dulac.poly import (
+    Series,
+    VectorField,
+    grlex_key,
+    iter_exponents,
+    lie_derivative,
+    weight_decompose,
+)
 
 from _gen import (
     pdnf_field,
+    random_exponent,
+    random_scalar,
     random_series,
     scrambled_generators,
     weight_homogeneous_generators,
@@ -224,6 +236,146 @@ def test_groebner_and_normal_form_match_sympy():
             _, remainder = oracle.reduce(to_sympy(psi))
             got = handle.normal_form(psi)
             assert {e: c.re for e, c in got.terms.items()} == terms_of(remainder)
+
+
+def _packed_key(e, units):
+    return sum(k * u for k, u in zip(e, units))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_monomials_round_trip_in_grlex_order(nvars):
+    # every exponent of degree <= N, so the degree-N ones with a single
+    # exponent equal to N are included
+    for order in range(1, 7):
+        units = _units(nvars, order)
+        exps = [e for k in range(order + 1) for e in iter_exponents(nvars, k)]
+        keys = [_packed_key(e, units) for e in exps]
+        assert [_unpack(key, nvars, order) for key in keys] == exps
+        assert len(set(keys)) == len(keys)
+        assert [_unpack(key, nvars, order) for key in sorted(keys)] == sorted(
+            exps, key=grlex_key
+        )
+        for a, b in itertools.combinations(exps, 2):
+            ab = tuple(x + y for x, y in zip(a, b))
+            if sum(ab) <= order:
+                assert _packed_key(a, units) + _packed_key(b, units) == _packed_key(ab, units)
+
+
+def _tuple_groebner(gens, order, nvars):
+    """``groebner`` with its echelon form keyed by exponent tuples, as it
+    was before the packed keys: the reference for them.  Returns
+    (polys, monomials, tails, substitute), the last for normal forms."""
+
+    def subtract(acc, c, tail):
+        for e, v in tail.items():
+            prev = acc.get(e)
+            val = -c * v if prev is None else prev - c * v
+            if val.is_zero():
+                acc.pop(e, None)
+            else:
+                acc[e] = val
+
+    def substitute(terms, tails):
+        out = {e: c for e, c in terms.items() if e not in tails}
+        for e, c in terms.items():
+            if e in tails:
+                subtract(out, c, tails[e])
+        return out
+
+    generators = []
+    for g in gens:
+        terms = [(e, sum(e), c) for e, c in g.truncate(order).terms.items()]
+        if terms:
+            generators.append((min(d for _, d, _ in terms), terms))
+    tails = {}
+    for k in reversed(range(order)):
+        for shift in iter_exponents(nvars, k):
+            for low, terms in generators:
+                if low + k >= order:
+                    continue
+                row = {
+                    tuple(a + b for a, b in zip(e, shift)): c
+                    for e, d, c in terms
+                    if d + k < order
+                }
+                while row:
+                    lm = max(row, key=grlex_key)
+                    c = row.pop(lm)
+                    if lm not in tails:
+                        inv = c.inverse()
+                        tails[lm] = {e: v * inv for e, v in row.items()}
+                        break
+                    subtract(row, c, tails[lm])
+    for m in sorted(tails, key=grlex_key):
+        tails[m] = substitute(tails[m], tails)
+
+    def minimal(m):
+        return not any(
+            m[:i] + (m[i] - 1,) + m[i + 1:] in tails for i in range(nvars) if m[i]
+        )
+
+    polys = tuple(
+        Series(nvars, {m: ONE, **tails[m]}, order)
+        for m in sorted(tails, key=grlex_key, reverse=True)
+        if minimal(m)
+    )
+    monomials = tuple(m for m in iter_exponents(nvars, order) if minimal(m))
+    return polys, monomials, tails, substitute
+
+
+def _packed_echelon_instances():
+    rng = random.Random(2607)
+    top_order = {1: 20, 2: 20, 3: 12, 4: 7}
+    for nvars, high in top_order.items():
+        for order in [k for k in range(2, high + 1) for _ in range(2)]:
+            gaussian = rng.random() < 0.5
+            gens = [
+                random_series(rng, nvars, order, gaussian, max_terms=4,
+                              min_degree=1 if rng.random() < 0.9 else 0)
+                for _ in range(rng.randint(1, 3))
+            ]
+            # a term just below the truncation
+            edge = dict(gens[0].terms)
+            edge[random_exponent(rng, nvars, order - 1)] = random_scalar(rng, gaussian)
+            gens[0] = Series(nvars, edge, order)
+            yield nvars, order, gaussian, gens
+        order = rng.randint(2, high)
+        yield nvars, order, False, []
+        yield nvars, order, False, [Series.zero(nvars, order)]
+        yield nvars, order, True, [
+            Series.constant(Scalar(2, 1), nvars, order),
+            random_series(rng, nvars, order, True, min_degree=1),
+        ]
+
+
+def test_packed_echelon_form_matches_the_tuple_keyed_reference():
+    rng = random.Random(5)
+    for nvars, order, gaussian, gens in _packed_echelon_instances():
+        want_polys, want_monomials, want_tails, substitute = _tuple_groebner(
+            gens, order, nvars
+        )
+        basis = groebner(gens, order, nvars=nvars)
+        assert len(basis.polys) == len(want_polys)
+        for got, want in zip(basis.polys, want_polys):
+            assert got.terms == want.terms and got.trunc == want.trunc
+        assert basis.monomials == want_monomials
+        assert {
+            _unpack(m, nvars, order): {_unpack(e, nvars, order): c for e, c in tail.items()}
+            for m, tail in basis.tails.items()
+        } == want_tails
+        handle = IdealHandle(gens, order, nvars=nvars)
+        for _ in range(3):
+            psi = random_series(rng, nvars, order, gaussian, max_terms=8)
+            got = handle.normal_form(psi)
+            assert got.terms == substitute(psi.terms, want_tails)
+            assert got.trunc == order
+
+
+def test_rn_dimension_counts_the_monomials_below_the_order():
+    for nvars in range(1, 5):
+        for order in range(1, 13):
+            count = sum(len(list(iter_exponents(nvars, k))) for k in range(order))
+            assert _rn_dimension(nvars, order) == count
 
 
 # -- membership ----------------------------------------------------------------

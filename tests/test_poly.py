@@ -230,6 +230,65 @@ def test_compose_associates_with_lie_derivative_pullback():
     assert lhs == rhs
 
 
+def _compose_by_powers(s, subs):
+    """``compose`` as it was: a cache of powers of each substituted series,
+    one product per variable of each monomial, and the terms summed
+    series by series.  The reference for the one-image-per-monomial
+    version."""
+    target_nvars = subs[0].nvars
+    trunc = s.trunc
+    for h in subs:
+        if h.trunc is not None:
+            trunc = h.trunc if trunc is None else min(trunc, h.trunc)
+    powers = {j: [Series.constant(1, target_nvars, trunc)] for j in range(s.nvars)}
+
+    def power(j, k):
+        cache = powers[j]
+        while len(cache) <= k:
+            cache.append(cache[-1] * subs[j])
+        return cache[k]
+
+    total = Series.zero(target_nvars, trunc)
+    for e, c in s.terms.items():
+        term = Series.constant(c, target_nvars, trunc)
+        for j, k in enumerate(e):
+            if k:
+                term = term * power(j, k)
+        total = total + term
+    return total
+
+
+def test_compose_matches_the_power_cache_reference():
+    rng = random.Random(3313)
+
+    def poly(nvars, trunc, gaussian, min_degree, max_degree):
+        top = max_degree if trunc is None else min(max_degree, trunc - 1)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(min_degree, top)):
+                exps[rng.randrange(nvars)] += 1
+            re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            im = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if gaussian else 0
+            terms[tuple(exps)] = Scalar(re, im)
+        return Series(nvars, terms, trunc)
+
+    for case in range(150):
+        source, target = rng.randint(1, 3), rng.randint(1, 3)
+        gaussian = rng.random() < 0.5
+        truncs = [None, 2, 3, 4, 6]
+        s = poly(source, rng.choice(truncs), gaussian, 0, 4)
+        # even cases substitute linear series, odd cases nonlinear ones
+        subs = [
+            poly(target, rng.choice(truncs), gaussian, 1, 1 if case % 2 == 0 else 3)
+            for _ in range(source)
+        ]
+        got = compose(s, subs)
+        want = _compose_by_powers(s, subs)
+        assert got == want
+        assert got.trunc == want.trunc
+
+
 def _series_of(nvars, truncs, min_degree=0):
     exponents = st.tuples(*[st.integers(0, 3)] * nvars).filter(
         lambda e: sum(e) >= min_degree

@@ -31,7 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
@@ -49,6 +48,8 @@ from .poly import (
     Exponent,
     Series,
     VectorField,
+    _ring,
+    _unpack,
     grlex_key,
     lie_derivative,
     linear_components,
@@ -83,31 +84,10 @@ def _at_order(s: Series, order: int) -> Series:
             f"series is only known modulo <x>^{s.trunc}, "
             f"which cannot represent an element of R_{order}"
         )
-    return Series(s.nvars, s.terms, order)
+    return s.truncate(order)
 
 
 Tails = Dict[int, Dict[int, Scalar]]
-
-
-def _units(nvars: int, order: int) -> Tuple[int, ...]:
-    """Packed keys u_j = B^n + B^(n-1-j) of the variables x_j in R_order.
-
-    A monomial x^e packs to key(e) = sum_j e_j*u_j = |e|*B^n +
-    sum_j e_j*B^(n-1-j) with B = order + 1, which exceeds every exponent
-    of a monomial of degree <= order.  Integer order on the keys is then
-    grlex order (``grlex_key``), and adding two keys multiplies the
-    monomials (Monagan & Pearce, "Polynomial division using dynamic
-    arrays, heaps, and packed exponent vectors", CASC 2007).
-    """
-    base = order + 1
-    top = base ** nvars
-    return tuple(top + base ** (nvars - 1 - j) for j in range(nvars))
-
-
-def _unpack(key: int, nvars: int, order: int) -> Exponent:
-    """The exponent behind a key packed with ``_units(nvars, order)``."""
-    base = order + 1
-    return tuple(key // base ** (nvars - 1 - j) % base for j in range(nvars))
 
 
 def _subtract_multiple(
@@ -158,8 +138,8 @@ class ReducedBasis(NamedTuple):
     ``polys`` are the monic basis polynomials below degree N, largest
     leading monomial first; ``monomials`` are the degree-N monomials that
     no leading monomial divides, in descending grlex order.  ``tails`` is
-    the reduced echelon form behind both, keyed by packed monomials (see
-    ``_units``: key(e) = |e|*B^n + sum_j e_j*B^(n-1-j) with B = N + 1):
+    the reduced echelon form behind both, keyed like the terms of a
+    series truncated at N (the packing of :mod:`dulac.poly`, base N + 1):
     every leading monomial of the ideal below degree N, mapped to the
     tail of its row, which has standard monomials only.
     """
@@ -191,11 +171,13 @@ def groebner(
     unique reduced basis polynomials, and a degree-N monomial belongs to
     the basis exactly when none of its degree-(N-1) divisors is a pivot.
 
-    The echelon form works on packed monomials: key(e) = |e|*B^n +
-    sum_j e_j*B^(n-1-j) with B = N + 1, so a shift is one integer
+    The echelon form works on the packed keys that series truncated at N
+    already hold (:mod:`dulac.poly`: key(e) = |e|*B^n +
+    sum_j e_j*B^(n-1-j) with B = N + 1), so a shift is one integer
     addition, grlex order is integer order, and the minimal pivots and
     degree-N monomials are those outside {m + key(x_j) : m a pivot}.
-    Only the basis is unpacked; ``tails`` stays keyed by packed monomials.
+    The basis polynomials wrap their packed rows directly; only the
+    degree-N ``monomials`` are unpacked.
     """
     if trunc_order < 1:
         raise ValueError("truncation order must be a positive integer")
@@ -205,15 +187,16 @@ def groebner(
             nvars = g.nvars
         elif g.nvars != nvars:
             raise ValueError("generators live in different variable sets")
-        generators.append(_at_order(g, trunc_order).terms)
+        generators.append(_at_order(g, trunc_order)._p)
     if nvars is None:
         raise ValueError("an empty generating set needs an explicit variable count")
-    units = _units(nvars, trunc_order)
+    ring = _ring(nvars, trunc_order + 1)
+    top, units = ring[2], ring[4]
     packed = []
     for terms in generators:
         if terms:
-            keyed = [(sum(map(mul, e, units)), sum(e), c) for e, c in terms.items()]
-            packed.append((min(d for _, d, _ in keyed), keyed))
+            keyed = [(e, e // top, c) for e, c in terms.items()]
+            packed.append((min(terms) // top, keyed))
     # shifts[k]: the keys of the degree-k monomials, descending
     shifts = [[0]]
     for _ in range(trunc_order):
@@ -233,19 +216,12 @@ def groebner(
 
     blocked = {m + u for m in tails for u in units}
     polys = tuple(
-        Series(
-            nvars,
-            {
-                _unpack(e, nvars, trunc_order): c
-                for e, c in [(m, ONE), *tails[m].items()]
-            },
-            trunc_order,
-        )
+        Series._make(ring, {m: ONE, **tails[m]}, trunc_order)
         for m in reversed(pivots)
         if m not in blocked
     )
     monomials = tuple(
-        _unpack(m, nvars, trunc_order) for m in shifts[trunc_order] if m not in blocked
+        _unpack(m, ring) for m in shifts[trunc_order] if m not in blocked
     )
     return ReducedBasis(polys, monomials, tails)
 
@@ -258,7 +234,7 @@ class IdealHandle:
     read-only after that single initialization.
     """
 
-    __slots__ = ("generators", "trunc_order", "nvars", "_basis", "_units")
+    __slots__ = ("generators", "trunc_order", "nvars", "_basis")
 
     def __init__(
         self,
@@ -281,7 +257,6 @@ class IdealHandle:
         object.__setattr__(self, "trunc_order", trunc_order)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_units", _units(nvars, trunc_order))
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealHandle is immutable")
@@ -302,18 +277,14 @@ class IdealHandle:
 
     def normal_form(self, psi: Series) -> Series:
         """The unique remainder of psi modulo the ideal (zero iff member):
-        one pass that replaces every pivot term by its reduced tail.  The
-        terms of psi are packed like the keys of ``ReducedBasis.tails``,
-        key(e) = |e|*B^n + sum_j e_j*B^(n-1-j) with B = N + 1, and only the
-        remainder is unpacked."""
+        one pass that replaces every pivot term by its reduced tail.  A
+        series at order N holds the packed keys of ``ReducedBasis.tails``,
+        so nothing is packed or unpacked."""
         if psi.nvars != self.nvars:
             raise ValueError("variable counts differ")
-        n, order, units = self.nvars, self.trunc_order, self._units
-        packed = {
-            sum(map(mul, e, units)): c for e, c in _at_order(psi, order).terms.items()
-        }
-        out = _substitute(packed, self._ensure_basis().tails)
-        return Series(n, {_unpack(e, n, order): c for e, c in out.items()}, order)
+        rep = _at_order(psi, self.trunc_order)
+        out = _substitute(rep._p, self._ensure_basis().tails)
+        return Series._make(rep._r, out, rep.trunc)
 
     def member(self, psi: Series) -> bool:
         return self.normal_form(psi).is_zero()

@@ -20,12 +20,11 @@ ideal and can be rechecked via :func:`conjugacy_residual`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import NotNormalFormError, TruncationError
-from .field import Scalar, Weight, _times_int
+from .field import Scalar, Weight, _new, _times_int
 from .poly import (
     Exponent,
     Series,
@@ -101,7 +100,7 @@ def _shift(s: Series, h: Sequence[Series]) -> Series:
         for last, run, d, p in frontier:
             for j in range(last, s.nvars):
                 m = run + 1 if j == last else 1
-                dj = _partial(d, j) if m == 1 else _partial(d, j) * Fraction(1, m)
+                dj = _partial(d, j) if m == 1 else _partial(d, j) * _new(1, 0, m)
                 pj = h[j] if p is None else p * h[j]
                 if dj.is_zero() or pj.is_zero():
                     continue

@@ -1,11 +1,25 @@
 """Sparse truncated multivariate power series and the Lie calculus on them.
 
-A :class:`Series` is a finite dict from exponent tuples to nonzero
+A :class:`Series` is a finite dict from packed monomial keys to nonzero
 :class:`~dulac.field.Scalar` coefficients.  When ``trunc_order`` is an
 integer ``N`` the series represents an element of K[[x]]/<x>^N and never
 stores a monomial of total degree >= N; ``trunc_order=None`` marks an
 exact polynomial.  Binary operations work modulo the smaller of the two
 truncation ideals, which is the finest claim the inputs support.
+
+A monomial x^e in n variables is stored under the integer key(e) =
+sum_j e_j*u_j = |e|*B^n + sum_j e_j*B^(n-1-j), with u_j = B^n +
+B^(n-1-j) and a base B above every exponent.  Integer order on the keys
+is then grlex order (``grlex_key``), the degree is ``key // B^n``, and
+adding two keys multiplies the monomials (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).  The packing data (n, B, B^n, (B^(n-1-j))_j, (u_j)_j) form a
+ring shared by every series with the same n and B.  A series truncated
+at N uses B = N + 1, so R_N has one packing, which the ideal code in
+:mod:`dulac.ideals` reads directly; an exact polynomial of degree d is
+built with B = max(2, d + 1).  Exponent tuples appear only at the
+boundary: :attr:`Series.terms`, :meth:`Series.sorted_terms` and the
+constructors.
 
 Derivations along vector fields with no constant term map <x>^N into
 itself, so the Lie derivative, Lie bracket and composition below are all
@@ -16,8 +30,9 @@ arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
-from operator import add
+from operator import itemgetter, mul
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, TruncationError
@@ -32,6 +47,9 @@ from .field import (
 )
 
 Exponent = Tuple[int, ...]
+# (n, B, B^n, (B^(n-1-j))_j, (u_j)_j): the packing of monomials in n
+# variables whose exponents all lie below B
+_Ring = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
 
 __all__ = [
     "Exponent",
@@ -78,10 +96,71 @@ def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-class Series:
-    """Sparse exact series, optionally truncated at a fixed order."""
+@lru_cache(maxsize=None)
+def _ring(nvars: int, base: int) -> _Ring:
+    """The packing of monomials in nvars variables with exponents below
+    base; one shared tuple per (nvars, base).  A process uses few: B is a
+    truncation order plus one or follows the degrees of exact inputs."""
+    top = base ** nvars
+    pows = tuple(base ** (nvars - 1 - j) for j in range(nvars))
+    return (nvars, base, top, pows, tuple(top + p for p in pows))
 
-    __slots__ = ("nvars", "trunc", "terms")
+
+def _unpack(key: int, ring: _Ring) -> Exponent:
+    """The exponent packed as ``key`` in ``ring``."""
+    base = ring[1]
+    return tuple(key // p % base for p in ring[3])
+
+
+def _repack(s: "Series", ring: _Ring, trunc: Optional[int]) -> Dict[int, Scalar]:
+    """The terms of s keyed in ``ring``, without those of degree >= trunc.
+    Every kept exponent must lie below the ring's base.  Returns s's own
+    dict when nothing changes, so callers must not mutate the result."""
+    terms = s._p
+    _, base, top, pows, _ = s._r
+    if trunc is not None and (s.trunc is None or s.trunc > trunc):
+        cap = trunc * top
+        terms = {k: c for k, c in terms.items() if k < cap}
+    if base == ring[1]:
+        return terms
+    units = ring[4]
+    return {
+        sum(k // p % base * u for p, u in zip(pows, units)): c
+        for k, c in terms.items()
+    }
+
+
+def _operands(a: "Series", b: "Series", product: bool):
+    """(ring, trunc, a's terms, b's terms) of a + b or a * b in one ring.
+
+    A truncated result uses B = trunc + 1.  An exact sum uses the larger
+    base, and an exact product B_a + B_b - 1, which lies above every
+    exponent of the product."""
+    if a.nvars != b.nvars:
+        raise ValueError("variable counts differ")
+    if a._r is b._r and a.trunc == b.trunc and (a.trunc is not None or not product):
+        return a._r, a.trunc, a._p, b._p
+    trunc = _min_trunc(a.trunc, b.trunc)
+    if trunc is not None:
+        base = trunc + 1
+    elif product:
+        base = a._r[1] + b._r[1] - 1
+    else:
+        base = max(a._r[1], b._r[1])
+    ring = _ring(a.nvars, base)
+    return ring, trunc, _repack(a, ring, trunc), _repack(b, ring, trunc)
+
+
+class Series:
+    """Sparse exact series, optionally truncated at a fixed order.
+
+    The terms are held packed (see the module docstring): ``_p`` maps
+    packed keys to nonzero coefficients in the ring ``_r``, whose base is
+    ``trunc + 1`` for a truncated series and above every exponent for an
+    exact one.  :attr:`terms` is the same dict keyed by exponent tuples.
+    """
+
+    __slots__ = ("nvars", "trunc", "_p", "_r")
 
     def __init__(
         self,
@@ -103,22 +182,25 @@ class Series:
                 if trunc is not None and sum(exps) >= trunc:
                     continue
                 clean[exps] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", clean)
+        if trunc is None:
+            base = max(2, max(map(sum, clean), default=0) + 1)
+        else:
+            base = trunc + 1
+        ring = _ring(nvars, base)
+        units = ring[4]
+        _set(self, ring, {sum(map(mul, e, units)): c for e, c in clean.items()}, trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
     @classmethod
-    def _make(cls, nvars: int, terms: Dict[Exponent, Scalar], trunc: Optional[int]):
-        """Wrap a fresh dict of valid terms without re-checking them: every
-        exponent has length nvars and no negative entry, every coefficient
-        is nonzero, and every degree lies below trunc."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "nvars", nvars)
-        object.__setattr__(s, "trunc", trunc)
-        object.__setattr__(s, "terms", terms)
+    def _make(cls, ring: _Ring, terms: Dict[int, Scalar], trunc: Optional[int]):
+        """Wrap a fresh dict of valid packed terms without re-checking them:
+        every key packs an exponent below the ring's base, every
+        coefficient is nonzero, every degree lies below trunc, and a
+        truncated series uses the ring of base trunc + 1."""
+        s = _object_new(cls)
+        _set(s, ring, terms, trunc)
         return s
 
     # -- constructors ----------------------------------------------------
@@ -150,45 +232,57 @@ class Series:
 
     # -- inspection -------------------------------------------------------
 
+    @property
+    def terms(self) -> Dict[Exponent, Scalar]:
+        """The terms keyed by exponent tuples: a fresh dict on each access."""
+        _, base, _, pows, _ = self._r
+        return {
+            tuple(k // p % base for p in pows): c for k, c in self._p.items()
+        }
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._p
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._p)
 
     def degree(self) -> Optional[int]:
         """Largest stored total degree, or None for the zero series."""
-        if not self.terms:
+        if not self._p:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self._p) // self._r[2]
 
     def min_degree(self) -> Optional[int]:
-        if not self.terms:
+        if not self._p:
             return None
-        return min(sum(e) for e in self.terms)
+        return min(self._p) // self._r[2]
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, ZERO)
+        return self._p.get(0, ZERO)
 
     def coefficient(self, exps: Exponent) -> Scalar:
-        return self.terms.get(tuple(exps), ZERO)
+        """The coefficient of x^exps; ZERO for an exponent this series
+        cannot hold (wrong length, a negative entry, or an entry at or
+        above the ring's base), so no other key is read by accident."""
+        n, base, _, _, units = self._r
+        exps = tuple(exps)
+        if len(exps) != n or any(e < 0 or e >= base for e in exps):
+            return ZERO
+        return self._p.get(sum(map(mul, exps, units)), ZERO)
 
     def sorted_terms(self, reverse: bool = True):
         """Terms as (exponent, coefficient) in grlex order, leading monomial
         first by default."""
-        return [
-            (e, self.terms[e])
-            for e in sorted(self.terms, key=grlex_key, reverse=reverse)
-        ]
+        ring, terms = self._r, self._p
+        return [(_unpack(k, ring), terms[k]) for k in sorted(terms, reverse=reverse)]
 
     def leading_monomial(self) -> Optional[Exponent]:
-        if not self.terms:
+        if not self._p:
             return None
-        return max(self.terms, key=grlex_key)
+        return _unpack(max(self._p), self._r)
 
     def leading_coefficient(self) -> Scalar:
-        lm = self.leading_monomial()
-        return ZERO if lm is None else self.terms[lm]
+        return self._p[max(self._p)] if self._p else ZERO
 
     def monic(self) -> "Series":
         lc = self.leading_coefficient()
@@ -208,16 +302,24 @@ class Series:
             raise TruncationError(
                 f"degree {k} is not represented at truncation order {self.trunc}"
             )
-        picked = {e: c for e, c in self.terms.items() if sum(e) == k}
-        return Series._make(self.nvars, picked, self.trunc)
+        top = self._r[2]
+        low, high = k * top, (k + 1) * top
+        picked = {e: c for e, c in self._p.items() if low <= e < high}
+        return Series._make(self._r, picked, self.trunc)
 
     def truncate(self, order: int) -> "Series":
-        """View this series modulo <x>^order (order must not exceed what is known)."""
+        """View this series modulo <x>^order (order must not exceed what is
+        known); the series itself when order is its truncation order."""
+        if order == self.trunc:
+            return self
+        if order < 1:
+            raise ValueError("truncation order must be a positive integer")
         if self.trunc is not None and order > self.trunc:
             raise TruncationError(
                 f"cannot extend truncation order {self.trunc} to {order}"
             )
-        return Series(self.nvars, self.terms, order)
+        ring = _ring(self.nvars, order + 1)
+        return Series._make(ring, _repack(self, ring, order), order)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -226,15 +328,18 @@ class Series:
         # truncation flag is bookkeeping, not part of the value.
         if not isinstance(other, Series):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        if self._r[1] == other._r[1]:
+            return self._p == other._p
+        return self.terms == other.terms
 
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        ring, trunc, left, right = _operands(self, other, False)
+        terms = dict(left)
+        for e, c in right.items():
             acc = terms.get(e)
             if acc is None:
                 terms[e] = c
@@ -244,10 +349,7 @@ class Series:
                     del terms[e]
                 else:
                     terms[e] = s
-        if self.trunc == other.trunc:
-            return Series._make(self.nvars, terms, self.trunc)
-        # the finer truncation still has to drop the coarser side's top terms
-        return Series(self.nvars, terms, _min_trunc(self.trunc, other.trunc))
+        return Series._make(ring, terms, trunc)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -255,24 +357,24 @@ class Series:
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series._make(
-            self.nvars, {e: -c for e, c in self.terms.items()}, self.trunc
-        )
+        return Series._make(self._r, {e: -c for e, c in self._p.items()}, self.trunc)
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
-            if self.nvars != other.nvars:
-                raise ValueError("variable counts differ")
-            trunc = _min_trunc(self.trunc, other.trunc)
-            cap = inf if trunc is None else trunc
-            right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
-            terms: Dict[Exponent, Scalar] = {}
-            for e1, c1 in self.terms.items():
-                d1 = sum(e1)
-                for e2, c2, d2 in right:
-                    if d1 + d2 >= cap:
-                        continue
-                    e = tuple(map(add, e1, e2))
+            ring, trunc, left, right = _operands(self, other, True)
+            # A pair is dropped exactly when its key sum reaches trunc*B^n:
+            # a kept pair has degree below trunc < B, so no exponent
+            # carries; a dropped one has a key sum of at least degree*B^n.
+            # With the right keys ascending, the first such pair ends a row.
+            cap = inf if trunc is None else trunc * ring[2]
+            right = sorted(right.items())
+            terms: Dict[int, Scalar] = {}
+            for e1, c1 in left.items():
+                room = cap - e1
+                for e2, c2 in right:
+                    if e2 >= room:
+                        break
+                    e = e1 + e2
                     prod = c1 * c2
                     acc = terms.get(e)
                     if acc is None:
@@ -283,13 +385,13 @@ class Series:
                             del terms[e]
                         else:
                             terms[e] = s
-            return Series._make(self.nvars, terms, trunc)
+            return Series._make(ring, terms, trunc)
         if isinstance(other, (Scalar, int, Fraction)):
             c = other if isinstance(other, Scalar) else Scalar(other)
             if c.is_zero():
                 return Series.zero(self.nvars, self.trunc)
             return Series._make(
-                self.nvars, {e: v * c for e, v in self.terms.items()}, self.trunc
+                self._r, {e: v * c for e, v in self._p.items()}, self.trunc
             )
         return NotImplemented
 
@@ -304,7 +406,7 @@ class Series:
         return result
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._p:
             body = "0"
         else:
             body = " + ".join(
@@ -314,6 +416,20 @@ class Series:
         return f"<Series {body}{tag}>"
 
 
+_object_new = object.__new__
+_set_nvars = Series.nvars.__set__
+_set_trunc = Series.trunc.__set__
+_set_p = Series._p.__set__
+_set_r = Series._r.__set__
+
+
+def _set(s: Series, ring: _Ring, terms: Dict[int, Scalar], trunc: Optional[int]):
+    _set_nvars(s, ring[0])
+    _set_trunc(s, trunc)
+    _set_p(s, terms)
+    _set_r(s, ring)
+
+
 def _partial(s: Series, j: int) -> Series:
     """d/dx_j applied to the stored terms.
 
@@ -321,13 +437,14 @@ def _partial(s: Series, j: int) -> Series:
     factors, where the final truncation restores a sound claim; it keeps
     the argument's truncation marker for that reason.
     """
-    terms: Dict[Exponent, Scalar] = {}
-    for e, c in s.terms.items():
-        k = e[j]
-        if k == 0:
-            continue
-        terms[e[:j] + (k - 1,) + e[j + 1:]] = _times_int(c, k)
-    return Series._make(s.nvars, terms, s.trunc)
+    _, base, _, pows, units = s._r
+    p, u = pows[j], units[j]
+    terms: Dict[int, Scalar] = {}
+    for e, c in s._p.items():
+        k = e // p % base
+        if k:
+            terms[e - u] = c if k == 1 else _times_int(c, k)
+    return Series._make(s._r, terms, s.trunc)
 
 
 # -- weights ---------------------------------------------------------------
@@ -447,15 +564,20 @@ def lie_bracket(f: FieldLike, g: FieldLike) -> Tuple[Series, ...]:
 
 
 def _image(
-    e: Exponent, subs: Tuple[Series, ...], images: Dict[Exponent, Series]
+    key: int, ring: _Ring, subs: Tuple[Series, ...], images: Dict[int, Series]
 ) -> Series:
-    """The image of x^e under x_j -> subs[j], memoized in ``images``: the
-    image of x^e / x_j, for the last variable x_j of x^e, times subs[j]."""
-    got = images.get(e)
+    """The image of the monomial packed as ``key`` in ``ring`` under
+    x_j -> subs[j], memoized in ``images``: the image of x^e / x_j, for the
+    last variable x_j of x^e (the lowest nonzero base-B digit), times
+    subs[j]."""
+    got = images.get(key)
     if got is None:
-        j = max(i for i, k in enumerate(e) if k)
-        got = _image(e[:j] + (e[j] - 1,) + e[j + 1:], subs, images) * subs[j]
-        images[e] = got
+        _, base, _, pows, units = ring
+        j = len(pows) - 1
+        while not key // pows[j] % base:
+            j -= 1
+        got = _image(key - units[j], ring, subs, images) * subs[j]
+        images[key] = got
     return got
 
 
@@ -475,10 +597,14 @@ def compose(s: Series, subs: Sequence[Series]) -> Series:
         if not h.constant_term().is_zero():
             raise CompositionError("substituted series has a nonzero constant term")
         trunc = _min_trunc(trunc, h.trunc)
-    images = {(0,) * s.nvars: Series.constant(ONE, target_nvars, trunc)}
-    terms: Dict[Exponent, Scalar] = {}
-    for e, c in s.terms.items():
-        for m, v in _image(e, subs, images).terms.items():
+    one = Series.constant(ONE, target_nvars, trunc)
+    images = {0: one}
+    pieces = [(c, _image(k, s._r, subs, images)) for k, c in s._p.items()]
+    # every image is truncated at trunc; exact images may differ in base
+    ring = max((img._r for _, img in pieces), key=itemgetter(1), default=one._r)
+    terms: Dict[int, Scalar] = {}
+    for c, img in pieces:
+        for m, v in _repack(img, ring, trunc).items():
             prod = c * v
             acc = terms.get(m)
             if acc is None:
@@ -489,7 +615,7 @@ def compose(s: Series, subs: Sequence[Series]) -> Series:
                     del terms[m]
                 else:
                     terms[m] = total
-    return Series._make(target_nvars, terms, trunc)
+    return Series._make(ring, terms, trunc)
 
 
 def linear_components(matrix, trunc: Optional[int] = None) -> Tuple[Series, ...]:

@@ -1,18 +1,22 @@
 """Tests for sparse series arithmetic, weights, Lie calculus, composition."""
 
+import ast
+import os
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulac.errors import CompositionError, TruncationError
-from dulac.field import Scalar, Weight, weights_from_scalars
+from dulac.field import ONE, ZERO, Scalar, Weight, weights_from_scalars
 from dulac.poly import (
     Series,
     VectorField,
     _partial,
+    _ring,
     compose,
     grlex_key,
     iter_exponents,
@@ -86,6 +90,16 @@ def test_series_truncate_only_coarsens():
     assert cut.trunc == 3
     with pytest.raises(TruncationError):
         cut.truncate(6)
+
+
+def test_truncate_to_the_same_order_is_the_series_itself():
+    s = _s({X: 1, (3, 0): 2, (1, 2): 5}, 6)
+    assert s.truncate(6) is s
+    cut = s.truncate(3)
+    assert cut.terms == {X: Scalar(1)} and cut.trunc == 3
+    assert cut == Series(2, s.terms, 3)
+    with pytest.raises(ValueError):
+        _s({X: 1}).truncate(0)
 
 
 def test_leading_data_grlex():
@@ -382,3 +396,224 @@ def test_vector_field_requires_matching_linear_part():
             embedding=good.embedding,
             diagonalizer=good.diagonalizer,
         )
+
+
+# -- the packed kernel against tuple-keyed arithmetic ------------------------
+#
+# A series is a pair (terms keyed by exponent tuples, trunc): the storage
+# Series used before its terms were packed.  Each function below is the
+# corresponding Series operation as it was on that storage.
+
+
+def _ref_min(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _ref_clean(terms, trunc):
+    return {
+        e: c for e, c in terms.items()
+        if not c.is_zero() and (trunc is None or sum(e) < trunc)
+    }
+
+
+def _ref_add(a, b):
+    trunc = _ref_min(a[1], b[1])
+    terms = dict(a[0])
+    for e, c in b[0].items():
+        terms[e] = terms[e] + c if e in terms else c
+    return _ref_clean(terms, trunc), trunc
+
+
+def _ref_mul(a, b):
+    trunc = _ref_min(a[1], b[1])
+    terms = {}
+    for e1, c1 in a[0].items():
+        for e2, c2 in b[0].items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
+    return _ref_clean(terms, trunc), trunc
+
+
+def _ref_partial(a, j):
+    terms = {
+        e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j] for e, c in a[0].items() if e[j]
+    }
+    return terms, a[1]
+
+
+def _ref_homogeneous_part(a, k):
+    return {e: c for e, c in a[0].items() if sum(e) == k}, a[1]
+
+
+def _ref_truncate(a, order):
+    return _ref_clean(a[0], order), order
+
+
+def _ref_sorted_terms(a, reverse=True):
+    return sorted(a[0].items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
+
+
+def _ref_compose(a, subs, target_nvars):
+    trunc = a[1]
+    for h in subs:
+        trunc = _ref_min(trunc, h[1])
+    total = ({}, trunc)
+    for e, c in a[0].items():
+        term = ({(0,) * target_nvars: c}, trunc)
+        for j, k in enumerate(e):
+            for _ in range(k):
+                term = _ref_mul(term, subs[j])
+        total = _ref_add(total, term)
+    return total
+
+
+def _ref(s):
+    return s.terms, s.trunc
+
+
+def _assert_matches(got, want):
+    assert got.terms == want[0]
+    assert got.trunc == want[1]
+
+
+def _random_terms(rng, nvars, degree, gaussian, min_degree=0):
+    """Up to five terms of degree min_degree..degree, always including
+    x_0^degree, so exact products reach exponents beyond both bases."""
+    terms = {(degree,) + (0,) * (nvars - 1): Scalar(rng.randint(1, 3))}
+    for _ in range(rng.randint(0, 4)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(min_degree, degree)):
+            exps[rng.randrange(nvars)] += 1
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if gaussian else 0
+        terms[tuple(exps)] = Scalar(re, im)
+    return terms
+
+
+def _kernel_pairs():
+    """Seeded operand pairs: equal truncations, mixed truncations, exact
+    times truncated and exact times exact, n = 1..4, rational and
+    Gaussian coefficients."""
+    rng = random.Random(907)
+    kinds = ["equal", "mixed", "exact-truncated", "exact-exact"]
+    for case in range(240):
+        nvars = 1 + case % 4
+        kind = kinds[case // 4 % 4]
+        gaussian = case % 3 == 0
+        if kind == "equal":
+            truncs = [rng.randint(1, 7)] * 2
+        elif kind == "mixed":
+            truncs = rng.sample(range(1, 8), 2)
+        elif kind == "exact-truncated":
+            truncs = [None, rng.randint(1, 7)]
+            rng.shuffle(truncs)
+        else:
+            truncs = [None, None]
+        a, b = (
+            Series(nvars, _random_terms(rng, nvars, rng.randint(0, 5), gaussian), t)
+            for t in truncs
+        )
+        yield rng, nvars, a, b
+
+
+def test_packed_kernel_matches_the_tuple_keyed_reference():
+    for rng, nvars, a, b in _kernel_pairs():
+        _assert_matches(a + b, _ref_add(_ref(a), _ref(b)))
+        _assert_matches(a - b, _ref_add(_ref(a), _ref(-b)))
+        _assert_matches(a * b, _ref_mul(_ref(a), _ref(b)))
+        # results of mixed rings as operands again
+        _assert_matches((a * b) * a, _ref_mul(_ref_mul(_ref(a), _ref(b)), _ref(a)))
+        _assert_matches((a + b) * b, _ref_mul(_ref_add(_ref(a), _ref(b)), _ref(b)))
+        for s in (a, b, a * b):
+            for j in range(nvars):
+                _assert_matches(_partial(s, j), _ref_partial(_ref(s), j))
+            top = 6 if s.trunc is None else s.trunc - 1
+            k = rng.randint(0, top)
+            _assert_matches(s.homogeneous_part(k), _ref_homogeneous_part(_ref(s), k))
+            order = rng.randint(1, top + 1)
+            _assert_matches(s.truncate(order), _ref_truncate(_ref(s), order))
+            for reverse in (True, False):
+                assert s.sorted_terms(reverse) == _ref_sorted_terms(_ref(s), reverse)
+                assert [e for e, _ in s.sorted_terms(reverse)] == sorted(
+                    s.terms, key=grlex_key, reverse=reverse
+                )
+            if s:
+                assert s.leading_monomial() == max(s.terms, key=grlex_key)
+                assert s.degree() == max(map(sum, s.terms))
+                assert s.min_degree() == min(map(sum, s.terms))
+            else:
+                assert s.leading_monomial() is None
+
+
+def test_packed_compose_matches_the_tuple_keyed_reference():
+    rng = random.Random(1201)
+    truncs = [None, 1, 2, 3, 4, 5]
+    for case in range(120):
+        source, target = 1 + case % 4, rng.randint(1, 4)
+        gaussian = case % 3 == 0
+        s = Series(source, _random_terms(rng, source, rng.randint(0, 3), gaussian),
+                   rng.choice(truncs))
+        subs = [
+            Series(target, _random_terms(rng, target, rng.randint(1, 2), gaussian,
+                                         min_degree=1), rng.choice(truncs))
+            for _ in range(source)
+        ]
+        _assert_matches(
+            compose(s, subs), _ref_compose(_ref(s), [_ref(h) for h in subs], target)
+        )
+
+
+def test_coefficient_outside_the_ring_is_zero():
+    # exact, degree 2: base B = 3
+    s = Series(2, {(0, 0): ONE, (1, 0): Scalar(2), (1, 1): Scalar(3)})
+    base = s._r[1]
+    assert base == 3
+    assert s.coefficient((1, 0)) == Scalar(2)
+    assert s.coefficient([1, 1]) == Scalar(3)
+    for exps in [(0, base), (base, 0), (-1, 0), (1, -1), (1,), (1, 0, 0), (1, 0, 5)]:
+        assert s.coefficient(exps) == ZERO
+    # in three variables these exponents pack to the keys of stored terms
+    for base, exps, alias in [(2, (-1, 3, -2), (0, 0, 0)), (3, (-2, 2, 3), (2, 0, 0))]:
+        ring = _ring(3, base)
+        assert sum(map(lambda e, u: e * u, exps, ring[4])) == sum(
+            map(lambda e, u: e * u, alias, ring[4])
+        )
+        t = Series(3, {alias: Scalar(7), (0, 0, base - 1): ONE})
+        assert t._r is ring
+        assert t.coefficient(alias) == Scalar(7)
+        assert t.coefficient(exps) == ZERO
+
+
+def test_equality_across_rings():
+    p = Series(2, {(2, 0): Scalar(1), (0, 1): Scalar(-2)})
+    far = p.truncate(40)
+    assert far._r[1] != p._r[1]
+    assert p == far and far == p
+    assert p != Series(2, {(2, 0): Scalar(1)}, 40)
+    # a cancelling exact sum keeps the base of its larger operand
+    q = Series(2, {(3, 0): ONE, (0, 1): ONE}) + Series(2, {(3, 0): -ONE})
+    fresh = Series(2, {(0, 1): ONE})
+    assert q._r[1] != fresh._r[1]
+    assert q == fresh
+
+
+def test_traced_series_methods_stay_on_the_class():
+    # perfbench/tracer.py wraps these attributes on the Series class; a
+    # name that moved elsewhere would silently drop out of the trace
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "METHODS" for t in node.targets)
+    )
+    names = [attr for layer, cls, attr in methods if (layer, cls) == ("poly", "Series")]
+    assert names
+    for name in names:
+        assert name in Series.__dict__, name

@@ -235,10 +235,8 @@ class Series:
     @property
     def terms(self) -> Dict[Exponent, Scalar]:
         """The terms keyed by exponent tuples: a fresh dict on each access."""
-        _, base, _, pows, _ = self._r
-        return {
-            tuple(k // p % base for p in pows): c for k, c in self._p.items()
-        }
+        ring = self._r
+        return {_unpack(k, ring): c for k, c in self._p.items()}
 
     def is_zero(self) -> bool:
         return not self._p

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .errors import ExprSyntaxError
-from .field import ONE, Scalar, format_fraction, format_scalar
+from .field import ONE, Scalar, format_scalar
 from .poly import Exponent, Series
 
 __all__ = ["parse_expression", "format_series"]
@@ -274,15 +274,17 @@ def format_series(s: Series, names: Sequence[str]) -> str:
     chunks: List[str] = []
     for exps, coeff in s.sorted_terms():
         mono = _format_monomial(exps, names)
-        if coeff.is_rational():
-            negative = coeff.re < 0
-            magnitude = -coeff.re if negative else coeff.re
+        a, b, d = coeff.as_gaussian_ratio()
+        if not b:
+            # with no imaginary part, the canonical a/d is in lowest terms
+            negative = a < 0
+            magnitude = str(abs(a)) if d == 1 else f"{abs(a)}/{d}"
             if not mono:
-                body = format_fraction(magnitude)
-            elif magnitude == 1:
+                body = magnitude
+            elif abs(a) == 1 and d == 1:
                 body = mono
             else:
-                body = f"{format_fraction(magnitude)}*{mono}"
+                body = f"{magnitude}*{mono}"
             sign = "-" if negative else "+"
         else:
             wrapped = f"({format_scalar(coeff)})"

@@ -406,12 +406,23 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """``n/d`` in lowest terms for d > 0, or the bare integer."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_scalar(value: Scalar) -> str:
-    """Canonical text form: bare rational, or ``re+im*i`` / ``re-im*i``."""
-    if not value.im:
-        return format_fraction(value.re)
-    sign = "+" if value.im > 0 else "-"
-    return f"{format_fraction(value.re)}{sign}{format_fraction(abs(value.im))}*i"
+    """Canonical text form: bare rational, or ``re+im*i`` / ``re-im*i``.
+    Each part a/d and b/d is reduced from the integer triple directly."""
+    a, b, d = value._a, value._b, value._d
+    if not b:
+        return _format_ratio(a, d)
+    sign = "+" if b > 0 else "-"
+    return f"{_format_ratio(a, d)}{sign}{_format_ratio(abs(b), d)}*i"
 
 
 def parse_scalar(text: str) -> Scalar:

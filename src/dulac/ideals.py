@@ -23,6 +23,16 @@ under the nilpotent part, are computed directly from the exponents; a
 is nonzero, so the solution of matrix * x = rhs is unique, the
 components reproduce the iterated Lie derivatives exactly, and every
 right-hand side and every component is re-verified by membership.
+
+The echelon form keeps its rows as dicts from packed monomial keys to
+:class:`~dulac.field.Scalar` tails, while a :class:`~dulac.poly.Series`
+stores Gaussian-integer numerators over one denominator.  The two meet
+at exactly two boundaries, both through the private pair
+``poly._scalar_terms`` (series to Scalar terms) and
+``poly._scalar_series`` (Scalar terms to series): the generators
+entering :func:`groebner` (and the basis polynomials it returns), and
+the input and remainder of :meth:`IdealHandle.normal_form`, which skips
+both conversions when no term of the input is a pivot.
 """
 
 from __future__ import annotations
@@ -49,6 +59,8 @@ from .poly import (
     Series,
     VectorField,
     _ring,
+    _scalar_series,
+    _scalar_terms,
     _unpack,
     grlex_key,
     lie_derivative,
@@ -176,8 +188,8 @@ def groebner(
     sum_j e_j*B^(n-1-j) with B = N + 1), so a shift is one integer
     addition, grlex order is integer order, and the minimal pivots and
     degree-N monomials are those outside {m + key(x_j) : m a pivot}.
-    The basis polynomials wrap their packed rows directly; only the
-    degree-N ``monomials`` are unpacked.
+    The basis polynomials are built from their packed rows without
+    unpacking; only the degree-N ``monomials`` are unpacked.
     """
     if trunc_order < 1:
         raise ValueError("truncation order must be a positive integer")
@@ -187,7 +199,7 @@ def groebner(
             nvars = g.nvars
         elif g.nvars != nvars:
             raise ValueError("generators live in different variable sets")
-        generators.append(_at_order(g, trunc_order)._p)
+        generators.append(_scalar_terms(_at_order(g, trunc_order)))
     if nvars is None:
         raise ValueError("an empty generating set needs an explicit variable count")
     ring = _ring(nvars, trunc_order + 1)
@@ -216,7 +228,7 @@ def groebner(
 
     blocked = {m + u for m in tails for u in units}
     polys = tuple(
-        Series._make(ring, {m: ONE, **tails[m]}, trunc_order)
+        _scalar_series(ring, {m: ONE, **tails[m]}, trunc_order)
         for m in reversed(pivots)
         if m not in blocked
     )
@@ -279,12 +291,16 @@ class IdealHandle:
         """The unique remainder of psi modulo the ideal (zero iff member):
         one pass that replaces every pivot term by its reduced tail.  A
         series at order N holds the packed keys of ``ReducedBasis.tails``,
-        so nothing is packed or unpacked."""
+        so nothing is packed or unpacked; its coefficients become Scalars
+        only when some term is a pivot."""
         if psi.nvars != self.nvars:
             raise ValueError("variable counts differ")
         rep = _at_order(psi, self.trunc_order)
-        out = _substitute(rep._p, self._ensure_basis().tails)
-        return Series._make(rep._r, out, rep.trunc)
+        tails = self._ensure_basis().tails
+        if tails.keys().isdisjoint(rep._keys()):
+            return rep
+        out = _substitute(_scalar_terms(rep), tails)
+        return _scalar_series(rep._r, out, rep.trunc)
 
     def member(self, psi: Series) -> bool:
         return self.normal_form(psi).is_zero()

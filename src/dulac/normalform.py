@@ -168,31 +168,32 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         parts = [c.homogeneous_part(degree) for c in comps]
         if all(p.is_zero() for p in parts):
             continue
-        groups: Dict[Tuple, List[Dict[Exponent, Scalar]]] = {}
+        # Terms are grouped by their homological eigenvalue c, a canonical
+        # (hashable) Scalar; the groups are walked in first-seen order, and
+        # any order gives the same h_k, since its sums are exact.
+        groups: Dict[Scalar, List[Dict[Exponent, Scalar]]] = {}
         for i, part in enumerate(parts):
             for exps, coeff in part.terms.items():
                 c = -lam[i]
                 for k, e in enumerate(exps):
                     if e:
                         c = c + _times_int(lam[k], e)
-                key = (c.re, c.im)
-                if key == (0, 0):
+                if c.is_zero():
                     continue  # resonant: stays
-                bucket = groups.setdefault(key, [dict() for _ in range(nvars)])
+                bucket = groups.setdefault(c, [dict() for _ in range(nvars)])
                 bucket[i][exps] = coeff
         if not groups:
             continue
         h_vec = [Series.zero(nvars, m_order) for _ in range(nvars)]
-        for key in sorted(groups):
-            c_inv = Scalar(*key).inverse()
-            term = [
-                Series(nvars, terms, m_order) * c_inv for terms in groups[key]
-            ]
+        for c, bucket in groups.items():
+            c_inv = c.inverse()
+            minus_c_inv = -c_inv
+            term = [Series(nvars, terms, m_order) * c_inv for terms in bucket]
             guard = 0
             while any(not t_i.is_zero() for t_i in term):
                 h_vec = [h + t_i for h, t_i in zip(h_vec, term)]
                 term = [
-                    t_i * (-1) * c_inv
+                    t_i * minus_c_inv
                     for t_i in _ad_nilpotent(nil, nil_comps, term)
                 ]
                 guard += 1

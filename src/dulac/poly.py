@@ -1,11 +1,10 @@
 """Sparse truncated multivariate power series and the Lie calculus on them.
 
-A :class:`Series` is a finite dict from packed monomial keys to nonzero
-:class:`~dulac.field.Scalar` coefficients.  When ``trunc_order`` is an
-integer ``N`` the series represents an element of K[[x]]/<x>^N and never
-stores a monomial of total degree >= N; ``trunc_order=None`` marks an
-exact polynomial.  Binary operations work modulo the smaller of the two
-truncation ideals, which is the finest claim the inputs support.
+A :class:`Series` represents an element of K[[x]]/<x>^N when
+``trunc_order`` is an integer ``N``, and then never stores a monomial of
+total degree >= N; ``trunc_order=None`` marks an exact polynomial.
+Binary operations work modulo the smaller of the two truncation ideals,
+which is the finest claim the inputs support.
 
 A monomial x^e in n variables is stored under the integer key(e) =
 sum_j e_j*u_j = |e|*B^n + sum_j e_j*B^(n-1-j), with u_j = B^n +
@@ -16,10 +15,22 @@ division using dynamic arrays, heaps, and packed exponent vectors",
 CASC 2007).  The packing data (n, B, B^n, (B^(n-1-j))_j, (u_j)_j) form a
 ring shared by every series with the same n and B.  A series truncated
 at N uses B = N + 1, so R_N has one packing, which the ideal code in
-:mod:`dulac.ideals` reads directly; an exact polynomial of degree d is
-built with B = max(2, d + 1).  Exponent tuples appear only at the
-boundary: :attr:`Series.terms`, :meth:`Series.sorted_terms` and the
-constructors.
+:mod:`dulac.ideals` shares; an exact polynomial of degree d is built
+with B = max(2, d + 1).
+
+The coefficients are Gaussian integers over one denominator per series,
+the layout of FLINT's ``fmpq_poly``: the coefficient of the monomial
+packed as k is (re[k] + im[k]*i) / d, with two dicts of Python ints over
+the same keys (``im`` is empty for a real series) and d > 0.  Every
+series is canonical: gcd(d, every numerator) == 1 and no stored
+numerator is zero, so equal values in one ring have equal storage.
+Each kernel operation is integer arithmetic on the numerators followed
+by one gcd over the result.  :class:`~dulac.field.Scalar` values and
+exponent tuples appear only at the boundary: the constructor,
+:attr:`Series.terms`, :meth:`Series.sorted_terms`,
+:meth:`Series.coefficient` and :meth:`Series.leading_coefficient`, and
+the private pair ``_scalar_terms``/``_scalar_series`` through which
+:mod:`dulac.ideals` moves between series and its ``Scalar`` rows.
 
 Derivations along vector fields with no constant term map <x>^N into
 itself, so the Lie derivative, Lie bracket and composition below are all
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import gcd, inf
 from operator import itemgetter, mul
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
@@ -41,7 +52,8 @@ from .field import (
     ZERO,
     Scalar,
     Weight,
-    _times_int,
+    _new,
+    _reduced,
     weight_embed,
     weights_from_scalars,
 )
@@ -50,6 +62,8 @@ Exponent = Tuple[int, ...]
 # (n, B, B^n, (B^(n-1-j))_j, (u_j)_j): the packing of monomials in n
 # variables whose exponents all lie below B
 _Ring = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
+# numerators keyed by packed monomials
+_Nums = Dict[int, int]
 
 __all__ = [
     "Exponent",
@@ -112,26 +126,74 @@ def _unpack(key: int, ring: _Ring) -> Exponent:
     return tuple(key // p % base for p in ring[3])
 
 
-def _repack(s: "Series", ring: _Ring, trunc: Optional[int]) -> Dict[int, Scalar]:
-    """The terms of s keyed in ``ring``, without those of degree >= trunc.
-    Every kept exponent must lie below the ring's base.  Returns s's own
-    dict when nothing changes, so callers must not mutate the result."""
-    terms = s._p
+def _numerators(terms: Dict[int, Scalar]) -> Tuple[_Nums, _Nums, int]:
+    """(re, im, d) of nonzero Scalar terms over their least common
+    denominator.  That form is already canonical: a prime p of d divides
+    some term's own denominator to its full power in d, and that term's
+    numerators are not both divisible by p."""
+    ratios = {k: c.as_gaussian_ratio() for k, c in terms.items()}
+    d = 1
+    for _, _, e in ratios.values():
+        if d % e:
+            d = d // gcd(d, e) * e
+    re: _Nums = {}
+    im: _Nums = {}
+    for k, (a, b, e) in ratios.items():
+        f = d // e
+        if a:
+            re[k] = a * f
+        if b:
+            im[k] = b * f
+    return re, im, d
+
+
+def _scalar_terms(s: "Series") -> Dict[int, Scalar]:
+    """The terms of s as a dict from packed keys to Scalars."""
+    re, im, d = s._re, s._im, s._d
+    if not im:
+        if d == 1:
+            return {k: _new(a, 0, 1) for k, a in re.items()}
+        return {k: _reduced(a, 0, d) for k, a in re.items()}
+    out = {k: _reduced(a, im.get(k, 0), d) for k, a in re.items()}
+    for k, b in im.items():
+        if k not in re:
+            out[k] = _reduced(0, b, d)
+    return out
+
+
+def _scalar_series(
+    ring: _Ring, terms: Dict[int, Scalar], trunc: Optional[int]
+) -> "Series":
+    """The series of nonzero Scalar terms already packed in ``ring``, with
+    every degree below trunc and B = trunc + 1 for a truncated series."""
+    return _wrap(ring, *_numerators(terms), trunc)
+
+
+def _repack(s: "Series", ring: _Ring, trunc: Optional[int]) -> Tuple[_Nums, _Nums]:
+    """The numerators (re, im) of s keyed in ``ring``, without the terms of
+    degree >= trunc; the denominator stays s._d, and the content may no
+    longer be 1 after the cut.  Every kept exponent must lie below the
+    ring's base.  Returns s's own dicts when nothing changes, so callers
+    must not mutate the result."""
+    re, im = s._re, s._im
     _, base, top, pows, _ = s._r
     if trunc is not None and (s.trunc is None or s.trunc > trunc):
         cap = trunc * top
-        terms = {k: c for k, c in terms.items() if k < cap}
+        re = {k: v for k, v in re.items() if k < cap}
+        if im:
+            im = {k: v for k, v in im.items() if k < cap}
     if base == ring[1]:
-        return terms
+        return re, im
     units = ring[4]
-    return {
-        sum(k // p % base * u for p, u in zip(pows, units)): c
-        for k, c in terms.items()
-    }
+    re = {sum(k // p % base * u for p, u in zip(pows, units)): v for k, v in re.items()}
+    if im:
+        im = {sum(k // p % base * u for p, u in zip(pows, units)): v for k, v in im.items()}
+    return re, im
 
 
 def _operands(a: "Series", b: "Series", product: bool):
-    """(ring, trunc, a's terms, b's terms) of a + b or a * b in one ring.
+    """(ring, trunc, a's numerators, b's numerators) of a + b or a * b in
+    one ring, each numerator pair as (re, im) over a._d and b._d.
 
     A truncated result uses B = trunc + 1.  An exact sum uses the larger
     base, and an exact product B_a + B_b - 1, which lies above every
@@ -139,7 +201,7 @@ def _operands(a: "Series", b: "Series", product: bool):
     if a.nvars != b.nvars:
         raise ValueError("variable counts differ")
     if a._r is b._r and a.trunc == b.trunc and (a.trunc is not None or not product):
-        return a._r, a.trunc, a._p, b._p
+        return a._r, a.trunc, (a._re, a._im), (b._re, b._im)
     trunc = _min_trunc(a.trunc, b.trunc)
     if trunc is not None:
         base = trunc + 1
@@ -151,16 +213,95 @@ def _operands(a: "Series", b: "Series", product: bool):
     return ring, trunc, _repack(a, ring, trunc), _repack(b, ring, trunc)
 
 
+def _combine(x: _Nums, fx: int, y: _Nums, fy: int) -> _Nums:
+    """x*fx + y*fy; cancelled entries stay in as zeros."""
+    out = dict(x) if fx == 1 else {k: v * fx for k, v in x.items()}
+    get = out.get
+    if fy == 1:
+        for k, v in y.items():
+            out[k] = get(k, 0) + v
+    else:
+        for k, v in y.items():
+            out[k] = get(k, 0) + v * fy
+    return out
+
+
+def _sum(a: "Series", b: "Series", sign: int) -> "Series":
+    """a + sign*b for sign = 1 or -1."""
+    ring, trunc, (re1, im1), (re2, im2) = _operands(a, b, False)
+    d1, d2 = a._d, b._d
+    if sign == 1 and not re1 and not im1 and ring is b._r and trunc == b.trunc:
+        return b
+    if d1 == d2:
+        f1, f2 = 1, sign
+    else:
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, sign * (d1 // g)
+    re = _combine(re1, f1, re2, f2)
+    im = _combine(im1, f1, im2, f2) if im1 or im2 else {}
+    return _canonical(ring, re, im, d1 * f1, trunc)
+
+
+def _triples(re: _Nums, im: _Nums):
+    """(key, re, im) for every term of a Gaussian series."""
+    get_re, get_im = re.get, im.get
+    return [(k, get_re(k, 0), get_im(k, 0)) for k in re.keys() | im.keys()]
+
+
+def _convolve(left: _Nums, right: _Nums, cap) -> _Nums:
+    """The integer product of two real numerator dicts, keeping the keys
+    below cap; zero entries stay in."""
+    # A pair is dropped exactly when its key sum reaches trunc*B^n: a
+    # kept pair has degree below trunc < B, so no exponent carries; a
+    # dropped one has a key sum of at least degree*B^n.  With the right
+    # keys ascending, the first such pair ends a row.
+    pairs = sorted(right.items())
+    out: _Nums = {}
+    get = out.get
+    for e1, c1 in left.items():
+        room = cap - e1
+        for e2, c2 in pairs:
+            if e2 >= room:
+                break
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _convolve_gaussian(
+    left: Tuple[_Nums, _Nums], right: Tuple[_Nums, _Nums], cap
+) -> Tuple[_Nums, _Nums]:
+    """The product of two Gaussian numerator pairs in one loop over
+    (key, re, im) triples, keeping the keys below cap; zero entries stay
+    in."""
+    pairs = sorted(_triples(*right))
+    out_re: _Nums = {}
+    out_im: _Nums = {}
+    get_re, get_im = out_re.get, out_im.get
+    for e1, a1, b1 in _triples(*left):
+        room = cap - e1
+        for e2, a2, b2 in pairs:
+            if e2 >= room:
+                break
+            e = e1 + e2
+            out_re[e] = get_re(e, 0) + a1 * a2 - b1 * b2
+            out_im[e] = get_im(e, 0) + a1 * b2 + b1 * a2
+    return out_re, out_im
+
+
 class Series:
     """Sparse exact series, optionally truncated at a fixed order.
 
-    The terms are held packed (see the module docstring): ``_p`` maps
-    packed keys to nonzero coefficients in the ring ``_r``, whose base is
-    ``trunc + 1`` for a truncated series and above every exponent for an
-    exact one.  :attr:`terms` is the same dict keyed by exponent tuples.
+    The terms are held packed over one denominator (see the module
+    docstring): ``_re`` and ``_im`` map packed keys in the ring ``_r`` to
+    the nonzero integer numerators of the real and imaginary parts, and
+    ``_d`` is the positive denominator, coprime to all of them.  The
+    ring's base is ``trunc + 1`` for a truncated series and above every
+    exponent for an exact one.  :attr:`terms` gives the coefficients as
+    Scalars keyed by exponent tuples.
     """
 
-    __slots__ = ("nvars", "trunc", "_p", "_r")
+    __slots__ = ("nvars", "trunc", "_re", "_im", "_d", "_r")
 
     def __init__(
         self,
@@ -188,26 +329,19 @@ class Series:
             base = trunc + 1
         ring = _ring(nvars, base)
         units = ring[4]
-        _set(self, ring, {sum(map(mul, e, units)): c for e, c in clean.items()}, trunc)
+        packed = {sum(map(mul, e, units)): c for e, c in clean.items()}
+        _set(self, ring, *_numerators(packed), trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
-
-    @classmethod
-    def _make(cls, ring: _Ring, terms: Dict[int, Scalar], trunc: Optional[int]):
-        """Wrap a fresh dict of valid packed terms without re-checking them:
-        every key packs an exponent below the ring's base, every
-        coefficient is nonzero, every degree lies below trunc, and a
-        truncated series uses the ring of base trunc + 1."""
-        s = _object_new(cls)
-        _set(s, ring, terms, trunc)
-        return s
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int, trunc: Optional[int] = None) -> "Series":
-        return cls(nvars, {}, trunc)
+        if trunc is not None and trunc < 1:
+            raise ValueError("truncation order must be a positive integer")
+        return _wrap(_ring(nvars, 2 if trunc is None else trunc + 1), {}, {}, 1, trunc)
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: Optional[int] = None) -> "Series":
@@ -232,31 +366,39 @@ class Series:
 
     # -- inspection -------------------------------------------------------
 
+    def _keys(self):
+        """The packed keys of the stored terms."""
+        return self._re.keys() | self._im.keys() if self._im else self._re
+
+    def _coefficient_at(self, key: int) -> Scalar:
+        a, b = self._re.get(key, 0), self._im.get(key, 0)
+        return _reduced(a, b, self._d) if a or b else ZERO
+
     @property
     def terms(self) -> Dict[Exponent, Scalar]:
         """The terms keyed by exponent tuples: a fresh dict on each access."""
         ring = self._r
-        return {_unpack(k, ring): c for k, c in self._p.items()}
+        return {_unpack(k, ring): c for k, c in _scalar_terms(self).items()}
 
     def is_zero(self) -> bool:
-        return not self._p
+        return not self._re and not self._im
 
     def __bool__(self) -> bool:
-        return bool(self._p)
+        return bool(self._re) or bool(self._im)
 
     def degree(self) -> Optional[int]:
         """Largest stored total degree, or None for the zero series."""
-        if not self._p:
+        if self.is_zero():
             return None
-        return max(self._p) // self._r[2]
+        return max(self._keys()) // self._r[2]
 
     def min_degree(self) -> Optional[int]:
-        if not self._p:
+        if self.is_zero():
             return None
-        return min(self._p) // self._r[2]
+        return min(self._keys()) // self._r[2]
 
     def constant_term(self) -> Scalar:
-        return self._p.get(0, ZERO)
+        return self._coefficient_at(0)
 
     def coefficient(self, exps: Exponent) -> Scalar:
         """The coefficient of x^exps; ZERO for an exponent this series
@@ -266,21 +408,23 @@ class Series:
         exps = tuple(exps)
         if len(exps) != n or any(e < 0 or e >= base for e in exps):
             return ZERO
-        return self._p.get(sum(map(mul, exps, units)), ZERO)
+        return self._coefficient_at(sum(map(mul, exps, units)))
 
     def sorted_terms(self, reverse: bool = True):
         """Terms as (exponent, coefficient) in grlex order, leading monomial
         first by default."""
-        ring, terms = self._r, self._p
+        ring, terms = self._r, _scalar_terms(self)
         return [(_unpack(k, ring), terms[k]) for k in sorted(terms, reverse=reverse)]
 
     def leading_monomial(self) -> Optional[Exponent]:
-        if not self._p:
+        if self.is_zero():
             return None
-        return _unpack(max(self._p), self._r)
+        return _unpack(max(self._keys()), self._r)
 
     def leading_coefficient(self) -> Scalar:
-        return self._p[max(self._p)] if self._p else ZERO
+        if self.is_zero():
+            return ZERO
+        return self._coefficient_at(max(self._keys()))
 
     def monic(self) -> "Series":
         lc = self.leading_coefficient()
@@ -302,8 +446,9 @@ class Series:
             )
         top = self._r[2]
         low, high = k * top, (k + 1) * top
-        picked = {e: c for e, c in self._p.items() if low <= e < high}
-        return Series._make(self._r, picked, self.trunc)
+        re = {e: v for e, v in self._re.items() if low <= e < high}
+        im = {e: v for e, v in self._im.items() if low <= e < high} if self._im else {}
+        return _canonical(self._r, re, im, self._d, self.trunc)
 
     def truncate(self, order: int) -> "Series":
         """View this series modulo <x>^order (order must not exceed what is
@@ -317,7 +462,10 @@ class Series:
                 f"cannot extend truncation order {self.trunc} to {order}"
             )
         ring = _ring(self.nvars, order + 1)
-        return Series._make(ring, _repack(self, ring, order), order)
+        re, im = _repack(self, ring, order)
+        if len(re) + len(im) == len(self._re) + len(self._im):
+            return _wrap(ring, re, im, self._d, order)  # no term dropped
+        return _canonical(ring, re, im, self._d, order)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -329,71 +477,76 @@ class Series:
         if self.nvars != other.nvars:
             return False
         if self._r[1] == other._r[1]:
-            return self._p == other._p
+            return (
+                self._d == other._d
+                and self._re == other._re
+                and self._im == other._im
+            )
         return self.terms == other.terms
 
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        ring, trunc, left, right = _operands(self, other, False)
-        terms = dict(left)
-        for e, c in right.items():
-            acc = terms.get(e)
-            if acc is None:
-                terms[e] = c
-            else:
-                s = acc + c
-                if s.is_zero():
-                    del terms[e]
-                else:
-                    terms[e] = s
-        return Series._make(ring, terms, trunc)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Series":
-        return Series._make(self._r, {e: -c for e, c in self._p.items()}, self.trunc)
+        return _wrap(
+            self._r,
+            {k: -v for k, v in self._re.items()},
+            {k: -v for k, v in self._im.items()},
+            self._d,
+            self.trunc,
+        )
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             ring, trunc, left, right = _operands(self, other, True)
-            # A pair is dropped exactly when its key sum reaches trunc*B^n:
-            # a kept pair has degree below trunc < B, so no exponent
-            # carries; a dropped one has a key sum of at least degree*B^n.
-            # With the right keys ascending, the first such pair ends a row.
             cap = inf if trunc is None else trunc * ring[2]
-            right = sorted(right.items())
-            terms: Dict[int, Scalar] = {}
-            for e1, c1 in left.items():
-                room = cap - e1
-                for e2, c2 in right:
-                    if e2 >= room:
-                        break
-                    e = e1 + e2
-                    prod = c1 * c2
-                    acc = terms.get(e)
-                    if acc is None:
-                        terms[e] = prod
-                    else:
-                        s = acc + prod
-                        if s.is_zero():
-                            del terms[e]
-                        else:
-                            terms[e] = s
-            return Series._make(ring, terms, trunc)
-        if isinstance(other, (Scalar, int, Fraction)):
-            c = other if isinstance(other, Scalar) else Scalar(other)
-            if c.is_zero():
-                return Series.zero(self.nvars, self.trunc)
-            return Series._make(
-                self._r, {e: v * c for e, v in self._p.items()}, self.trunc
-            )
+            if left[1] or right[1]:
+                re, im = _convolve_gaussian(left, right, cap)
+            else:
+                re, im = _convolve(left[0], right[0], cap), {}
+            return _canonical(ring, re, im, self._d * other._d, trunc)
+        if isinstance(other, int):
+            return self._scaled(other, 0, 1)
+        if isinstance(other, Scalar):
+            return self._scaled(*other.as_gaussian_ratio())
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, 0, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _scaled(self, a: int, b: int, e: int) -> "Series":
+        """This series times the canonical Gaussian rational (a + b*i)/e."""
+        re, im, d = self._re, self._im, self._d
+        if not b:
+            if not a:
+                return Series.zero(self.nvars, self.trunc)
+            if a == 1 and e == 1:
+                return self
+            # With g = gcd(d, a), d/g is coprime to a/g and to every
+            # numerator, so only a denominator e can leave a content.
+            g = gcd(d, a)
+            if g != 1:
+                a //= g
+                d //= g
+            out_re = {k: v * a for k, v in re.items()}
+            out_im = {k: v * a for k, v in im.items()} if im else {}
+            if e == 1:
+                return _wrap(self._r, out_re, out_im, d, self.trunc)
+            return _canonical(self._r, out_re, out_im, d * e, self.trunc)
+        out_re: _Nums = {}
+        out_im: _Nums = {}
+        for k, x, y in _triples(re, im):
+            out_re[k] = x * a - y * b
+            out_im[k] = x * b + y * a
+        return _canonical(self._r, out_re, out_im, d * e, self.trunc)
 
     def __pow__(self, exponent: int) -> "Series":
         if not isinstance(exponent, int) or exponent < 0:
@@ -404,7 +557,7 @@ class Series:
         return result
 
     def __repr__(self) -> str:
-        if not self._p:
+        if self.is_zero():
             body = "0"
         else:
             body = " + ".join(
@@ -417,15 +570,61 @@ class Series:
 _object_new = object.__new__
 _set_nvars = Series.nvars.__set__
 _set_trunc = Series.trunc.__set__
-_set_p = Series._p.__set__
+_set_re = Series._re.__set__
+_set_im = Series._im.__set__
+_set_d = Series._d.__set__
 _set_r = Series._r.__set__
 
 
-def _set(s: Series, ring: _Ring, terms: Dict[int, Scalar], trunc: Optional[int]):
+def _wrap(ring: _Ring, re: _Nums, im: _Nums, d: int, trunc: Optional[int]) -> Series:
+    """A series from canonical numerators, not re-checked: every key packs
+    an exponent below the ring's base, every numerator is nonzero, d > 0
+    is coprime to all of them, every degree lies below trunc, and a
+    truncated series uses the ring of base trunc + 1.  The dicts become
+    the series' own and are never mutated afterwards."""
+    s = _object_new(Series)
+    _set(s, ring, re, im, d, trunc)
+    return s
+
+
+def _set(s: Series, ring: _Ring, re: _Nums, im: _Nums, d: int, trunc: Optional[int]):
     _set_nvars(s, ring[0])
     _set_trunc(s, trunc)
-    _set_p(s, terms)
+    _set_re(s, re)
+    _set_im(s, im)
+    _set_d(s, d)
     _set_r(s, ring)
+
+
+def _canonical(ring: _Ring, re: _Nums, im: _Nums, d: int, trunc: Optional[int]) -> Series:
+    """Like :func:`_wrap`, but the numerators may hold zeros and share a
+    content with d > 0: the zeros are dropped and the content divided
+    out with one gcd."""
+    if 0 in re.values():
+        re = {k: v for k, v in re.items() if v}
+    if 0 in im.values():
+        im = {k: v for k, v in im.items() if v}
+    if d != 1:
+        g = gcd(d, *re.values(), *im.values())
+        if g != 1:
+            re = {k: v // g for k, v in re.items()}
+            if im:
+                im = {k: v // g for k, v in im.items()}
+            d //= g
+    s = _object_new(Series)
+    _set(s, ring, re, im, d, trunc)
+    return s
+
+
+def _derive(nums: _Nums, p: int, base: int, u: int) -> _Nums:
+    """Each numerator times its exponent digit at place value p, moved
+    down one in that variable (key - u); terms without it are dropped."""
+    out: _Nums = {}
+    for e, v in nums.items():
+        k = e // p % base
+        if k:
+            out[e - u] = v * k
+    return out
 
 
 def _partial(s: Series, j: int) -> Series:
@@ -437,12 +636,8 @@ def _partial(s: Series, j: int) -> Series:
     """
     _, base, _, pows, units = s._r
     p, u = pows[j], units[j]
-    terms: Dict[int, Scalar] = {}
-    for e, c in s._p.items():
-        k = e // p % base
-        if k:
-            terms[e - u] = c if k == 1 else _times_int(c, k)
-    return Series._make(s._r, terms, s.trunc)
+    im = _derive(s._im, p, base, u) if s._im else {}
+    return _canonical(s._r, _derive(s._re, p, base, u), im, s._d, s.trunc)
 
 
 # -- weights ---------------------------------------------------------------
@@ -597,23 +792,34 @@ def compose(s: Series, subs: Sequence[Series]) -> Series:
         trunc = _min_trunc(trunc, h.trunc)
     one = Series.constant(ONE, target_nvars, trunc)
     images = {0: one}
-    pieces = [(c, _image(k, s._r, subs, images)) for k, c in s._p.items()]
+    pieces = [(k, _image(k, s._r, subs, images)) for k in s._keys()]
     # every image is truncated at trunc; exact images may differ in base
     ring = max((img._r for _, img in pieces), key=itemgetter(1), default=one._r)
-    terms: Dict[int, Scalar] = {}
-    for c, img in pieces:
-        for m, v in _repack(img, ring, trunc).items():
-            prod = c * v
-            acc = terms.get(m)
-            if acc is None:
-                terms[m] = prod
-            else:
-                total = acc + prod
-                if total.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = total
-    return Series._make(ring, terms, trunc)
+    # Over the lcm L of the image denominators D_k the result is
+    # sum_k (re_k + im_k*i) * (L / D_k) * image_k, all over s._d * L.
+    lcm = 1
+    for _, img in pieces:
+        if lcm % img._d:
+            lcm = lcm // gcd(lcm, img._d) * img._d
+    s_re, s_im = s._re, s._im
+    out_re: _Nums = {}
+    out_im: _Nums = {}
+    get_re, get_im = out_re.get, out_im.get
+    for k, img in pieces:
+        f = lcm // img._d
+        a, b = s_re.get(k, 0) * f, s_im.get(k, 0) * f
+        img_re, img_im = _repack(img, ring, trunc)
+        if a:
+            for m, v in img_re.items():
+                out_re[m] = get_re(m, 0) + a * v
+            for m, v in img_im.items():
+                out_im[m] = get_im(m, 0) + a * v
+        if b:
+            for m, v in img_re.items():
+                out_im[m] = get_im(m, 0) + b * v
+            for m, v in img_im.items():
+                out_re[m] = get_re(m, 0) - b * v
+    return _canonical(ring, out_re, out_im, s._d * lcm, trunc)
 
 
 def linear_components(matrix, trunc: Optional[int] = None) -> Tuple[Series, ...]:

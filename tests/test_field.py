@@ -260,3 +260,36 @@ def test_scalar_matches_fraction_pair_reference(x, y, k, e):
             s ** e
     else:
         _agrees(s ** e, r ** e)
+
+
+def _format_scalar_by_fractions(value):
+    """The formatter as it read the Fraction parts ``re``/``im``."""
+    if not value.im:
+        return format_fraction(value.re)
+    sign = "+" if value.im > 0 else "-"
+    return f"{format_fraction(value.re)}{sign}{format_fraction(abs(value.im))}*i"
+
+
+def test_format_scalar_from_the_triple_matches_the_fraction_form():
+    rng = random.Random(4242)
+
+    def part():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+    samples = [ZERO, ONE, IMAG, -IMAG, Scalar(-7), Scalar(0, Fraction(-5, 6)),
+               Scalar(Fraction(1, 2), Fraction(1, 3)), Scalar(Fraction(-3, 4), 5)]
+    for _ in range(400):
+        kind = rng.randrange(5)
+        if kind == 0:
+            value = Scalar(rng.randint(-50, 50))
+        elif kind == 1:
+            value = Scalar(part())
+        elif kind == 2:
+            value = Scalar(0, part())
+        else:
+            # Gaussian, the parts usually over unequal denominators
+            value = Scalar(part(), part())
+        samples.append(value)
+    assert any(s.re.denominator != s.im.denominator for s in samples if s.re and s.im)
+    for value in samples:
+        assert format_scalar(value) == _format_scalar_by_fractions(value)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from dulac.errors import ExprSyntaxError
-from dulac.exprs import format_series, parse_expression
-from dulac.field import IMAG, ONE, Scalar
+from dulac.exprs import _format_monomial, format_series, parse_expression
+from dulac.field import IMAG, ONE, Scalar, format_fraction, format_scalar
 from dulac.poly import Series
 
 from _gen import random_series
@@ -161,3 +161,44 @@ def test_round_trip_is_canonical():
         once = format_series(s, XY)
         twice = format_series(parse_expression(once, XY), XY)
         assert once == twice
+
+
+def _format_series_by_fractions(s, names):
+    """The printer as it read the Fraction part ``re`` of each coefficient."""
+    if s.is_zero():
+        return "0"
+    chunks = []
+    for exps, coeff in s.sorted_terms():
+        mono = _format_monomial(exps, names)
+        if coeff.is_rational():
+            negative = coeff.re < 0
+            magnitude = -coeff.re if negative else coeff.re
+            if not mono:
+                body = format_fraction(magnitude)
+            elif magnitude == 1:
+                body = mono
+            else:
+                body = f"{format_fraction(magnitude)}*{mono}"
+            sign = "-" if negative else "+"
+        else:
+            wrapped = f"({format_scalar(coeff)})"
+            body = f"{wrapped}*{mono}" if mono else wrapped
+            sign = "+"
+        if not chunks:
+            chunks.append(f"-{body}" if sign == "-" else body)
+        else:
+            chunks.append(f" {'-' if sign == '-' else '+'} {body}")
+    return "".join(chunks)
+
+
+def test_format_from_the_triple_matches_the_fraction_form():
+    rng = random.Random(5150)
+    units = [ONE, -ONE, Scalar(Fraction(-1, 3)), Scalar(7), IMAG]
+    for trial in range(300):
+        nvars = rng.choice([2, 3])
+        names = ("x", "y", "z")[:nvars]
+        s = random_series(rng, nvars, 7, gaussian=trial % 3 == 0, max_terms=6)
+        # constants and unit coefficients exercise the elided forms
+        s = s + Series(nvars, {(0,) * nvars: rng.choice(units)}, s.trunc)
+        s = s + Series(nvars, {(1,) * nvars: rng.choice(units)}, s.trunc)
+        assert format_series(s, names) == _format_series_by_fractions(s, names)

@@ -4,7 +4,8 @@ import ast
 import os
 import random
 from fractions import Fraction
-from operator import add
+from math import gcd, inf
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from dulac.poly import (
     VectorField,
     _partial,
     _ring,
+    _scalar_terms,
     compose,
     grlex_key,
     iter_exponents,
@@ -617,3 +619,179 @@ def test_traced_series_methods_stay_on_the_class():
     assert names
     for name in names:
         assert name in Series.__dict__, name
+
+
+# -- numerators over one denominator -------------------------------------------
+
+
+def _assert_numerators_canonical(s):
+    """d > 0, gcd(d, every numerator) == 1, no stored zero."""
+    assert s._d > 0
+    assert 0 not in s._re.values() and 0 not in s._im.values()
+    assert gcd(s._d, *s._re.values(), *s._im.values()) == 1
+
+
+def _storage(s):
+    return s._r, s._re, s._im, s._d
+
+
+_gaussian_coeffs = st.builds(
+    Scalar,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+)
+
+
+def _series_with(nvars, truncs, shared_denominator, min_degree=0):
+    """Series with Gaussian coefficients, their parts either over free
+    denominators or over one drawn denominator shared by every term."""
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars).filter(
+        lambda e: sum(e) >= min_degree
+    )
+    if shared_denominator is None:
+        coeffs = _gaussian_coeffs
+    else:
+        coeffs = st.builds(
+            lambda a, b: Scalar(Fraction(a, shared_denominator),
+                                Fraction(b, shared_denominator)),
+            st.integers(-6, 6), st.integers(-6, 6),
+        )
+    return st.builds(
+        Series, st.just(nvars), st.dictionaries(exponents, coeffs, max_size=6), truncs
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_kernel_results_have_canonical_numerators(data, nvars):
+    any_trunc = st.sampled_from([None, 2, 3, 4, 5])
+    shared = data.draw(st.sampled_from([None, 2, 6, 12]))
+    a = data.draw(_series_with(nvars, any_trunc, shared))
+    b = data.draw(_series_with(nvars, any_trunc, shared))
+    c = data.draw(st.sampled_from(
+        [Scalar(0), Scalar(-1), Scalar(Fraction(2, 3)), Scalar(0, Fraction(-3, 4)),
+         Scalar(Fraction(1, 6), 2), 6, -4, Fraction(-5, 2)]
+    ))
+    k = data.draw(st.integers(0, (a.trunc or 6) - 1))
+    j = data.draw(st.integers(0, nvars - 1))
+    order = data.draw(st.integers(1, a.trunc or 6))
+    field = data.draw(st.lists(
+        _series_with(nvars, st.sampled_from([2, 3, 4]), shared, min_degree=1),
+        min_size=nvars, max_size=nvars,
+    ))
+    results = [
+        a + b, a - b, a - a, a * b, a * a, -a, a * c, c * a,
+        a.homogeneous_part(k), a.truncate(order), _partial(a, j),
+        lie_derivative(field, a), compose(a, field), a.monic(),
+    ]
+    for r in results:
+        _assert_numerators_canonical(r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), nvars=st.integers(1, 3), trunc=st.sampled_from([2, 3, 4, 5]))
+def test_equal_values_built_by_different_routes_have_equal_storage(data, nvars, trunc):
+    # one truncation order, so every operand and result shares one ring
+    shared = data.draw(st.sampled_from([None, 2, 6]))
+    a, b, c = (
+        data.draw(_series_with(nvars, st.just(trunc), shared)) for _ in range(3)
+    )
+    assert _storage((a * b) * c) == _storage(a * (b * c))
+    assert _storage((a + b) - b) == _storage(a)
+    assert _storage(a * c + b * c) == _storage((a + b) * c)
+    order = data.draw(st.integers(1, trunc))
+    rebuilt = Series(
+        nvars, {e: v for e, v in a.terms.items() if sum(e) < order}, order
+    )
+    assert _storage(a.truncate(order)) == _storage(rebuilt)
+    k = data.draw(st.integers(0, trunc - 1))
+    part = Series(nvars, {e: v for e, v in a.terms.items() if sum(e) == k}, trunc)
+    assert _storage(a.homogeneous_part(k)) == _storage(part)
+
+
+def _scalar_product_reference(a, b):
+    """The product on Scalar coefficients as the packed kernel computed it
+    before the numerators: (ring, trunc, {packed key: Scalar})."""
+    trunc = _ref_min(a.trunc, b.trunc)
+    if trunc is not None:
+        base = trunc + 1
+    else:
+        base = a._r[1] + b._r[1] - 1
+    ring = _ring(a.nvars, base)
+
+    def packed(s):
+        return {
+            sum(map(mul, e, ring[4])): c
+            for e, c in s.terms.items()
+            if trunc is None or sum(e) < trunc
+        }
+
+    cap = inf if trunc is None else trunc * ring[2]
+    right = sorted(packed(b).items())
+    terms = {}
+    for e1, c1 in packed(a).items():
+        room = cap - e1
+        for e2, c2 in right:
+            if e2 >= room:
+                break
+            e = e1 + e2
+            prod = c1 * c2
+            acc = terms.get(e)
+            if acc is None:
+                terms[e] = prod
+            else:
+                total = acc + prod
+                if total.is_zero():
+                    del terms[e]
+                else:
+                    terms[e] = total
+    return ring, trunc, terms
+
+
+def _random_coefficient(rng, denominator, gaussian):
+    def part():
+        return Fraction(rng.randint(-5, 5), denominator or rng.randint(1, 7))
+
+    return Scalar(part(), part() if gaussian else 0)
+
+
+def _product_pairs():
+    """Seeded operand pairs with Gaussian coefficients over coprime or
+    shared denominators, and products that cancel, in part or to zero."""
+    rng = random.Random(2718)
+    truncs = [None, 2, 3, 4, 6]
+    for case in range(300):
+        nvars = 1 + case % 3
+        gaussian = case % 4 != 0
+        denominator = [None, 6, 1, 35][case // 4 % 4]
+        trunc_a, trunc_b = rng.choice(truncs), rng.choice(truncs)
+        a, b = (
+            Series(nvars, {
+                tuple(rng.randint(0, 3) for _ in range(nvars)):
+                    _random_coefficient(rng, denominator, gaussian)
+                for _ in range(rng.randint(0, 6))
+            }, t)
+            for t in (trunc_a, trunc_b)
+        )
+        yield a, b
+    x, y = Series.variable(0, 2), Series.variable(1, 2)
+    i = Scalar(0, 1)
+    # (x + y)(x - y) and (x + iy)(x - iy): the mixed terms cancel
+    yield x + y, x - y
+    yield x + y * i, x - y * i
+    yield (x + y * i) * Scalar(Fraction(1, 3)), (x - y * i) * Scalar(Fraction(3, 2))
+    # every product term lands at or above the truncation order
+    yield (x * x * Scalar(Fraction(2, 5), 1)).truncate(3), x.truncate(3) * i
+    yield (x + y).truncate(2), (x * y * Scalar(0, Fraction(1, 7))).truncate(3)
+
+
+def test_numerator_product_matches_the_scalar_product():
+    seen_zero = 0
+    for a, b in _product_pairs():
+        ring, trunc, want = _scalar_product_reference(a, b)
+        got = a * b
+        assert got._r is ring and got.trunc == trunc
+        assert _scalar_terms(got) == want
+        _assert_numerators_canonical(got)
+        seen_zero += not want
+    assert seen_zero >= 2

@@ -177,12 +177,22 @@ class _Parser:
             tok,
         )
 
+    def integer(self, tok: _Token) -> int:
+        """The value of a number token; a literal beyond the interpreter's
+        limit on int-from-str conversion is a syntax error at the token."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise self.fail(
+                f"number literal of {len(tok.text)} digits is too long", tok
+            ) from None
+
     def exponent(self, caret: _Token) -> int:
         tok = self.peek()
         if tok.kind != "number":
             raise self.fail("expected an integer exponent after '^'", caret)
         self.advance()
-        value = int(tok.text)
+        value = self.integer(tok)
         if value > _EXPONENT_CAP:
             raise self.fail(f"exponent {value} exceeds the cap {_EXPONENT_CAP}", tok)
         return value
@@ -194,14 +204,14 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "number":
             raise self.fail("expected a number", tok)
-        numerator = int(tok.text)
+        numerator = self.integer(tok)
         denominator = 1
         if self.peek().kind == "/":
             self.advance()
             den_tok = self.advance()
             if den_tok.kind != "number":
                 raise self.fail("expected a denominator after '/'", den_tok)
-            denominator = int(den_tok.text)
+            denominator = self.integer(den_tok)
             if denominator == 0:
                 raise self.fail("zero denominator", den_tok)
         return Scalar(Fraction(sign * numerator, denominator))

@@ -473,6 +473,7 @@ class ChevalleyPair:
     nilpotent: ExactMatrix
     eigenvalues: Tuple[Scalar, ...]
     diagonalizer: ExactMatrix
+    diagonalizer_inverse: ExactMatrix
 
 
 def _triangular_spectrum(matrix: ExactMatrix):
@@ -496,9 +497,9 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
     (A - lambda I)^m spans its generalized eigenspace; with these columns
     as P, the semisimple part is S = P diag(lambda, ...) P^-1.  Each
     generalized eigenspace is also the kernel of S - lambda I, so P is a
-    diagonalizer whose columns are eigenspace bases of S; for an
-    already-diagonal S the diagonalizer is the identity instead and the
-    eigenvalue order follows the diagonal.
+    diagonalizer whose columns are eigenspace bases of S, returned with
+    the P^-1 computed on the way; for an already-diagonal S both are the
+    identity instead and the eigenvalue order follows the diagonal.
 
     A triangular matrix takes its eigenvalues from its diagonal, with no
     characteristic polynomial or root search, so they may be of any size.
@@ -522,9 +523,8 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
             for j in range(n)
         ):
             semisimple = ExactMatrix.diagonal(diag)
-            return ChevalleyPair(
-                semisimple, matrix - semisimple, tuple(diag), ExactMatrix.identity(n)
-            )
+            one = ExactMatrix.identity(n)
+            return ChevalleyPair(semisimple, matrix - semisimple, tuple(diag), one, one)
     columns: List[Tuple[Scalar, ...]] = []
     eigen: List[Scalar] = []
     for lam, mult in roots:
@@ -538,7 +538,8 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
         columns.extend(basis)
         eigen.extend([lam] * mult)
     p = ExactMatrix([[columns[j][i] for j in range(n)] for i in range(n)])
-    semisimple = p * ExactMatrix.diagonal(eigen) * inverse(p)
+    p_inv = inverse(p)
+    semisimple = p * ExactMatrix.diagonal(eigen) * p_inv
     nilpotent = matrix - semisimple
     if semisimple * nilpotent != nilpotent * semisimple:
         raise ArithmeticError("computed parts do not commute")
@@ -550,11 +551,10 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
 
     if semisimple.is_diagonal():
         eigenvalues = tuple(semisimple[i, i] for i in range(n))
-        diagonalizer = ExactMatrix.identity(n)
+        p = p_inv = ExactMatrix.identity(n)
     else:
         eigenvalues = tuple(eigen)
-        diagonalizer = p
-    return ChevalleyPair(semisimple, nilpotent, eigenvalues, diagonalizer)
+    return ChevalleyPair(semisimple, nilpotent, eigenvalues, p, p_inv)
 
 
 # -- Vandermonde systems -------------------------------------------------------

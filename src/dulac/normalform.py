@@ -4,13 +4,18 @@ A field is in normal form when it commutes with the semisimple part of
 its own linearization: ``[f, B_s x] = 0`` at the working truncation
 order.  :func:`normalize` removes every non-resonant term degree by
 degree with near-identity substitutions x -> x + h_k, h_k homogeneous of
-degree k, inverting the homological operator on each nonzero eigenspace
-through a terminating Neumann series (the nilpotent summand of the
-operator is nilpotent on every homogeneous component).  Resonant kernel
-directions are projected to zero, i.e. the normalized field keeps exactly
-the resonant terms it must.  Each substitution is a finite Taylor sum,
-and the new components g solve ``(I + Dh_k) g = f(x + h_k)`` one degree
-at a time, since Dh_k raises degrees by k - 1.
+degree k, solving the homological equation (D + ad_N) h_k = F_k in the
+basis that diagonalizes B_s.  There D multiplies the term x^e of
+component i by c(e, i) = sum_j e_j*lambda_j - lambda_i, and ad_N keeps
+each eigenspace of D, so on the non-resonant terms h_k is the finite
+series sum_m (-D^-1 ad_N)^m D^-1 F_k, one loop for every eigenvalue at
+once (Murdock, *Normal Forms and Unfoldings for Local Dynamical
+Systems*, ch. 4).  Resonant terms, where c = 0, are left in place, i.e.
+the normalized field keeps exactly the resonant terms it must.  Each
+substitution is a finite Taylor sum whose powers h^alpha are shared by
+the field and the transformation, and the new components g solve
+``(I + Dh_k) g = f(x + h_k)`` one degree at a time, since Dh_k raises
+degrees by k - 1.
 
 All transformations are composed and returned, so the conjugacy identity
 ``Dh(x) . normalized(x) = f(h(x))`` holds exactly modulo the truncation
@@ -20,16 +25,19 @@ ideal and can be rechecked via :func:`conjugacy_residual`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import NotNormalFormError, TruncationError
-from .field import Scalar, Weight, _new, _times_int
+from .field import Scalar, Weight, _new
 from .poly import (
     Exponent,
     Series,
     VectorField,
+    _canonical,
     _partial,
+    _triples,
     compose,
     lie_bracket,
     lie_derivative,
@@ -83,29 +91,39 @@ class NormalFormResult:
     trunc_order: int
 
 
-def _shift(s: Series, h: Sequence[Series]) -> Series:
+def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Series:
     """s(x + h) by Taylor's formula, the sum of d^alpha s * h^alpha / alpha!.
 
     The multi-indices alpha are walked as nondecreasing tuples of variable
     indices; a child tuple appends j >= its parent's last index and derives
-    both factors from its parent's.  With no term of h below degree 2,
-    h^alpha vanishes modulo the truncation ideal once |alpha| is large,
-    which ends the walk.
+    d^alpha s from its parent's.  ``powers`` maps each tuple to h^alpha,
+    built from its parent's power on first use, so every series shifted by
+    the same h shares them; no power is formed where d^alpha s is zero.
+    With no term of h below degree 2, h^alpha vanishes modulo the
+    truncation ideal once |alpha| is large, which ends the walk.
     """
     total = s
-    # (last index, its multiplicity in alpha, d^alpha s / alpha!, h^alpha)
-    frontier = [(0, 0, s, None)]
+    # (alpha, the multiplicity of its last index, d^alpha s / alpha!)
+    frontier = [((), 0, s)]
     while frontier:
         grown = []
-        for last, run, d, p in frontier:
+        for alpha, run, d in frontier:
+            last = alpha[-1] if alpha else 0
             for j in range(last, s.nvars):
+                dj = _partial(d, j)
+                if dj.is_zero():
+                    continue
                 m = run + 1 if j == last else 1
-                dj = _partial(d, j) if m == 1 else _partial(d, j) * _new(1, 0, m)
-                pj = h[j] if p is None else p * h[j]
-                if dj.is_zero() or pj.is_zero():
+                if m > 1:
+                    dj = dj * _new(1, 0, m)
+                child = alpha + (j,)
+                pj = powers.get(child)
+                if pj is None:
+                    pj = powers[child] = powers[alpha] * h[j] if alpha else h[j]
+                if pj.is_zero():
                     continue
                 total = total + dj * pj
-                grown.append((j, m, dj, pj))
+                grown.append((child, m, dj))
         frontier = grown
     return total
 
@@ -129,6 +147,58 @@ def _ad_nilpotent(
     return [a - b for a, b in zip(part1, part2)]
 
 
+def _inverse_weights(lam: Sequence[Scalar]):
+    """D^-1 for the diagonal part D of the homological operator, applied
+    to one component: ``invert(s, i)`` divides each term x^e of s by
+    c(e, i) = sum_j e_j*lambda_j - lambda_i and drops the resonant terms,
+    where c = 0.  Each 1/c is computed once per packed key and component,
+    as a canonical Gaussian triple, so every series passed must share one
+    ring."""
+    memo: List[dict] = [{} for _ in lam]
+
+    def invert(s: Series, i: int) -> Series:
+        _, base, _, pows, _ = s._r
+        cache = memo[i]
+        scaled, lcm = [], 1
+        for k, x, y in _triples(s._re, s._im):
+            r = cache.get(k)
+            if r is None:
+                c = sum((lam[j] * (k // p % base) for j, p in enumerate(pows)), -lam[i])
+                r = cache[k] = c.inverse().as_gaussian_ratio() if c else ()
+            if r:
+                a, b, e = r
+                scaled.append((k, x * a - y * b, x * b + y * a, e))
+                if lcm % e:
+                    lcm = lcm // gcd(lcm, e) * e
+        re, im = {}, {}
+        for k, u, v, e in scaled:
+            re[k] = u * (lcm // e)
+            if v:
+                im[k] = v * (lcm // e)
+        return _canonical(s._r, re, im, s._d * lcm, s.trunc)
+
+    return invert
+
+
+def _homological_solution(
+    parts: Sequence[Series], invert, nil: linalg.ExactMatrix, nil_comps: Sequence[Series]
+) -> List[Series]:
+    """The h without resonant terms that solves (D + ad_N) h = the
+    non-resonant part of the homogeneous ``parts``, with ``invert`` as
+    from :func:`_inverse_weights`.  ad_N keeps every eigenspace of D, so it
+    commutes with D^-1 and h = sum_m (-D^-1 ad_N)^m D^-1 parts, a finite
+    sum since ad_N is nilpotent on each homogeneous degree."""
+    h = term = [invert(p, i) for i, p in enumerate(parts)]
+    if nil.is_zero():
+        return h
+    for _ in range(len(parts) * (parts[0].trunc + 1) ** len(parts)):
+        term = [invert(-u, i) for i, u in enumerate(_ad_nilpotent(nil, nil_comps, term))]
+        if not any(term):
+            return h
+        h = [a + b for a, b in zip(h, term)]
+    raise ArithmeticError("homological inversion did not terminate")
+
+
 def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
     """Remove all non-resonant terms of degree 2..order-1.
 
@@ -136,12 +206,16 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
     normalization is a statement modulo the truncation ideal.  Works for
     any linear part whose spectrum lies in Q(i); a non-diagonal
     semisimple part is handled by conjugating with the stored
-    diagonalizer and mapping the result back, so the returned data live
-    in the original coordinates.
+    diagonalizer and its inverse and mapping the result back, so the
+    returned data live in the original coordinates.
 
-    At degree k the field and the accumulated transformation are shifted
-    by x -> x + h_k with :func:`_shift`, and the Jacobian factor
-    ``(I + Dh_k)^-1`` is applied by the triangular recursion
+    At degree k, h_k comes from :func:`_homological_solution`: D^-1
+    divides each term by its weight difference c(e, i), computed once
+    per monomial and component in this call, and ad_N rounds run only
+    when the nilpotent part is nonzero.  The field and the accumulated
+    transformation are then shifted by x -> x + h_k with :func:`_shift`,
+    all 2n series sharing one table of powers h^alpha, and the Jacobian
+    factor ``(I + Dh_k)^-1`` is applied by the triangular recursion
     ``g_d = F_d - Dh_k g_(d-k+1)`` on homogeneous parts.
     """
     m_order = order if order is not None else f.trunc_order
@@ -149,61 +223,29 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         raise TruncationError("normalize requires a truncation order")
     work_field = f.truncate(m_order)
     nvars = f.nvars
-    lam = f.eigenvalue_scalars()
 
     diagonal_already = f.semisimple_is_diagonal()
     if diagonal_already:
         comps = list(work_field.components)
         nil = f.nilpotent
     else:
-        t = f.diagonalizer
-        t_inv = linalg.inverse(t)
+        t, t_inv = f.diagonalizer, f.diagonalizer_inverse
         comps = _conjugate_components(work_field.components, t, t_inv, m_order)
         nil = t_inv * f.nilpotent * t
 
     nil_comps = linear_components(nil, m_order)
     transform = [Series.variable(i, nvars, m_order) for i in range(nvars)]
 
+    invert = _inverse_weights(f.eigenvalue_scalars())
     for degree in range(2, m_order):
         parts = [c.homogeneous_part(degree) for c in comps]
-        if all(p.is_zero() for p in parts):
+        h_vec = _homological_solution(parts, invert, nil, nil_comps)
+        if not any(h_vec):
             continue
-        # Terms are grouped by their homological eigenvalue c, a canonical
-        # (hashable) Scalar; the groups are walked in first-seen order, and
-        # any order gives the same h_k, since its sums are exact.
-        groups: Dict[Scalar, List[Dict[Exponent, Scalar]]] = {}
-        for i, part in enumerate(parts):
-            for exps, coeff in part.terms.items():
-                c = -lam[i]
-                for k, e in enumerate(exps):
-                    if e:
-                        c = c + _times_int(lam[k], e)
-                if c.is_zero():
-                    continue  # resonant: stays
-                bucket = groups.setdefault(c, [dict() for _ in range(nvars)])
-                bucket[i][exps] = coeff
-        if not groups:
-            continue
-        h_vec = [Series.zero(nvars, m_order) for _ in range(nvars)]
-        for c, bucket in groups.items():
-            c_inv = c.inverse()
-            minus_c_inv = -c_inv
-            term = [Series(nvars, terms, m_order) * c_inv for terms in bucket]
-            guard = 0
-            while any(not t_i.is_zero() for t_i in term):
-                h_vec = [h + t_i for h, t_i in zip(h_vec, term)]
-                term = [
-                    t_i * minus_c_inv
-                    for t_i in _ad_nilpotent(nil, nil_comps, term)
-                ]
-                guard += 1
-                if guard > nvars * (degree + 2) ** nvars + 4:
-                    raise ArithmeticError(
-                        "homological inversion did not terminate"
-                    )
         # (I + Dh) g = F with F = f(x + h), one homogeneous degree at a time
         jac = [[_partial(h_i, k) for k in range(nvars)] for h_i in h_vec]
-        shifted = [_shift(c, h_vec) for c in comps]
+        powers: Dict[tuple, Series] = {}
+        shifted = [_shift(c, h_vec, powers) for c in comps]
         solved = [[c.homogeneous_part(d) for c in shifted] for d in range(m_order)]
         for d in range(degree, m_order):
             low = solved[d - degree + 1]
@@ -213,7 +255,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
                         solved[d][i] = solved[d][i] - jac[i][k] * low[k]
         comps = [sum((part[i] for part in solved), Series.zero(nvars, m_order))
                  for i in range(nvars)]
-        transform = [_shift(t_i, h_vec) for t_i in transform]
+        transform = [_shift(t_i, h_vec, powers) for t_i in transform]
 
     if not diagonal_already:
         comps = _conjugate_components(comps, t_inv, t, m_order)
@@ -230,6 +272,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         f.eigenvalues,
         f.embedding,
         f.diagonalizer,
+        f.diagonalizer_inverse,
     )
     return NormalFormResult(normalized, tuple(transform), m_order)
 

@@ -841,7 +841,8 @@ class VectorField:
     of the linear part: ``linear = semisimple + nilpotent``, the
     eigenvalues as :class:`Weight` vectors, the concrete basis values that
     embed those weights into Q(i), and an invertible matrix whose columns
-    diagonalize the semisimple part.
+    diagonalize the semisimple part, with its inverse (computed from the
+    diagonalizer when not given).
     """
 
     __slots__ = (
@@ -852,6 +853,7 @@ class VectorField:
         "eigenvalues",
         "embedding",
         "diagonalizer",
+        "diagonalizer_inverse",
     )
 
     def __init__(
@@ -863,6 +865,7 @@ class VectorField:
         eigenvalues: Sequence[Weight],
         embedding: Sequence[Scalar],
         diagonalizer,
+        diagonalizer_inverse=None,
     ):
         components = tuple(components)
         n = len(components)
@@ -899,6 +902,11 @@ class VectorField:
         object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
         object.__setattr__(self, "embedding", tuple(embedding))
         object.__setattr__(self, "diagonalizer", diagonalizer)
+        if diagonalizer_inverse is None:
+            from . import linalg
+
+            diagonalizer_inverse = linalg.inverse(diagonalizer)
+        object.__setattr__(self, "diagonalizer_inverse", diagonalizer_inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")
@@ -932,6 +940,7 @@ class VectorField:
             weights,
             embedding,
             pair.diagonalizer,
+            pair.diagonalizer_inverse,
         )
 
     # -- derived views ---------------------------------------------------
@@ -972,6 +981,7 @@ class VectorField:
             self.eigenvalues,
             self.embedding,
             self.diagonalizer,
+            self.diagonalizer_inverse,
         )
 
     def __repr__(self) -> str:

@@ -391,6 +391,25 @@ def test_expression_errors_carry_positions(problem, capsys):
     assert "line 1, column 2" in report["error"]["message"]
 
 
+# 5000 digits lie beyond Python's default limit of 4300 on int-from-str.
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "source, column",
+    [(f"x + {LONG}*x^2", 5), (f"x + 1/{LONG}*x^2", 7), (f"x + x^{LONG}", 7)],
+    ids=["numerator", "denominator", "exponent"],
+)
+def test_overlong_number_literal_exits_2_at_its_token(problem, capsys, source, column):
+    path = problem({"variables": ["x", "y"], "vector_field": [source, "3*y"],
+                    "trunc_order": 4})
+    code, report, _ = run(capsys, ["normalize", path])
+    assert code == 2
+    assert report["error"]["type"] == "ExprSyntaxError"
+    assert "5000 digits" in report["error"]["message"]
+    assert f"line 1, column {column}" in report["error"]["message"]
+
+
 def test_field_with_constant_term_exits_2(problem, capsys):
     data = dict(GOLDEN)
     data["vector_field"] = ["1 + x", "3*y"]

@@ -5,12 +5,16 @@ import random
 import pytest
 import sympy
 
+from dulac import linalg, normalform
 from dulac.errors import NotNormalFormError, TruncationError
 from dulac.field import Scalar, weights_from_scalars
-from dulac.linalg import inverse, matvec_series
+from dulac.linalg import ExactMatrix, inverse, matvec_series
 from dulac.normalform import (
     _ad_nilpotent,
     _conjugate_components,
+    _homological_solution,
+    _inverse_weights,
+    _shift,
     conjugacy_residual,
     is_pdnf,
     is_resonant,
@@ -24,6 +28,7 @@ from dulac.poly import (
     _partial,
     compose,
     lie_bracket,
+    lie_derivative,
     linear_components,
 )
 
@@ -337,3 +342,119 @@ def test_normalize_conjugacy_holds_in_sympy():
                 f_at_h += term
             lhs = sum((h_i.diff(x) * g_j for x, g_j in zip(xs, g)), ring.zero)
             assert all(sum(m) >= order for m in (lhs - f_at_h).monoms())
+
+
+# -- the termwise homological inversion and the shared Taylor powers ---------
+
+
+def _gaussian_field(*component_terms, trunc):
+    n = len(component_terms)
+    return VectorField.from_components(
+        [Series(n, {e: Scalar(*c) for e, c in t.items()}, trunc) for t in component_terms]
+    )
+
+
+X3, Y3, Z3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+HOMOLOGICAL_FIELDS = {
+    # one 3x3 Jordan block: ad_N needs several rounds per degree
+    "jordan-3x3": lambda: _field(
+        {X3: 2, Y3: 1, (2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 3): 3},
+        {Y3: 2, Z3: 1, (1, 1, 0): 5, (0, 0, 2): 1},
+        {Z3: 2, (2, 0, 0): -1, (1, 1, 1): 4},
+        trunc=5,
+    ),
+    # a rotation with Gaussian coefficients; +-i make x*y*x-type terms resonant
+    "gaussian-non-diagonal": lambda: _gaussian_field(
+        {Y: (-1,), (2, 0): (1, 2), (1, 1): (0, -1), (2, 1): (3, 1), (0, 3): (1, 0)},
+        {X: (1,), (0, 2): (2, -1), (1, 2): (1, 1), (3, 0): (0, 1)},
+        trunc=6,
+    ),
+    # spectrum (1, 2, 3): x^2 -> y, x*y -> z and x^3 -> z are resonant
+    "diagonal-resonant": lambda: _field(
+        {X3: 1, (0, 1, 1): 2, (1, 1, 0): 1},
+        {Y3: 2, (2, 0, 0): 3, (0, 2, 0): -1, (0, 0, 3): 1},
+        {Z3: 3, (1, 1, 0): 1, (3, 0, 0): -2, (2, 0, 0): 1, (1, 0, 2): 1},
+        trunc=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOMOLOGICAL_FIELDS))
+def test_homological_solution_inverts_the_operator_termwise(kind, monkeypatch):
+    f = HOMOLOGICAL_FIELDS[kind]()
+    n, order = f.nvars, f.trunc_order
+    if f.semisimple_is_diagonal():
+        comps, nil = list(f.components), f.nilpotent
+    else:
+        t, t_inv = f.diagonalizer, f.diagonalizer_inverse
+        comps = _conjugate_components(f.components, t, t_inv, order)
+        nil = t_inv * f.nilpotent * t
+    lam = f.eigenvalue_scalars()
+    diag_comps = linear_components(ExactMatrix.diagonal(lam), order)
+    nil_comps = linear_components(nil, order)
+    rounds = []
+    monkeypatch.setattr(
+        normalform, "_ad_nilpotent", lambda *a: rounds.append(1) or _ad_nilpotent(*a)
+    )
+    invert = _inverse_weights(lam)
+    most_rounds, resonant_seen, solved = 0, False, False
+    for degree in range(2, order):
+        parts = [c.homogeneous_part(degree) for c in comps]
+        rounds.clear()
+        h = _homological_solution(parts, invert, nil, nil_comps)
+        most_rounds = max(most_rounds, len(rounds))
+        nonresonant = [
+            Series(n, {e: c for e, c in p.terms.items()
+                       if not is_resonant(e, i, f.eigenvalues)}, order)
+            for i, p in enumerate(parts)
+        ]
+        resonant_seen |= nonresonant != parts
+        solved |= any(h)
+        # D u = [S y, u] for the diagonal S, computed as a Lie bracket
+        d_h = [lie_derivative(diag_comps, h_i) - h_i * lam_i for h_i, lam_i in zip(h, lam)]
+        ad_h = _ad_nilpotent(nil, nil_comps, h)
+        assert [a + b for a, b in zip(d_h, ad_h)] == nonresonant
+        for i, h_i in enumerate(h):
+            assert not any(is_resonant(e, i, f.eigenvalues) for e in h_i.terms)
+    assert solved
+    if kind == "jordan-3x3":
+        assert most_rounds >= 3
+    else:  # N = 0: one D^-1 pass per degree, no ad_N round
+        assert resonant_seen and nil.is_zero() and most_rounds == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field_first", [True, False])
+def test_shift_with_shared_powers_matches_compose(n, field_first):
+    rng = random.Random(40 + n)
+    order = 6
+    for _ in range(4):
+        h = [random_series(rng, n, order, gaussian=True, max_terms=3, min_degree=2)
+             for _ in range(n)]
+        field = [random_series(rng, n, order, gaussian=True, min_degree=1)
+                 for _ in range(n)]
+        transform = [Series.variable(i, n, order)
+                     + random_series(rng, n, order, max_terms=3, min_degree=2)
+                     for i in range(n)]
+        series = field + transform if field_first else transform + field
+        powers = {}
+        shifted = [_shift(s, h, powers) for s in series]
+        phi = [Series.variable(i, n, order) + h_i for i, h_i in enumerate(h)]
+        assert shifted == [compose(s, phi) for s in series]
+        assert powers
+
+
+def test_diagonalizer_inverse_is_carried_and_normalize_inverts_nothing(monkeypatch):
+    diagonal = _field({X: 1, (2, 0): 1}, {Y: 3, (1, 1): 2}, trunc=5)
+    rotation = _field({Y: -1, (2, 0): 1}, {X: 1, (1, 1): 1}, trunc=5)
+    sheared = HOMOLOGICAL_FIELDS["gaussian-non-diagonal"]()
+    assert diagonal.diagonalizer == diagonal.diagonalizer_inverse == ExactMatrix.identity(2)
+    for f in (diagonal, rotation, sheared):
+        assert f.diagonalizer * f.diagonalizer_inverse == ExactMatrix.identity(2)
+        assert f.truncate(4).diagonalizer_inverse == f.diagonalizer_inverse
+    calls = []
+    monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(m) or inverse(m))
+    for f in (diagonal, rotation, sheared):
+        result = normalize(f)
+        assert result.normalized.diagonalizer_inverse == f.diagonalizer_inverse
+    assert calls == []

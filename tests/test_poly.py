@@ -400,6 +400,19 @@ def test_vector_field_requires_matching_linear_part():
         )
 
 
+def test_vector_field_computes_a_missing_diagonalizer_inverse():
+    from dulac.linalg import ExactMatrix
+
+    f = VectorField.from_components([_s({Y: -1}, 4), _s({X: 1}, 4)])
+    assert not f.semisimple_is_diagonal()
+    rebuilt = VectorField(
+        f.components, f.linear, f.semisimple, f.nilpotent, f.eigenvalues,
+        f.embedding, f.diagonalizer,
+    )
+    assert rebuilt.diagonalizer_inverse == f.diagonalizer_inverse
+    assert f.diagonalizer * f.diagonalizer_inverse == ExactMatrix.identity(2)
+
+
 # -- the packed kernel against tuple-keyed arithmetic ------------------------
 #
 # A series is a pair (terms keyed by exponent tuples, trunc): the storage

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ideals as ideal_ops
 from .errors import (
+    BudgetError,
     DulacError,
     ExprSyntaxError,
     HypothesisError,
@@ -66,6 +67,7 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_MATH = 4
 EXIT_MODE = 5
+EXIT_BUDGET = 6
 
 _MODES = ("rational", "gaussian", "symbolic")
 
@@ -647,6 +649,7 @@ _EXIT_BY_TYPE = (
     ((SchemaError, ExprSyntaxError), EXIT_PARSE),
     (HypothesisError, EXIT_HYPOTHESIS),
     (UnsupportedSpectrumError, EXIT_MODE),
+    (BudgetError, EXIT_BUDGET),
     ((DulacError, ArithmeticError), EXIT_MATH),
 )
 
@@ -691,7 +694,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SchemaError:  # the override itself was rejected
             order = problem.trunc_order
         report = _base_report(problem, args.command, order)
-        report["error"] = _error_payload(exc, problem.variables)
+        try:
+            report["error"] = _error_payload(exc, problem.variables)
+        except BudgetError as budget:  # a witness too long to print
+            code = EXIT_BUDGET
+            report["error"] = _error_payload(budget, None)
         _emit(report, args.verbose, code)
         return code
     _emit(report, args.verbose, code)

@@ -69,5 +69,10 @@ class ExprSyntaxError(DulacError, ValueError):
         self.column = column
 
 
+class BudgetError(DulacError):
+    """A result outgrows a resource limit, such as the interpreter's
+    int-to-str digit limit when a report is printed."""
+
+
 class SchemaError(DulacError, ValueError):
     """A problem file is structurally invalid."""

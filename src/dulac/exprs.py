@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .errors import ExprSyntaxError
-from .field import ONE, Scalar, format_scalar
+from .field import ONE, Scalar, _decimal, format_scalar
 from .poly import Exponent, Series
 
 __all__ = ["parse_expression", "format_series"]
@@ -288,7 +288,7 @@ def format_series(s: Series, names: Sequence[str]) -> str:
         if not b:
             # with no imaginary part, the canonical a/d is in lowest terms
             negative = a < 0
-            magnitude = str(abs(a)) if d == 1 else f"{abs(a)}/{d}"
+            magnitude = _decimal(abs(a)) if d == 1 else f"{_decimal(abs(a))}/{_decimal(d)}"
             if not mono:
                 body = magnitude
             elif abs(a) == 1 and d == 1:

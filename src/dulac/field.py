@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
+from .errors import BudgetError
+
 __all__ = [
     "Scalar",
     "Weight",
@@ -387,8 +389,8 @@ def weights_from_scalars(values: Sequence[Scalar]):
 def format_fraction(value: Fraction) -> str:
     value = _as_fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -406,13 +408,25 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
+def _decimal(n: int) -> str:
+    """``str(n)``, or a :class:`BudgetError` when n has more digits than
+    the interpreter converts (``sys.set_int_max_str_digits``); the limit
+    guards against quadratic-time conversion and stays in place."""
+    try:
+        return str(n)
+    except ValueError:
+        raise BudgetError(
+            f"a {n.bit_length()}-bit integer exceeds the int-to-str digit limit"
+        ) from None
+
+
 def _format_ratio(n: int, d: int) -> str:
     """``n/d`` in lowest terms for d > 0, or the bare integer."""
     g = gcd(n, d)
     if g != 1:
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 def format_scalar(value: Scalar) -> str:

@@ -13,8 +13,10 @@ monomials.  Truncation takes part in the elimination: a polynomial whose
 leading term has low-degree tail content can reveal new members
 (g = ``x^2*y + y`` at N = 4 yields ``y``: x^2*g is x^2*y modulo degree
 4, so y = g - x^2*g is a member).  Membership is then one pass over the
-terms: each pivot term is replaced by its row's tail, which holds
-standard monomials only.
+terms: each pivot term is replaced by its row's reduced tail, which holds
+standard monomials only.  Tails are back-substituted on demand: a query
+reduces only the pivots its terms reach, so a few membership tests on a
+large echelon form touch a small part of it.
 
 On top of the ideal arithmetic sit the semi-invariant extraction
 routines.  The weight components of a member, and their iterated images
@@ -41,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .errors import (
@@ -58,6 +60,7 @@ from .poly import (
     Exponent,
     Series,
     VectorField,
+    _degree_keys,
     _ring,
     _scalar_series,
     _scalar_terms,
@@ -150,15 +153,43 @@ class ReducedBasis(NamedTuple):
     ``polys`` are the monic basis polynomials below degree N, largest
     leading monomial first; ``monomials`` are the degree-N monomials that
     no leading monomial divides, in descending grlex order.  ``tails`` is
-    the reduced echelon form behind both, keyed like the terms of a
-    series truncated at N (the packing of :mod:`dulac.poly`, base N + 1):
-    every leading monomial of the ideal below degree N, mapped to the
-    tail of its row, which has standard monomials only.
+    the echelon form behind both, keyed like the terms of a series
+    truncated at N (the packing of :mod:`dulac.poly`, base N + 1): every
+    leading monomial of the ideal below degree N, mapped to the tail of
+    its row.  The tails of the pivots in ``unreduced`` are still the raw
+    rows of the forward elimination; every other tail is reduced, with
+    standard monomials only.  Read tails through :meth:`reduce_tails`.
     """
 
     polys: Tuple[Series, ...]
     monomials: Tuple[Exponent, ...]
     tails: Tails
+    unreduced: Set[int]
+
+    def reduce_tails(self, wanted: Iterable[int]) -> Tails:
+        """Reduce the tails of the pivots among ``wanted`` in place and
+        return ``tails``.  The raw tails lead, through pivot terms, to
+        further unreduced pivots; those are collected with a stack (the
+        chains outgrow Python's recursion limit) and substituted in
+        ascending order, the step of a full back-substitution pass.  A
+        tail term is smaller than its pivot, so each substitution reads
+        reduced tails only, and the reduced echelon form is unique: every
+        reduced tail is the one a full pass gives."""
+        pending = self.unreduced
+        if pending.isdisjoint(wanted):
+            return self.tails
+        tails = self.tails
+        stack = list(pending.intersection(wanted))
+        reach = set(stack)
+        while stack:
+            for e in tails[stack.pop()]:
+                if e in pending and e not in reach:
+                    reach.add(e)
+                    stack.append(e)
+        for m in sorted(reach):
+            tails[m] = _substitute(tails[m], tails)
+        pending -= reach
+        return tails
 
 
 def groebner(
@@ -173,15 +204,17 @@ def groebner(
     K-span of the truncated shifts x^a*g with |a| + mindeg(g) < N (the
     Macaulay-matrix view behind F4).  Each shift is reduced by its
     leading terms against the rows stored so far, one dict lookup per
-    leading term, and kept monic under a new pivot if anything is left.  The pivots
-    are then the leading monomials of the ideal below degree N.  A pass
-    in ascending grlex order substitutes the rows of smaller pivots into
-    the tails, so every tail ends up with standard monomials only.  That
-    reduced echelon form depends on the ideal alone, not on the order
-    the shifts arrived in, and so does everything read off it: the rows
-    at the minimal pivots (no ``m - e_i`` among the pivots) are the
-    unique reduced basis polynomials, and a degree-N monomial belongs to
-    the basis exactly when none of its degree-(N-1) divisors is a pivot.
+    leading term, and kept monic under a new pivot if anything is left.
+    The pivots are then the leading monomials of the ideal below degree
+    N.  Substituting the rows of smaller pivots into a tail leaves
+    standard monomials only; that reduced echelon form depends on the
+    ideal alone, not on the order the shifts arrived in, and so does
+    everything read off it: the rows at the minimal pivots (no ``m - e_i``
+    among the pivots) are the unique reduced basis polynomials, and a
+    degree-N monomial belongs to the basis exactly when none of its
+    degree-(N-1) divisors is a pivot.  Only the minimal pivots are
+    reduced here; the other tails stay raw until a query reaches them
+    (:meth:`ReducedBasis.reduce_tails`).
 
     The echelon form works on the packed keys that series truncated at N
     already hold (:mod:`dulac.poly`: key(e) = |e|*B^n +
@@ -209,10 +242,7 @@ def groebner(
         if terms:
             keyed = [(e, e // top, c) for e, c in terms.items()]
             packed.append((min(terms) // top, keyed))
-    # shifts[k]: the keys of the degree-k monomials, descending
-    shifts = [[0]]
-    for _ in range(trunc_order):
-        shifts.append(sorted({s + u for s in shifts[-1] for u in units}, reverse=True))
+    shifts = _degree_keys(nvars, trunc_order)
     tails: Tails = {}
     # Shifts of high degree go first: truncation makes them short, and the
     # longer rows that come later reduce against them cheaply.
@@ -222,28 +252,27 @@ def groebner(
                 if low + k < trunc_order:
                     row = {e + shift: c for e, d, c in terms if d + k < trunc_order}
                     _insert_row(tails, row)
-    pivots = sorted(tails)
-    for m in pivots:
-        tails[m] = _substitute(tails[m], tails)
 
     blocked = {m + u for m in tails for u in units}
+    minimal = sorted((m for m in tails if m not in blocked), reverse=True)
+    basis = ReducedBasis((), (), tails, set(tails))
+    basis.reduce_tails(minimal)
     polys = tuple(
-        _scalar_series(ring, {m: ONE, **tails[m]}, trunc_order)
-        for m in reversed(pivots)
-        if m not in blocked
+        _scalar_series(ring, {m: ONE, **tails[m]}, trunc_order) for m in minimal
     )
     monomials = tuple(
         _unpack(m, ring) for m in shifts[trunc_order] if m not in blocked
     )
-    return ReducedBasis(polys, monomials, tails)
+    return basis._replace(polys=polys, monomials=monomials)
 
 
 class IdealHandle:
     """A finitely generated ideal of R_N = K[[x]]/<x>^N.
 
     Stores the generators (viewed at order N) and computes the reduced
-    basis on first use.  Instances are immutable; every query is
-    read-only after that single initialization.
+    basis on first use.  Instances are immutable as seen from outside:
+    the basis is computed once, and the echelon tails a query reaches are
+    reduced on read and memoized, which changes no answer.
     """
 
     __slots__ = ("generators", "trunc_order", "nvars", "_basis")
@@ -289,17 +318,19 @@ class IdealHandle:
 
     def normal_form(self, psi: Series) -> Series:
         """The unique remainder of psi modulo the ideal (zero iff member):
-        one pass that replaces every pivot term by its reduced tail.  A
-        series at order N holds the packed keys of ``ReducedBasis.tails``,
-        so nothing is packed or unpacked; its coefficients become Scalars
-        only when some term is a pivot."""
+        one pass that replaces every pivot term by its reduced tail, after
+        reducing the tails of those pivots that are still raw.  A series at
+        order N holds the packed keys of ``ReducedBasis.tails``, so nothing
+        is packed or unpacked; its coefficients become Scalars only when
+        some term is a pivot."""
         if psi.nvars != self.nvars:
             raise ValueError("variable counts differ")
         rep = _at_order(psi, self.trunc_order)
-        tails = self._ensure_basis().tails
-        if tails.keys().isdisjoint(rep._keys()):
+        basis = self._ensure_basis()
+        keys = rep._keys()
+        if basis.tails.keys().isdisjoint(keys):
             return rep
-        out = _substitute(_scalar_terms(rep), tails)
+        out = _substitute(_scalar_terms(rep), basis.reduce_tails(keys))
         return _scalar_series(rep._r, out, rep.trunc)
 
     def member(self, psi: Series) -> bool:

@@ -120,6 +120,17 @@ def _ring(nvars: int, base: int) -> _Ring:
     return (nvars, base, top, pows, tuple(top + p for p in pows))
 
 
+@lru_cache(maxsize=None)
+def _degree_keys(nvars: int, order: int) -> Tuple[Tuple[int, ...], ...]:
+    """keys[k]: the packed keys of the degree-k monomials in
+    ``_ring(nvars, order + 1)``, descending, for k = 0..order."""
+    units = _ring(nvars, order + 1)[4]
+    keys = [(0,)]
+    for _ in range(order):
+        keys.append(tuple(sorted({s + u for s in keys[-1] for u in units}, reverse=True)))
+    return tuple(keys)
+
+
 def _unpack(key: int, ring: _Ring) -> Exponent:
     """The exponent packed as ``key`` in ``ring``."""
     base = ring[1]

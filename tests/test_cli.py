@@ -410,6 +410,61 @@ def test_overlong_number_literal_exits_2_at_its_token(problem, capsys, source, c
     assert f"line 1, column {column}" in report["error"]["message"]
 
 
+# A 3000-digit coefficient parses, but normalization at order 5 builds
+# report integers past the 4300-digit int-to-str limit.
+OVERFLOWING_FIELD = {
+    "variables": ["x", "y"],
+    "vector_field": [f"x + {'9' * 3000}*x^2", "3*y"],
+    "trunc_order": 5,
+}
+
+
+def _assert_budget_report(report, text):
+    assert report["error"]["type"] == "BudgetError"
+    assert "int-to-str" in report["error"]["message"]
+    assert max(len(token) for token in text.replace('"', " ").split()) < 100
+
+
+def test_report_integer_past_the_digit_limit_exits_6(problem, capsys):
+    start = time.monotonic()
+    code = main(["normalize", problem(OVERFLOWING_FIELD)])
+    out = capsys.readouterr().out
+    assert time.monotonic() - start < 1
+    assert code == 6
+    report = json.loads(out)
+    assert report["command"] == "normalize"
+    _assert_budget_report(report, out)
+
+
+def test_report_integer_past_the_digit_limit_exits_6_in_a_process(problem):
+    src = os.path.dirname(os.path.dirname(dulac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dulac.cli", "normalize", problem(OVERFLOWING_FIELD)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 6
+    assert "Traceback" not in proc.stderr
+    _assert_budget_report(json.loads(proc.stdout), proc.stdout)
+
+
+def test_witness_past_the_digit_limit_exits_6(problem, capsys, monkeypatch):
+    # the error path formats the residual; it must not fail the same way
+    huge = dulac.Series(2, {(3, 0): dulac.Scalar(10 ** 4400)}, 6)
+
+    def failing(problem, args):
+        raise dulac.NotNormalFormError("not in normal form", [huge, huge])
+
+    monkeypatch.setattr(cli, "cmd_check_pdnf", failing)
+    code = main(["check-pdnf", problem(GOLDEN)])
+    out = capsys.readouterr().out
+    assert code == 6
+    _assert_budget_report(json.loads(out), out)
+
+
 def test_field_with_constant_term_exits_2(problem, capsys):
     data = dict(GOLDEN)
     data["vector_field"] = ["1 + x", "3*y"]

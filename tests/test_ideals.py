@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import (
     CertificateError,
@@ -155,6 +157,20 @@ def test_groebner_empty_and_zero_input():
     assert len(basis.monomials) == 4  # all degree-3 monomials in 2 variables
     basis = groebner([Series.zero(2, 3)], 3)
     assert basis.polys == ()
+
+
+def test_groebner_at_order_one_and_its_input_checks():
+    # R_1 holds the constants only: x is zero there, and both degree-1
+    # monomials belong to the basis
+    basis = groebner([_s({X: 1}, 1)], 1)
+    assert basis.polys == ()
+    assert basis.monomials == (X, Y)
+    with pytest.raises(ValueError):
+        groebner([], 0, nvars=2)
+    with pytest.raises(ValueError):
+        groebner([_s({X: 1}, 4), Series.variable(0, 3, 4)], 4)
+    with pytest.raises(ValueError):
+        groebner([_s({X: 1}, 4)], 4, nvars=3)
 
 
 def test_groebner_unit_ideal():
@@ -361,9 +377,11 @@ def test_packed_echelon_form_matches_the_tuple_keyed_reference():
             assert got.terms == want.terms and got.trunc == want.trunc
         assert basis.monomials == want_monomials
         ring = _ring(nvars, order + 1)
+        tails = basis.reduce_tails(basis.tails)
+        assert not basis.unreduced
         assert {
             _unpack(m, ring): {_unpack(e, ring): c for e, c in tail.items()}
-            for m, tail in basis.tails.items()
+            for m, tail in tails.items()
         } == want_tails
         handle = IdealHandle(gens, order, nvars=nvars)
         for _ in range(3):
@@ -373,11 +391,195 @@ def test_packed_echelon_form_matches_the_tuple_keyed_reference():
             assert got.trunc == order
 
 
+def _reduced_count(basis):
+    return len(basis.tails) - len(basis.unreduced)
+
+
+def test_lazy_tails_do_not_depend_on_the_query_order():
+    names = ("x", "y", "z")
+    gens = [parse_expression(g, names, trunc_order=10) for g in ("x*y + z", "x^2 - 2/3*y")]
+    order = 10
+    # pivots spread over all degrees, deepest first: a high pivot reaches
+    # a long chain of raw tails, a low one almost none
+    pivots = sorted(groebner(gens, order).tails, reverse=True)
+    ring = _ring(3, order + 1)
+    psis = [
+        Series(3, {_unpack(m, ring): Scalar(k + 1), (0, 0, 1): ONE}, order)
+        for k, m in enumerate(pivots[:3] + pivots[3::len(pivots) // 8])
+    ]
+    deep_first = IdealHandle(gens, order)
+    shallow_first = IdealHandle(gens, order)
+    first = [deep_first.normal_form(psi) for psi in psis]
+    # the deepest query leaves most pivots raw, and repeats are no-ops
+    basis = deep_first._ensure_basis()
+    assert 0 < len(basis.unreduced) < len(basis.tails)
+    assert [deep_first.normal_form(psi) for psi in psis] == first
+    second = [shallow_first.normal_form(psi) for psi in reversed(psis)][::-1]
+    assert first == second
+    tails = [h._ensure_basis().reduce_tails(h._ensure_basis().tails)
+             for h in (deep_first, shallow_first)]
+    assert tails[0] == tails[1]
+    assert all(not h._ensure_basis().unreduced for h in (deep_first, shallow_first))
+    # a fresh handle reduced in one go agrees too
+    fresh = groebner(gens, order)
+    assert fresh.reduce_tails(fresh.tails) == tails[0]
+
+
+def test_is_invariant_reduces_a_small_share_of_the_pivots():
+    # the first ideal_basis shape: the queries reach few of the 455 pivots
+    order = 14
+    g = Series(3, {(2, 0, 0): ONE, (0, 1, 0): Scalar(Fraction(-5, 7))}, order)
+    handle = IdealHandle([g], order)
+    f = _field({(1, 0, 0): 1}, {(0, 1, 0): 2}, {(0, 0, 1): 3}, trunc=order)
+    assert is_invariant(handle, f) == (True, None)
+    basis = handle._ensure_basis()
+    assert len(basis.tails) == 455
+    assert 0 < _reduced_count(basis) <= len(basis.tails) // 10
+    bent = _field({(1, 0, 0): 1, (0, 1, 1): 1}, {(0, 1, 0): 2}, {(0, 0, 1): 3}, trunc=order)
+    invariant, witness = is_invariant(handle, bent)
+    assert not invariant and not witness[1].is_zero()
+    assert _reduced_count(handle._ensure_basis()) <= len(basis.tails) // 10
+
+
+def _eager_groebner(monkeypatch):
+    """Patch ``groebner`` to back-substitute every tail before it returns,
+    as the echelon form did before tails were reduced on demand."""
+    import dulac.ideals as ideals_module
+
+    lazy = ideals_module.groebner
+
+    def eager(*args, **kwargs):
+        basis = lazy(*args, **kwargs)
+        basis.reduce_tails(basis.tails)
+        return basis
+
+    monkeypatch.setattr(ideals_module, "groebner", eager)
+
+
+def test_closure_and_extraction_with_a_nilpotent_part_match_the_eager_pass(monkeypatch):
+    names = ("x", "y", "z")
+    order = 7
+    f = VectorField.from_components([
+        parse_expression(c, names, trunc_order=order)
+        for c in ("2*x + y", "2*y", "4*z + 3*x*y - y^2")
+    ])
+    seed = parse_expression("x^2 - 2*z + y^3", names, trunc_order=order)
+
+    def report():
+        closed = close_under_lie(IdealHandle([seed], order), f)
+        components, cert = extract_from_member(seed, closed, f)
+        return (
+            [format_series(p, names) for p in closed.reduced_basis],
+            [format_series(c, names) for c in components],
+            cert.block_count, cert.matrix.nrows, cert.determinant,
+            [format_series(s, names) for s in cert.solution],
+        )
+
+    lazy = report()
+    assert lazy == (
+        ["x*z^3", "z^4", "x^2 - 2*z", "x*y", "y^2", "y*z"], ["x^2 - 2*z", "y^3"],
+        3, 6, Scalar(-512),
+        ["x^2 - 2*z", "y^3", "-4*x*y + 2*y^2", "0", "-4*y^2", "0"],
+    )
+    _eager_groebner(monkeypatch)
+    assert report() == lazy
+
+
 def test_rn_dimension_counts_the_monomials_below_the_order():
     for nvars in range(1, 5):
         for order in range(1, 13):
             count = sum(len(list(iter_exponents(nvars, k))) for k in range(order))
             assert _rn_dimension(nvars, order) == count
+
+
+# The ideal templates of the ideal_basis benchmark workload: per generator,
+# the leading monomial (coefficient 1) and the monomials with a drawn one.
+CATALOG_TEMPLATES = [
+    [[(2, 0, 0), (0, 1, 0)]],
+    [[(1, 0, 1), (0, 1, 0)]],
+    [[(1, 1, 0), (0, 0, 1)]],
+    [[(1, 1, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0)]],
+    [[(0, 1, 2), (2, 0, 0)]],
+    [[(2, 1, 0), (0, 0, 2)]],
+    [[(2, 0, 0), (0, 1, 0), (0, 0, 2)]],
+]
+
+_ratios = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4)
+)
+
+
+def _sympy_poly(terms, syms):
+    return sympy.Poly(
+        sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.prod(x**k for x, k in zip(syms, e)))
+            for e, c in terms.items()
+        ),
+        *syms, domain="QQ",
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(data=st.data())
+def test_normal_form_and_is_invariant_match_sympy_on_the_catalog_shapes(data):
+    # Several queries on one handle, so later ones read tails that earlier
+    # ones reduced; the oracle reduces by sympy's grlex Groebner basis of
+    # the generators plus every degree-N monomial.
+    template = data.draw(st.sampled_from(CATALOG_TEMPLATES))
+    order = data.draw(st.integers(8, 12))
+    gens = [
+        {lead: Fraction(1), **{e: data.draw(_ratios) for e in rest}}
+        for lead, *rest in template
+    ]
+    exponent = st.tuples(*[st.integers(0, order // 2)] * 3)
+    psis = data.draw(st.lists(
+        st.dictionaries(exponent, _ratios, min_size=1, max_size=6), min_size=3, max_size=5
+    ))
+    # a diagonal field under which every generator is weight-homogeneous
+    # leaves the ideal invariant; one quadratic term usually breaks that
+    homogeneous = [
+        lams for lams in itertools.product([-3, -2, -1, 1, 2, 3], repeat=3)
+        if all(len({sum(a * b for a, b in zip(lams, e)) for e in t}) == 1 for t in template)
+    ]
+    spectrum = data.draw(st.sampled_from(homogeneous))
+    field = [{e: Fraction(lam)} for e, lam in zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], spectrum)]
+    if data.draw(st.booleans()):
+        field[data.draw(st.integers(0, 2))][(0, 1, 1)] = data.draw(_ratios)
+
+    syms = sympy.symbols("x0:3")
+    top = [sympy.prod(x**k for x, k in zip(syms, e)) for e in iter_exponents(3, order)]
+    oracle = sympy.groebner(
+        [_sympy_poly(g, syms) for g in gens] + top, *syms, order="grlex", domain="QQ"
+    )
+
+    def want(poly):
+        _, remainder = oracle.reduce(poly)
+        return {e: Fraction(int(c.p), int(c.q)) for e, c in remainder.terms() if c}
+
+    def series(terms):
+        return Series(3, {e: Scalar(c) for e, c in terms.items()}, order)
+
+    def got(s):
+        return {e: c.re for e, c in s.terms.items()}
+
+    handle = IdealHandle([series(g) for g in gens], order)
+    for psi in psis:
+        assert got(handle.normal_form(series(psi))) == want(_sympy_poly(psi, syms))
+    images = []
+    for g in gens:
+        poly = _sympy_poly(g, syms)
+        images.append(want(sum(
+            (_sympy_poly(f, syms) * poly.diff(x) for f, x in zip(field, syms)),
+            sympy.Poly(0, *syms, domain="QQ"),
+        )))
+    failing = [(g, image) for g, image in zip(gens, images) if image]
+    invariant, witness = is_invariant(
+        handle, VectorField.from_components([series(f) for f in field])
+    )
+    assert invariant == (not failing)
+    if failing:
+        assert (got(witness[0]), got(witness[1])) == failing[0]
 
 
 # -- membership ----------------------------------------------------------------

@@ -12,10 +12,13 @@ series sum_m (-D^-1 ad_N)^m D^-1 F_k, one loop for every eigenvalue at
 once (Murdock, *Normal Forms and Unfoldings for Local Dynamical
 Systems*, ch. 4).  Resonant terms, where c = 0, are left in place, i.e.
 the normalized field keeps exactly the resonant terms it must.  Each
-substitution is a finite Taylor sum whose powers h^alpha are shared by
-the field and the transformation, and the new components g solve
-``(I + Dh_k) g = f(x + h_k)`` one degree at a time, since Dh_k raises
-degrees by k - 1.
+substitution is a Taylor sum cut at the last degree that can survive the
+truncation, as in the truncated composition of Brent and Kung ("Fast
+algorithms for manipulating formal power series", J. ACM 25, 1978); its
+powers h^alpha are shared by the field and the transformation.  The
+components are held split into homogeneous parts, and the new components
+g solve ``(I + Dh_k) g = f(x + h_k)`` one degree at a time, since Dh_k
+raises degrees by k - 1.  Degrees that hold no term are skipped.
 
 All transformations are composed and returned, so the conjugacy identity
 ``Dh(x) . normalized(x) = f(h(x))`` holds exactly modulo the truncation
@@ -25,7 +28,8 @@ ideal and can be rechecked via :func:`conjugacy_residual`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -36,6 +40,9 @@ from .poly import (
     Series,
     VectorField,
     _canonical,
+    _compose_all,
+    _graded,
+    _join,
     _partial,
     _triples,
     compose,
@@ -92,25 +99,34 @@ class NormalFormResult:
 
 
 def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Series:
-    """s(x + h) by Taylor's formula, the sum of d^alpha s * h^alpha / alpha!.
+    """s(x + h) by Taylor's formula, the sum of d^alpha s * h^alpha / alpha!,
+    modulo the truncation order N of s.
 
     The multi-indices alpha are walked as nondecreasing tuples of variable
     indices; a child tuple appends j >= its parent's last index and derives
     d^alpha s from its parent's.  ``powers`` maps each tuple to h^alpha,
     built from its parent's power on first use, so every series shifted by
-    the same h shares them; no power is formed where d^alpha s is zero.
-    With no term of h below degree 2, h^alpha vanishes modulo the
-    truncation ideal once |alpha| is large, which ends the walk.
+    the same h shares them.  With k the lowest degree of h, a term of
+    d^alpha s of degree d contributes at degrees >= d + k*|alpha| only, so
+    a child at depth a keeps the terms of degree below N - k*a: it is
+    derived from its parent's terms of degree <= N - k*a, and the walk ends
+    at the first depth where N - k*a <= 0.  No power is formed past that
+    depth or where d^alpha s is zero.  The bound holds for every k >= 1,
+    linear terms of h included.
     """
+    k = min((p.min_degree() for p in h if p), default=1)
+    room = inf if s.trunc is None else s.trunc
     total = s
     # (alpha, the multiplicity of its last index, d^alpha s / alpha!)
     frontier = [((), 0, s)]
-    while frontier:
+    while frontier and room > k:
+        room -= k  # N - k*|alpha| for the children derived now
+        cap = (room + 1) * s._r[2]
         grown = []
         for alpha, run, d in frontier:
             last = alpha[-1] if alpha else 0
             for j in range(last, s.nvars):
-                dj = _partial(d, j)
+                dj = _partial(d, j, cap)
                 if dj.is_zero():
                     continue
                 m = run + 1 if j == last else 1
@@ -131,10 +147,13 @@ def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Serie
 def _conjugate_components(
     components: Sequence[Series], t: linalg.ExactMatrix, t_inv: linalg.ExactMatrix, trunc
 ) -> List[Series]:
-    """Components of T^-1 f(T y) for a linear change of coordinates T."""
-    subs = linear_components(t, trunc)
-    composed = [compose(c, subs) for c in components]
-    return linalg.matvec_series(t_inv, composed)
+    """Components of T^-1 f(T y) for a linear change of coordinates T.  The
+    components of several fields may follow one another; all of them share
+    one table of monomial images."""
+    n = t.nrows
+    composed = _compose_all(components, linear_components(t, trunc))
+    return [u for i in range(0, len(composed), n)
+            for u in linalg.matvec_series(t_inv, composed[i:i + n])]
 
 
 def _ad_nilpotent(
@@ -151,31 +170,41 @@ def _inverse_weights(lam: Sequence[Scalar]):
     """D^-1 for the diagonal part D of the homological operator, applied
     to one component: ``invert(s, i)`` divides each term x^e of s by
     c(e, i) = sum_j e_j*lambda_j - lambda_i and drops the resonant terms,
-    where c = 0.  Each 1/c is computed once per packed key and component,
-    as a canonical Gaussian triple, so every series passed must share one
-    ring."""
+    where c = 0.  With lambda_j = (a_j + b_j*i) / D over one common
+    denominator D, c = (p + q*i) / D for the integers p = sum_j e_j*a_j -
+    a_i and q = sum_j e_j*b_j - b_i, so 1/c = D*(p - q*i) / (p^2 + q^2),
+    reduced with one gcd to a canonical Gaussian triple.  Each triple is
+    computed once per packed key and component, so every series passed
+    must share one ring."""
+    ratios = [c.as_gaussian_ratio() for c in lam]
+    den = lcm(*(e for _, _, e in ratios))
+    re_w = [a * (den // e) for a, _, e in ratios]
+    im_w = [b * (den // e) for _, b, e in ratios]
     memo: List[dict] = [{} for _ in lam]
 
     def invert(s: Series, i: int) -> Series:
-        _, base, _, pows, _ = s._r
+        _, base, _, place, _ = s._r
         cache = memo[i]
-        scaled, lcm = [], 1
+        scaled = []
         for k, x, y in _triples(s._re, s._im):
             r = cache.get(k)
             if r is None:
-                c = sum((lam[j] * (k // p % base) for j, p in enumerate(pows)), -lam[i])
-                r = cache[k] = c.inverse().as_gaussian_ratio() if c else ()
+                e = [k // v % base for v in place]
+                p = sum(map(mul, e, re_w)) - re_w[i]
+                q = sum(map(mul, e, im_w)) - im_w[i]
+                norm = p * p + q * q
+                g = gcd(den * p, den * q, norm)
+                r = cache[k] = (den * p // g, -den * q // g, norm // g) if norm else ()
             if r:
                 a, b, e = r
                 scaled.append((k, x * a - y * b, x * b + y * a, e))
-                if lcm % e:
-                    lcm = lcm // gcd(lcm, e) * e
+        common = lcm(*(e for _, _, _, e in scaled))
         re, im = {}, {}
         for k, u, v, e in scaled:
-            re[k] = u * (lcm // e)
+            re[k] = u * (common // e)
             if v:
-                im[k] = v * (lcm // e)
-        return _canonical(s._r, re, im, s._d * lcm, s.trunc)
+                im[k] = v * (common // e)
+        return _canonical(s._r, re, im, s._d * common, s.trunc)
 
     return invert
 
@@ -209,14 +238,20 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
     diagonalizer and its inverse and mapping the result back, so the
     returned data live in the original coordinates.
 
-    At degree k, h_k comes from :func:`_homological_solution`: D^-1
-    divides each term by its weight difference c(e, i), computed once
-    per monomial and component in this call, and ad_N rounds run only
-    when the nilpotent part is nonzero.  The field and the accumulated
+    The components are kept as homogeneous parts by degree, and the loop
+    steps from one degree that holds a term to the next, so a linear
+    field at a huge order does no work per degree.  At degree k, h_k
+    comes from :func:`_homological_solution`: D^-1 divides each term by
+    its weight difference c(e, i), computed in integers once per monomial
+    and component in this call, and ad_N rounds run only when the
+    nilpotent part is nonzero.  The field and the accumulated
     transformation are then shifted by x -> x + h_k with :func:`_shift`,
-    all 2n series sharing one table of powers h^alpha, and the Jacobian
+    all 2n series sharing one table of powers h^alpha; each shifted
+    component is split into its parts in one pass, and the Jacobian
     factor ``(I + Dh_k)^-1`` is applied by the triangular recursion
-    ``g_d = F_d - Dh_k g_(d-k+1)`` on homogeneous parts.
+    ``g_d = F_d - Dh_k g_(d-k+1)`` on them.  The changes of coordinates
+    into and out of the diagonalizing basis share one table of monomial
+    images per direction.
     """
     m_order = order if order is not None else f.trunc_order
     if m_order is None:
@@ -235,34 +270,38 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
 
     nil_comps = linear_components(nil, m_order)
     transform = [Series.variable(i, nvars, m_order) for i in range(nvars)]
+    zero = Series.zero(nvars, m_order)
+    graded = [_graded(c) for c in comps]
 
     invert = _inverse_weights(f.eigenvalue_scalars())
-    for degree in range(2, m_order):
-        parts = [c.homogeneous_part(degree) for c in comps]
+    degree = 1
+    while True:
+        # the next degree that holds a term: an empty one would give h = 0
+        degree = min((d for g in graded for d, p in g.items() if d > degree and p),
+                     default=None)
+        if degree is None:
+            break
+        parts = [g.get(degree, zero) for g in graded]
         h_vec = _homological_solution(parts, invert, nil, nil_comps)
         if not any(h_vec):
             continue
         # (I + Dh) g = F with F = f(x + h), one homogeneous degree at a time
         jac = [[_partial(h_i, k) for k in range(nvars)] for h_i in h_vec]
         powers: Dict[tuple, Series] = {}
-        shifted = [_shift(c, h_vec, powers) for c in comps]
-        solved = [[c.homogeneous_part(d) for c in shifted] for d in range(m_order)]
+        graded = [_graded(_shift(_join(zero._r, g.values(), m_order), h_vec, powers))
+                  for g in graded]
         for d in range(degree, m_order):
-            low = solved[d - degree + 1]
-            for i in range(nvars):
+            low = [g.get(d - degree + 1) for g in graded]
+            for i, g in enumerate(graded):
                 for k in range(nvars):
                     if jac[i][k] and low[k]:
-                        solved[d][i] = solved[d][i] - jac[i][k] * low[k]
-        comps = [sum((part[i] for part in solved), Series.zero(nvars, m_order))
-                 for i in range(nvars)]
+                        g[d] = g.get(d, zero) - jac[i][k] * low[k]
         transform = [_shift(t_i, h_vec, powers) for t_i in transform]
+    comps = [_join(zero._r, g.values(), m_order) for g in graded]
 
     if not diagonal_already:
-        comps = _conjugate_components(comps, t_inv, t, m_order)
-        inv_subs = linear_components(t_inv, m_order)
-        transform = linalg.matvec_series(
-            t, [compose(t_i, inv_subs) for t_i in transform]
-        )
+        back = _conjugate_components(comps + transform, t_inv, t, m_order)
+        comps, transform = back[:nvars], back[nvars:]
 
     normalized = VectorField(
         comps,

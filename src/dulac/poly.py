@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd, inf, lcm
 from operator import itemgetter, mul
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionError, TruncationError
 from .field import (
@@ -627,19 +627,20 @@ def _canonical(ring: _Ring, re: _Nums, im: _Nums, d: int, trunc: Optional[int]) 
     return s
 
 
-def _derive(nums: _Nums, p: int, base: int, u: int) -> _Nums:
-    """Each numerator times its exponent digit at place value p, moved
-    down one in that variable (key - u); terms without it are dropped."""
+def _derive(nums: _Nums, p: int, base: int, u: int, cap=inf) -> _Nums:
+    """Each numerator with a key below cap times its exponent digit at
+    place value p, moved down one in that variable (key - u); terms
+    without it are dropped."""
     out: _Nums = {}
     for e, v in nums.items():
         k = e // p % base
-        if k:
+        if k and e < cap:
             out[e - u] = v * k
     return out
 
 
-def _partial(s: Series, j: int) -> Series:
-    """d/dx_j applied to the stored terms.
+def _partial(s: Series, j: int, cap=inf) -> Series:
+    """d/dx_j applied to the stored terms whose packed keys lie below cap.
 
     The result is only used inside products with zero-constant-term
     factors, where the final truncation restores a sound claim; it keeps
@@ -647,8 +648,36 @@ def _partial(s: Series, j: int) -> Series:
     """
     _, base, _, pows, units = s._r
     p, u = pows[j], units[j]
-    im = _derive(s._im, p, base, u) if s._im else {}
-    return _canonical(s._r, _derive(s._re, p, base, u), im, s._d, s.trunc)
+    im = _derive(s._im, p, base, u, cap) if s._im else {}
+    return _canonical(s._r, _derive(s._re, p, base, u, cap), im, s._d, s.trunc)
+
+
+def _graded(s: Series) -> Dict[int, Series]:
+    """The homogeneous parts of s keyed by degree in ascending order, split
+    in one pass over its terms; only the degrees that hold a term appear."""
+    top = s._r[2]
+    re: Dict[int, _Nums] = {}
+    im: Dict[int, _Nums] = {}
+    for k, v in s._re.items():
+        re.setdefault(k // top, {})[k] = v
+    for k, v in s._im.items():
+        im.setdefault(k // top, {})[k] = v
+    return {d: _canonical(s._r, re.get(d, {}), im.get(d, {}), s._d, s.trunc)
+            for d in sorted(re.keys() | im.keys())}
+
+
+def _join(ring: _Ring, parts, trunc: Optional[int]) -> Series:
+    """The sum of series in ``ring`` that hold disjoint degrees, as one
+    union of their terms over the lcm of their denominators; canonical as
+    it stands, by the argument of :func:`_numerators`."""
+    den = lcm(*(part._d for part in parts))
+    re: _Nums = {}
+    im: _Nums = {}
+    for part in parts:
+        f = den // part._d
+        re.update({k: v * f for k, v in part._re.items()})
+        im.update({k: v * f for k, v in part._im.items()})
+    return _wrap(ring, re, im, den, trunc)
 
 
 # -- weights ---------------------------------------------------------------
@@ -788,49 +817,58 @@ def _image(
 def compose(s: Series, subs: Sequence[Series]) -> Series:
     """Substitute subs[j] for x_j; each substituted series needs a zero
     constant term so the result stays in the local ring."""
+    return _compose_all((s,), subs)[0]
+
+
+def _compose_all(series: Sequence[Series], subs: Sequence[Series]) -> List[Series]:
+    """:func:`compose` of each series under one ``subs``.  The images of
+    the monomials are memoized per ring and truncation order, so series
+    that share both share the images of their common monomials."""
     subs = tuple(subs)
-    if len(subs) != s.nvars:
-        raise ValueError("substitution length does not match variable count")
+    for s in series:
+        if len(subs) != s.nvars:
+            raise ValueError("substitution length does not match variable count")
     if not subs:
         raise ValueError("cannot compose a series in zero variables")
     target_nvars = subs[0].nvars
-    trunc = s.trunc
+    subs_trunc = None
     for h in subs:
         if h.nvars != target_nvars:
             raise ValueError("substituted series must share one variable set")
         if not h.constant_term().is_zero():
             raise CompositionError("substituted series has a nonzero constant term")
-        trunc = _min_trunc(trunc, h.trunc)
-    one = Series.constant(ONE, target_nvars, trunc)
-    images = {0: one}
-    pieces = [(k, _image(k, s._r, subs, images)) for k in s._keys()]
-    # every image is truncated at trunc; exact images may differ in base
-    ring = max((img._r for _, img in pieces), key=itemgetter(1), default=one._r)
-    # Over the lcm L of the image denominators D_k the result is
-    # sum_k (re_k + im_k*i) * (L / D_k) * image_k, all over s._d * L.
-    lcm = 1
-    for _, img in pieces:
-        if lcm % img._d:
-            lcm = lcm // gcd(lcm, img._d) * img._d
-    s_re, s_im = s._re, s._im
-    out_re: _Nums = {}
-    out_im: _Nums = {}
-    get_re, get_im = out_re.get, out_im.get
-    for k, img in pieces:
-        f = lcm // img._d
-        a, b = s_re.get(k, 0) * f, s_im.get(k, 0) * f
-        img_re, img_im = _repack(img, ring, trunc)
-        if a:
-            for m, v in img_re.items():
-                out_re[m] = get_re(m, 0) + a * v
-            for m, v in img_im.items():
-                out_im[m] = get_im(m, 0) + a * v
-        if b:
-            for m, v in img_re.items():
-                out_im[m] = get_im(m, 0) + b * v
-            for m, v in img_im.items():
-                out_re[m] = get_re(m, 0) - b * v
-    return _canonical(ring, out_re, out_im, s._d * lcm, trunc)
+        subs_trunc = _min_trunc(subs_trunc, h.trunc)
+    tables: Dict[tuple, Dict[int, Series]] = {}
+    out = []
+    for s in series:
+        trunc = _min_trunc(s.trunc, subs_trunc)
+        images = tables.setdefault((s._r, trunc), {0: Series.constant(ONE, target_nvars, trunc)})
+        pieces = [(k, _image(k, s._r, subs, images)) for k in s._keys()]
+        # every image is truncated at trunc; exact images may differ in base
+        ring = max((img._r for _, img in pieces), key=itemgetter(1), default=images[0]._r)
+        # Over the lcm L of the image denominators D_k the result is
+        # sum_k (re_k + im_k*i) * (L / D_k) * image_k, all over s._d * L.
+        common = lcm(*(img._d for _, img in pieces))
+        s_re, s_im = s._re, s._im
+        out_re: _Nums = {}
+        out_im: _Nums = {}
+        get_re, get_im = out_re.get, out_im.get
+        for k, img in pieces:
+            f = common // img._d
+            a, b = s_re.get(k, 0) * f, s_im.get(k, 0) * f
+            img_re, img_im = _repack(img, ring, trunc)
+            if a:
+                for m, v in img_re.items():
+                    out_re[m] = get_re(m, 0) + a * v
+                for m, v in img_im.items():
+                    out_im[m] = get_im(m, 0) + a * v
+            if b:
+                for m, v in img_re.items():
+                    out_im[m] = get_im(m, 0) + b * v
+                for m, v in img_im.items():
+                    out_re[m] = get_re(m, 0) - b * v
+        out.append(_canonical(ring, out_re, out_im, s._d * common, trunc))
+    return out
 
 
 def linear_components(matrix, trunc: Optional[int] = None) -> Tuple[Series, ...]:

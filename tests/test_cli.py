@@ -451,6 +451,26 @@ def test_report_integer_past_the_digit_limit_exits_6_in_a_process(problem):
     _assert_budget_report(json.loads(proc.stdout), proc.stdout)
 
 
+def test_linear_field_at_a_huge_order_normalizes_in_a_process(problem):
+    # the degree loop skips every degree without a term, so no work grows with N
+    path = problem({"variables": ["x", "y"], "vector_field": ["x", "2*y"],
+                    "trunc_order": 100000000})
+    src = os.path.dirname(os.path.dirname(dulac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dulac.cli", "normalize", path],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["normalized"] == ["x", "2*y"]
+    assert report["transformation"] == ["x", "y"]
+    assert report["pdnf"] is True
+
+
 def test_witness_past_the_digit_limit_exits_6(problem, capsys, monkeypatch):
     # the error path formats the residual; it must not fail the same way
     huge = dulac.Series(2, {(3, 0): dulac.Scalar(10 ** 4400)}, 6)

@@ -1,11 +1,14 @@
 """Tests for resonance detection, normal-form checks, and normalization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dulac import linalg, normalform
+from dulac import linalg, normalform, poly
 from dulac.errors import NotNormalFormError, TruncationError
 from dulac.field import Scalar, weights_from_scalars
 from dulac.linalg import ExactMatrix, inverse, matvec_series
@@ -36,6 +39,8 @@ from _gen import (
     diagonalized_components,
     field_with_linear_part,
     pdnf_field,
+    random_exponent,
+    random_scalar,
     random_series,
     splitting_linear_part,
 )
@@ -423,14 +428,71 @@ def test_homological_solution_inverts_the_operator_termwise(kind, monkeypatch):
         assert resonant_seen and nil.is_zero() and most_rounds == 0
 
 
+def _scalar_inverse_weight(s, i, lam):
+    """``invert(s, i)`` as first written: c(e, i) as a sum of Scalar
+    products, inverted as a Scalar."""
+    terms = {}
+    for e, coeff in s.terms.items():
+        c = sum((lam_j * e_j for lam_j, e_j in zip(lam, e)), -lam[i])
+        if c:
+            terms[e] = coeff * c.inverse()
+    return Series(s.nvars, terms, s.trunc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_inverse_weights_match_the_scalar_route(seed):
+    rng = random.Random(seed)
+    n, order = 3, 7
+    a, b = random_scalar(rng, True), random_scalar(rng, True)
+    a = a if a else Scalar(Fraction(1, 3), Fraction(-1, 2))
+    # lambda_2 = 2*lambda_0 + lambda_1: x^2*y in component 2 is resonant,
+    # and a zero eigenvalue with rational a makes more keys resonant
+    lam = [a, b, a * 2 + b] if seed % 2 else [a, Scalar(0), Scalar(Fraction(5, 6), 2)]
+    invert = _inverse_weights(lam)
+    resonant = 0
+    for degree in range(order):
+        for _ in range(6):
+            s = Series(n, {random_exponent(rng, n, degree): random_scalar(rng, True)
+                           for _ in range(3)}, order)
+            for i in range(n):
+                want = _scalar_inverse_weight(s, i, lam)
+                resonant += len(want.terms) < len(s.terms)
+                assert invert(s, i) == want
+                assert invert(s, i) == want  # from the memo
+    whole = Series(n, {(2, 1, 0): Scalar(1), (1, 0, 0): Scalar(Fraction(2, 3), 1)}, order)
+    assert invert(whole, 2) == _scalar_inverse_weight(whole, 2, lam)
+    assert resonant and (not seed % 2 or invert(whole, 2).coefficient((2, 1, 0)) == 0)
+
+
+# -- the degree cut in _shift -------------------------------------------------
+
+
+def _homogeneous(rng, n, degree, order):
+    """A random Gaussian series whose terms all have the given degree."""
+    terms = {random_exponent(rng, n, degree): random_scalar(rng, True) for _ in range(3)}
+    return Series(n, terms, order)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("field_first", [True, False])
 def test_shift_with_shared_powers_matches_compose(n, field_first):
+    # h homogeneous of every degree k = 1..N-1 with a zero component, of
+    # mixed degrees from 1, 2 and 3 up, and zero: the degree cut must lose
+    # no term for any lowest degree k, linear terms of h included
     rng = random.Random(40 + n)
     order = 6
-    for _ in range(4):
-        h = [random_series(rng, n, order, gaussian=True, max_terms=3, min_degree=2)
-             for _ in range(n)]
+    zero = Series.zero(n, order)
+    cases = []
+    for k in range(1, order):
+        h = [_homogeneous(rng, n, k, order) for _ in range(n)]
+        h[rng.randrange(n)] = zero
+        cases.append(h)
+    for low in (1, 2, 2, 3):
+        cases.append([random_series(rng, n, order, gaussian=True, max_terms=3,
+                                    min_degree=low) for _ in range(n)])
+    cases.append([zero] * n)
+    formed = 0
+    for h in cases:
         field = [random_series(rng, n, order, gaussian=True, min_degree=1)
                  for _ in range(n)]
         transform = [Series.variable(i, n, order)
@@ -441,7 +503,76 @@ def test_shift_with_shared_powers_matches_compose(n, field_first):
         shifted = [_shift(s, h, powers) for s in series]
         phi = [Series.variable(i, n, order) + h_i for i, h_i in enumerate(h)]
         assert shifted == [compose(s, phi) for s in series]
-        assert powers
+        formed += len(powers)
+    assert formed
+
+
+def _oracle_terms(n, order, min_degree):
+    exponents = st.tuples(*[st.integers(0, order - 1)] * n).filter(
+        lambda e: min_degree <= sum(e) < order
+    )
+    coeffs = st.builds(
+        lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+    )
+    return st.dictionaries(exponents, coeffs, max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), n=st.sampled_from([2, 3]), order=st.integers(2, 6))
+def test_shift_matches_a_sympy_expansion(data, n, order):
+    # s(x + h) expanded in full by sympy, then cut below degree N
+    s = Series(n, data.draw(_oracle_terms(n, order, 0)), order)
+    h = [Series(n, data.draw(_oracle_terms(n, order, 1)), order) for _ in range(n)]
+    ring, *xs = sympy.polys.rings.ring(f"x0:{n}", sympy.QQ_I)
+
+    def to_ring(u):
+        return ring({e: sympy.QQ_I(sympy.Rational(c.re), sympy.Rational(c.im))
+                     for e, c in u.terms.items()})
+
+    hs = [x + to_ring(h_j) for x, h_j in zip(xs, h)]
+    expanded = ring.zero
+    for e, c in to_ring(s).items():
+        term = ring({(0,) * n: c})
+        for x_plus_h, k in zip(hs, e):
+            term *= x_plus_h ** k
+        expanded += term
+    want = ring({e: c for e, c in expanded.items() if sum(e) < order})
+    assert to_ring(_shift(s, h, {})) == want
+
+
+def _cut_work(monkeypatch, f, cut=True):
+    """(calls, terms in, terms kept) of the capped ``_derive`` calls, the
+    ones made by _shift, while normalizing f; ``cut=False`` ignores the
+    caps."""
+    counts = [0, 0, 0]
+    derive = poly._derive
+
+    def counting(nums, p, base, u, cap=float("inf")):
+        out = derive(nums, p, base, u, cap if cut else float("inf"))
+        if cap != float("inf"):
+            counts[0] += 1
+            counts[1] += len(nums)
+            counts[2] += len(out)
+        return out
+
+    monkeypatch.setattr(poly, "_derive", counting)
+    result = normalize(f)
+    monkeypatch.undo()
+    return counts, result
+
+
+def test_shift_keeps_only_the_terms_that_can_survive(monkeypatch):
+    # a 3x3 Jordan block at N = 6; without the caps the same walk keeps
+    # 1,189 derivative terms, almost all of degree >= N once multiplied
+    jordan = HOMOLOGICAL_FIELDS["jordan-3x3"]().components
+    f = VectorField.from_components([Series(3, c.terms, 6) for c in jordan])
+    cut, result = _cut_work(monkeypatch, f)
+    uncut, reference = _cut_work(monkeypatch, f, cut=False)
+    assert result.normalized.components == reference.normalized.components
+    assert result.transformation == reference.transformation
+    assert cut == [96, 1870, 154]
+    assert uncut[2] == 1189
 
 
 def test_diagonalizer_inverse_is_carried_and_normalize_inverts_nothing(monkeypatch):

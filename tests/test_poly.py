@@ -16,6 +16,9 @@ from dulac.field import ONE, ZERO, Scalar, Weight, weights_from_scalars
 from dulac.poly import (
     Series,
     VectorField,
+    _compose_all,
+    _graded,
+    _join,
     _partial,
     _ring,
     _scalar_terms,
@@ -720,6 +723,51 @@ def test_equal_values_built_by_different_routes_have_equal_storage(data, nvars, 
     k = data.draw(st.integers(0, trunc - 1))
     part = Series(nvars, {e: v for e, v in a.terms.items() if sum(e) == k}, trunc)
     assert _storage(a.homogeneous_part(k)) == _storage(part)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_graded_parts_rejoin_to_the_series(data, nvars):
+    shared = data.draw(st.sampled_from([None, 2, 6]))
+    s = data.draw(_series_with(nvars, st.sampled_from([None, 2, 4, 6]), shared))
+    parts = _graded(s)
+    assert list(parts) == sorted({sum(e) for e in s.terms})
+    for d, part in parts.items():
+        assert _storage(part) == _storage(s.homogeneous_part(d))
+        assert part.trunc == s.trunc
+    # a zero part, as normalize's triangular recursion can leave, adds nothing
+    parts = [*parts.values(), Series.zero(nvars, s.trunc)]
+    joined = _join(s._r, parts, s.trunc)
+    _assert_numerators_canonical(joined)
+    assert _storage(joined) == _storage(s) and joined.trunc == s.trunc
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data(), nvars=st.integers(1, 3), target=st.integers(1, 3))
+def test_compose_all_matches_compose_on_each_series(data, nvars, target):
+    # exact and truncated series in several rings, some sharing one
+    series = data.draw(st.lists(
+        _series_with(nvars, st.sampled_from([None, 2, 3, 5]), None), min_size=1, max_size=4
+    ))
+    subs = [data.draw(_series_with(target, st.sampled_from([2, 3, 5]), None, min_degree=1))
+            for _ in range(nvars)]
+    for s, got in zip(series, _compose_all(series, subs)):
+        want = _compose_by_powers(s, subs)
+        assert got == want and got.trunc == want.trunc
+        assert _storage(got) == _storage(compose(s, subs))
+
+
+def test_compose_all_keeps_the_input_errors():
+    x, y = Series.variable(0, 2, 5), Series.variable(1, 2, 5)
+    for run in (lambda s, subs: compose(s, subs), lambda s, subs: _compose_all([x, s], subs)):
+        with pytest.raises(ValueError, match="substitution length"):
+            run(Series.variable(0, 3, 5), [x, y])
+        with pytest.raises(ValueError, match="one variable set"):
+            run(x, [x, Series.variable(0, 3, 5)])
+        with pytest.raises(CompositionError):
+            run(x, [x + Series.constant(1, 2, 5), y])
+    with pytest.raises(ValueError, match="zero variables"):
+        compose(Series.zero(0, 5), [])
 
 
 def _scalar_product_reference(a, b):

@@ -288,7 +288,7 @@ def build_field(problem: Problem, order: int) -> VectorField:
                 "constant term; the field must vanish at the origin"
             )
     field = VectorField.from_components(comps)
-    scalars = field.eigenvalue_scalars()
+    scalars = field.chevalley.eigenvalues
     if problem.field_mode == "rational" and any(not s.is_rational() for s in scalars):
         raise UnsupportedSpectrumError(
             "the linear part has imaginary eigenvalues; "
@@ -316,7 +316,7 @@ def _weights_for_problem(
         weights, embedding = weights_from_scalars(problem.eigenvalue_scalars)
         return list(weights), embedding
     field = build_field(problem, order)
-    if not field.semisimple_is_diagonal():
+    if not field.chevalley.semisimple.is_diagonal():
         raise NotDiagonalError(
             "weight operations index eigenvalues by variable position and "
             "need a diagonal semisimple part; declare 'eigenvalues' "
@@ -387,7 +387,7 @@ def cmd_check_pdnf(problem: Problem, args) -> Tuple[dict, int]:
     field = build_field(problem, order)
     ok, residual = is_pdnf(field, order)
     report = _base_report(problem, "check-pdnf", order)
-    report["eigenvalues"] = [format_scalar(s) for s in field.eigenvalue_scalars()]
+    report["eigenvalues"] = [format_scalar(s) for s in field.chevalley.eigenvalues]
     report["pdnf"] = ok
     report["residual"] = _series_list(residual, problem.variables)
     return report, EXIT_OK if ok else EXIT_MATH
@@ -401,7 +401,7 @@ def cmd_normalize(problem: Problem, args) -> Tuple[dict, int]:
     conjugacy = conjugacy_residual(field, result)
     conjugacy_ok = all(r.is_zero() for r in conjugacy)
     report = _base_report(problem, "normalize", order)
-    report["eigenvalues"] = [format_scalar(s) for s in field.eigenvalue_scalars()]
+    report["eigenvalues"] = [format_scalar(s) for s in field.chevalley.eigenvalues]
     report["input"] = _series_list(field.components, problem.variables)
     report["normalized"] = _series_list(
         result.normalized.components, problem.variables

@@ -198,9 +198,6 @@ class Scalar:
 
     # -- structure maps -------------------------------------------------
 
-    def conjugate(self) -> "Scalar":
-        return _new(self._a, -self._b, self._d)
-
     def magnitude_squared(self) -> Fraction:
         """|z|^2 as an exact rational."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
@@ -268,14 +265,6 @@ def _mul(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> Scalar:
             return _new(a, 0, d)
         return _new(a // g, 0, d // g)
     return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
-
-
-def _times_int(s: Scalar, k: int) -> Scalar:
-    """``s * k`` for a Python int ``k``, without coercing ``k`` to a Scalar."""
-    a, b, d = s._a * k, s._b * k, s._d
-    if d == 1:
-        return _new(a, b, 1)
-    return _reduced(a, b, d)
 
 
 def _coerce(value):

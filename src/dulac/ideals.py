@@ -26,7 +26,9 @@ is nonzero, so the solution of matrix * x = rhs is unique, the
 components reproduce the iterated Lie derivatives exactly, and every
 right-hand side and every component is re-verified by membership.
 
-The echelon form keeps its rows as dicts from packed monomial keys to
+The echelon form is the one elimination routine of :mod:`dulac.linalg`
+(``_insert_row`` and ``_substitute``), run on packed monomial keys.  It
+keeps its rows as dicts from those keys to
 :class:`~dulac.field.Scalar` tails, while a :class:`~dulac.poly.Series`
 stores Gaussian-integer numerators over one denominator.  The two meet
 at exactly two boundaries, both through the private pair
@@ -55,6 +57,7 @@ from .errors import (
     TruncationError,
 )
 from .field import ONE, Scalar, Weight, weight_embed
+from .linalg import Tails, _insert_row, _substitute
 from .normalform import lg_nilpotency_index
 from .poly import (
     Exponent,
@@ -76,8 +79,6 @@ __all__ = [
     "ReducedBasis",
     "ExtractionCertificate",
     "groebner",
-    "member",
-    "normal_form",
     "is_invariant",
     "close_under_lie",
     "is_semiinvariant",
@@ -102,49 +103,22 @@ def _at_order(s: Series, order: int) -> Series:
     return s.truncate(order)
 
 
-Tails = Dict[int, Dict[int, Scalar]]
-
-
-def _subtract_multiple(
-    acc: Dict[int, Scalar], c: Scalar, tail: Dict[int, Scalar]
-) -> None:
-    """acc -= c * tail, in place, dropping cancelled terms."""
-    for e, v in tail.items():
-        prev = acc.get(e)
-        val = -c * v if prev is None else prev - c * v
-        if val.is_zero():
-            acc.pop(e, None)
-        else:
-            acc[e] = val
-
-
-def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> None:
-    """Reduce the row by its leading terms against the stored pivots and
-    store what is left, made monic, under its new pivot."""
-    while row:
-        lm = max(row)
-        c = row.pop(lm)
-        tail = tails.get(lm)
-        if tail is None:
-            if c != ONE:
-                inv = c.inverse()
-                row = {e: v * inv for e, v in row.items()}
-            tails[lm] = row
-            return
-        _subtract_multiple(row, c, tail)
-
-
-def _substitute(terms: Dict[int, Scalar], tails: Tails) -> Dict[int, Scalar]:
-    """Replace every pivot term c*m by -c*tail(m).  When the tails hold
-    standard monomials only, so does the result."""
-    if tails.keys().isdisjoint(terms):
-        return terms
-    out = {e: c for e, c in terms.items() if e not in tails}
-    for e, c in terms.items():
-        tail = tails.get(e)
-        if tail is not None:
-            _subtract_multiple(out, c, tail)
-    return out
+def _generators(
+    gens: Iterable[Series], trunc_order: int, nvars: Optional[int]
+) -> Tuple[Tuple[Series, ...], int]:
+    """The generators viewed in R_N, and their common variable count."""
+    if trunc_order < 1:
+        raise ValueError("truncation order must be a positive integer")
+    out = []
+    for g in gens:
+        if nvars is None:
+            nvars = g.nvars
+        elif g.nvars != nvars:
+            raise ValueError("generators live in different variable sets")
+        out.append(_at_order(g, trunc_order))
+    if nvars is None:
+        raise ValueError("an empty generating set needs an explicit variable count")
+    return tuple(out), nvars
 
 
 class ReducedBasis(NamedTuple):
@@ -224,21 +198,11 @@ def groebner(
     The basis polynomials are built from their packed rows without
     unpacking; only the degree-N ``monomials`` are unpacked.
     """
-    if trunc_order < 1:
-        raise ValueError("truncation order must be a positive integer")
-    generators = []
-    for g in gens:
-        if nvars is None:
-            nvars = g.nvars
-        elif g.nvars != nvars:
-            raise ValueError("generators live in different variable sets")
-        generators.append(_scalar_terms(_at_order(g, trunc_order)))
-    if nvars is None:
-        raise ValueError("an empty generating set needs an explicit variable count")
+    generators, nvars = _generators(gens, trunc_order, nvars)
     ring = _ring(nvars, trunc_order + 1)
     top, units = ring[2], ring[4]
     packed = []
-    for terms in generators:
+    for terms in map(_scalar_terms, generators):
         if terms:
             keyed = [(e, e // top, c) for e, c in terms.items()]
             packed.append((min(terms) // top, keyed))
@@ -283,18 +247,8 @@ class IdealHandle:
         trunc_order: int,
         nvars: Optional[int] = None,
     ):
-        if trunc_order < 1:
-            raise ValueError("truncation order must be a positive integer")
-        gens = []
-        for g in generators:
-            if nvars is None:
-                nvars = g.nvars
-            elif g.nvars != nvars:
-                raise ValueError("generators live in different variable sets")
-            gens.append(_at_order(g, trunc_order))
-        if nvars is None:
-            raise ValueError("an empty generating set needs an explicit variable count")
-        object.__setattr__(self, "generators", tuple(gens))
+        gens, nvars = _generators(generators, trunc_order, nvars)
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "trunc_order", trunc_order)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_basis", None)
@@ -334,6 +288,7 @@ class IdealHandle:
         return _scalar_series(rep._r, out, rep.trunc)
 
     def member(self, psi: Series) -> bool:
+        """Whether psi lies in the ideal (including the truncation part)."""
         return self.normal_form(psi).is_zero()
 
     def with_extra(self, extra: Iterable[Series]) -> "IdealHandle":
@@ -348,15 +303,6 @@ class IdealHandle:
             f"<IdealHandle {len(self.generators)} generators "
             f"in R_{self.trunc_order}>"
         )
-
-
-def member(psi: Series, ideal: IdealHandle) -> bool:
-    """Whether psi lies in the ideal (including the truncation part)."""
-    return ideal.member(psi)
-
-
-def normal_form(psi: Series, ideal: IdealHandle) -> Series:
-    return ideal.normal_form(psi)
 
 
 def _derivation_components(f) -> Tuple[Series, ...]:
@@ -598,46 +544,20 @@ def extract_semiinvariants(
 
     lam = [weight_embed(w, embedding) for w in eigenvalues]
     diag = linear_components(linalg.ExactMatrix.diagonal(lam))
-    for g in ideal.generators:
-        image = lie_derivative(diag, g)
-        residue = ideal.normal_form(image)
-        if not residue.is_zero():
-            raise NotInvariantError(
-                "the ideal is not invariant under the semisimple derivation",
-                witness=(g, residue),
-            )
+    invariant, witness = is_invariant(ideal, diag)
+    if not invariant:
+        raise NotInvariantError(
+            "the ideal is not invariant under the semisimple derivation",
+            witness=witness,
+        )
     pieces: List[Series] = []
     certificates: List[ExtractionCertificate] = []
     for g in ideal.generators:
         if g.is_zero():
             continue
-        dec = weight_decompose(g, eigenvalues)
-        nodes = tuple(weight_embed(w, embedding) for w in dec.weights)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(
-                "the embedding collapses distinct weights; "
-                "its basis values must be Q-linearly independent"
-            )
-        matrix = linalg.vandermonde_matrix(nodes)
-        rhs: List[Series] = [g]
-        for _ in range(len(nodes) - 1):
-            rhs.append(lie_derivative(diag, rhs[-1]))
-        solution = [dec[w] for w in dec.weights]
-        det = _verify_certificate(ideal, matrix, rhs, solution)
-        certificates.append(
-            ExtractionCertificate(
-                matrix=matrix,
-                rhs=tuple(rhs),
-                solution=tuple(solution),
-                weights=dec.weights,
-                nodes=nodes,
-                determinant=det,
-                block_count=1,
-                source=g,
-                trunc_order=ideal.trunc_order,
-            )
-        )
-        pieces.extend(solution)
+        certificate = _certify(ideal, g, eigenvalues, embedding, diag, diag, 1)
+        certificates.append(certificate)
+        pieces.extend(certificate.solution)
     return _collect_generators(pieces), tuple(certificates)
 
 
@@ -691,6 +611,44 @@ def _verify_certificate(ideal, matrix, rhs, solution) -> Scalar:
     return det
 
 
+def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, m):
+    """The replayed certificate of the weight components of ``source``:
+    the confluent Vandermonde matrix with m blocks on the distinct
+    weights, the rhs of q*m iterated L_f-derivatives of ``source``, and
+    the solution whose block j holds the j-th L_g images of the weight
+    components, block 0 the components themselves."""
+    dec = weight_decompose(source, eigenvalues)
+    weights = dec.weights
+    q = len(weights)
+    nodes = tuple(weight_embed(w, embedding) for w in weights)
+    if len(set(nodes)) != q:
+        raise ValueError(
+            "the embedding collapses distinct weights; "
+            "its basis values must be Q-linearly independent"
+        )
+    matrix = linalg.confluent_vandermonde_matrix(nodes, m)
+    rhs: List[Series] = [source]
+    for _ in range(q * m - 1):
+        rhs.append(lie_derivative(f_comps, rhs[-1]))
+    solution: List[Series] = [dec[w] for w in weights]
+    for j in range(1, m):
+        start = (j - 1) * q
+        for k in range(q):
+            solution.append(lie_derivative(g_comps, solution[start + k]))
+    det = _verify_certificate(ideal, matrix, rhs, solution)
+    return ExtractionCertificate(
+        matrix=matrix,
+        rhs=tuple(rhs),
+        solution=tuple(solution),
+        weights=weights,
+        nodes=nodes,
+        determinant=det,
+        block_count=m,
+        source=source,
+        trunc_order=ideal.trunc_order,
+    )
+
+
 def extract_from_member(
     phi: Series, ideal: IdealHandle, f: VectorField
 ) -> Tuple[Tuple[Series, ...], Optional[ExtractionCertificate]]:
@@ -708,7 +666,7 @@ def extract_from_member(
     entry is a member of the ideal.
     """
     order = ideal.trunc_order
-    if not f.semisimple_is_diagonal():
+    if not f.chevalley.semisimple.is_diagonal():
         raise NotDiagonalError(
             "extraction indexes weights by position and needs a diagonal "
             "semisimple part; normalize in the diagonalizing basis first"
@@ -730,38 +688,10 @@ def extract_from_member(
         )
     if rep.is_zero():
         return (), None
-    dec = weight_decompose(rep, f.eigenvalues)
-    weights = dec.weights
-    q = len(weights)
-    nodes = tuple(weight_embed(w, f.embedding) for w in weights)
-    matrix = linalg.confluent_vandermonde_matrix(nodes, m)
-    f_comps = tuple(c.truncate(order) if c.trunc is None or c.trunc > order else c
-                    for c in f.components)
-    rhs: List[Series] = [rep]
-    for _ in range(q * m - 1):
-        rhs.append(lie_derivative(f_comps, rhs[-1]))
-    # Block j of the solution holds the j-th L_g images of the weight
-    # components; the replay below certifies it.
-    g_comps = tuple(c.truncate(order) if c.trunc is None or c.trunc > order else c
-                    for c in f.g_components())
-    solution: List[Series] = [dec[w] for w in weights]
-    for j in range(1, m):
-        start = (j - 1) * q
-        for k in range(q):
-            solution.append(lie_derivative(g_comps, solution[start + k]))
-    det = _verify_certificate(ideal, matrix, rhs, solution)
-    certificate = ExtractionCertificate(
-        matrix=matrix,
-        rhs=tuple(rhs),
-        solution=tuple(solution),
-        weights=weights,
-        nodes=nodes,
-        determinant=det,
-        block_count=m,
-        source=rep,
-        trunc_order=order,
-    )
-    return tuple(solution[:q]), certificate
+    f_comps = tuple(c.truncate(order) for c in f.components)
+    g_comps = tuple(c.truncate(order) for c in f.g_components())
+    certificate = _certify(ideal, rep, f.eigenvalues, f.embedding, f_comps, g_comps, m)
+    return certificate.solution[:len(certificate.weights)], certificate
 
 
 def lf_extract_semiinvariants(

@@ -9,7 +9,18 @@ A triangular matrix reads its eigenvalues off the diagonal.  Otherwise,
 eigenvalue extraction enumerates Gaussian-integer root candidates of the
 integerized characteristic polynomial, which finds every root in Q(i)
 when the polynomial splits there and reports an unsupported spectrum
-otherwise.
+otherwise.  :class:`ChevalleyPair` checks that its parts commute and
+that its nilpotent part is nilpotent, so every pair in use is a checked
+one.
+
+There is one elimination routine.  Rows are sparse dicts from integer
+keys to :class:`~dulac.field.Scalar` entries, and the largest key of a
+row is its leading term: ``_insert_row`` reduces a row by its leading
+terms against the stored pivots and stores what is left, monic, under a
+new pivot, and ``_substitute`` back-substitutes reduced tails.
+:func:`rank`, :func:`inverse` and :func:`kernel_basis` key column j of a
+matrix as ncols - 1 - j; the ideal echelon form of :mod:`dulac.ideals`
+keys the columns by packed grlex monomials.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import SingularMatrixError, UnsupportedSpectrumError
 from .field import ONE, ZERO, Scalar
@@ -31,7 +42,6 @@ __all__ = [
     "charpoly",
     "gaussian_roots",
     "jordan_chevalley",
-    "vandermonde_matrix",
     "confluent_vandermonde_matrix",
 ]
 
@@ -70,10 +80,6 @@ class ExactMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "ExactMatrix":
         n = len(values)
         return cls(
@@ -83,9 +89,6 @@ class ExactMatrix:
     def __getitem__(self, key) -> Scalar:
         i, j = key
         return self._rows[i][j]
-
-    def row(self, i: int) -> Tuple[Scalar, ...]:
-        return self._rows[i]
 
     def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
         return self._rows
@@ -139,19 +142,6 @@ class ExactMatrix:
         if isinstance(other, (Scalar, int, Fraction)):
             return self * other
         return NotImplemented
-
-    def matvec(self, vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match matrix width")
-        return tuple(_dot(row, tuple(vec)) for row in self._rows)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [self._rows[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ]
-        )
 
     def trace(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -262,31 +252,68 @@ def _bareiss(m: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
 # -- elimination --------------------------------------------------------------
 
 
-def _reduced_echelon(rows: List[List[Scalar]]) -> List[int]:
-    """Bring the rows to reduced row-echelon form in place (Gauss-Jordan
-    with exact pivots); returns the pivot column of each nonzero row."""
-    nrows = len(rows)
-    pivots: List[int] = []
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return pivots
+Tails = Dict[int, Dict[int, Scalar]]
+
+
+def _subtract_multiple(
+    acc: Dict[int, Scalar], c: Scalar, tail: Dict[int, Scalar]
+) -> None:
+    """acc -= c * tail, in place, dropping cancelled terms."""
+    for e, v in tail.items():
+        prev = acc.get(e)
+        val = -c * v if prev is None else prev - c * v
+        if val.is_zero():
+            acc.pop(e, None)
+        else:
+            acc[e] = val
+
+
+def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> None:
+    """Reduce the row by its leading terms against the stored pivots and
+    store what is left, made monic, under its new pivot."""
+    while row:
+        lm = max(row)
+        c = row.pop(lm)
+        tail = tails.get(lm)
+        if tail is None:
+            if c != ONE:
+                inv = c.inverse()
+                row = {e: v * inv for e, v in row.items()}
+            tails[lm] = row
+            return
+        _subtract_multiple(row, c, tail)
+
+
+def _substitute(terms: Dict[int, Scalar], tails: Tails) -> Dict[int, Scalar]:
+    """Replace every pivot term c*m by -c*tail(m).  When the tails hold
+    standard monomials only, so does the result."""
+    if tails.keys().isdisjoint(terms):
+        return terms
+    out = {e: c for e, c in terms.items() if e not in tails}
+    for e, c in terms.items():
+        tail = tails.get(e)
+        if tail is not None:
+            _subtract_multiple(out, c, tail)
+    return out
+
+
+def _echelon(matrix: ExactMatrix) -> Tails:
+    """The reduced row-echelon form of the matrix, column j keyed as
+    ncols - 1 - j so that the leftmost column leads: each pivot key maps
+    to the tail of its monic row.  A tail term is smaller than its pivot,
+    so back-substituting in ascending key order reads reduced tails only
+    and leaves the keys of non-pivot columns alone in every tail."""
+    last = matrix.ncols - 1
+    tails: Tails = {}
+    for row in matrix.rows():
+        _insert_row(tails, {last - j: e for j, e in enumerate(row) if e})
+    for m in sorted(tails):
+        tails[m] = _substitute(tails[m], tails)
+    return tails
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return len(_reduced_echelon([list(row) for row in matrix.rows()]))
+    return len(_echelon(matrix))
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -294,29 +321,30 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     if matrix.nrows != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = matrix.nrows
-    aug = [list(matrix.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    pivots = _reduced_echelon(aug)
-    # [A | I] has rank n; A is invertible exactly when all n pivots lie in A.
-    a_rank = sum(1 for col in pivots if col < n)
+    aug = ExactMatrix([row + tuple(ONE if j == i else ZERO for j in range(n))
+                       for i, row in enumerate(matrix.rows())])
+    tails = _echelon(aug)
+    # [A | I] has rank n; A is invertible exactly when all n pivots lie in
+    # A, whose columns hold the keys n..2n-1.
+    a_rank = sum(1 for key in tails if key >= n)
     if a_rank < n:
         raise SingularMatrixError("matrix is singular", rank=a_rank)
-    return ExactMatrix([row[n:] for row in aug])
+    return ExactMatrix([[tails[2 * n - 1 - i].get(n - 1 - j, ZERO) for j in range(n)]
+                        for i in range(n)])
 
 
 def kernel_basis(matrix: ExactMatrix) -> List[Tuple[Scalar, ...]]:
     """A deterministic basis of the right kernel, from the reduced echelon form."""
-    rows = [list(row) for row in matrix.rows()]
-    pivots = _reduced_echelon(rows)
-    ncols = matrix.ncols
+    tails = _echelon(matrix)
+    last = matrix.ncols - 1
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
+    for fc in range(matrix.ncols):
+        if last - fc in tails:
             continue
-        vec = [ZERO] * ncols
+        vec = [ZERO] * matrix.ncols
         vec[fc] = ONE
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -rows[prow][fc]
+        for key, tail in tails.items():
+            vec[last - key] = -tail.get(last - fc, ZERO)
         basis.append(tuple(vec))
     return basis
 
@@ -467,13 +495,34 @@ def gaussian_roots(coeffs: Sequence[Scalar]) -> List[Tuple[Scalar, int]]:
 
 @dataclass(frozen=True)
 class ChevalleyPair:
-    """Jordan-Chevalley data: B = semisimple + nilpotent, both polynomial in B."""
+    """Jordan-Chevalley data: B = semisimple + nilpotent, both polynomial in B.
+
+    ``eigenvalues`` are those of the semisimple part, in the order of the
+    columns of ``diagonalizer``, whose inverse is ``diagonalizer_inverse``.
+    Construction checks that the parts commute and that the nilpotent part
+    is nilpotent, raising :class:`ArithmeticError` otherwise.
+    """
 
     semisimple: ExactMatrix
     nilpotent: ExactMatrix
     eigenvalues: Tuple[Scalar, ...]
     diagonalizer: ExactMatrix
     diagonalizer_inverse: ExactMatrix
+
+    def __post_init__(self):
+        s, nil = self.semisimple, self.nilpotent
+        if s * nil != nil * s:
+            raise ArithmeticError("computed parts do not commute")
+        power = nil
+        for _ in range(nil.nrows - 1):
+            power = power * nil
+        if not power.is_zero():
+            raise ArithmeticError("computed nilpotent part is not nilpotent")
+
+    @property
+    def linear(self) -> ExactMatrix:
+        """The matrix B the pair splits."""
+        return self.semisimple + self.nilpotent
 
 
 def _triangular_spectrum(matrix: ExactMatrix):
@@ -541,14 +590,6 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
     p_inv = inverse(p)
     semisimple = p * ExactMatrix.diagonal(eigen) * p_inv
     nilpotent = matrix - semisimple
-    if semisimple * nilpotent != nilpotent * semisimple:
-        raise ArithmeticError("computed parts do not commute")
-    power = nilpotent
-    for _ in range(n - 1):
-        power = power * nilpotent
-    if not power.is_zero():
-        raise ArithmeticError("computed nilpotent part is not nilpotent")
-
     if semisimple.is_diagonal():
         eigenvalues = tuple(semisimple[i, i] for i in range(n))
         p = p_inv = ExactMatrix.identity(n)
@@ -558,21 +599,6 @@ def jordan_chevalley(matrix: ExactMatrix) -> ChevalleyPair:
 
 
 # -- Vandermonde systems -------------------------------------------------------
-
-
-def vandermonde_matrix(nodes: Sequence[Scalar]) -> ExactMatrix:
-    """Rows of increasing powers of pairwise distinct nodes."""
-    q = len(nodes)
-    if q == 0:
-        raise ValueError("need at least one node")
-    if len(set(nodes)) != q:
-        raise ValueError("vandermonde nodes must be pairwise distinct")
-    rows = []
-    current = [ONE] * q
-    for _ in range(q):
-        rows.append(list(current))
-        current = [c * node for c, node in zip(current, nodes)]
-    return ExactMatrix(rows)
 
 
 def confluent_vandermonde_matrix(nodes: Sequence[Scalar], m: int) -> ExactMatrix:

@@ -236,7 +236,9 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
     any linear part whose spectrum lies in Q(i); a non-diagonal
     semisimple part is handled by conjugating with the stored
     diagonalizer and its inverse and mapping the result back, so the
-    returned data live in the original coordinates.
+    returned data live in the original coordinates.  Normalization keeps
+    the linear part, so the normalized field carries f's checked
+    :class:`~dulac.linalg.ChevalleyPair` itself.
 
     The components are kept as homogeneous parts by degree, and the loop
     steps from one degree that holds a term to the next, so a linear
@@ -259,21 +261,22 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
     work_field = f.truncate(m_order)
     nvars = f.nvars
 
-    diagonal_already = f.semisimple_is_diagonal()
+    pair = f.chevalley
+    diagonal_already = pair.semisimple.is_diagonal()
     if diagonal_already:
         comps = list(work_field.components)
-        nil = f.nilpotent
+        nil = pair.nilpotent
     else:
-        t, t_inv = f.diagonalizer, f.diagonalizer_inverse
+        t, t_inv = pair.diagonalizer, pair.diagonalizer_inverse
         comps = _conjugate_components(work_field.components, t, t_inv, m_order)
-        nil = t_inv * f.nilpotent * t
+        nil = t_inv * pair.nilpotent * t
 
     nil_comps = linear_components(nil, m_order)
     transform = [Series.variable(i, nvars, m_order) for i in range(nvars)]
     zero = Series.zero(nvars, m_order)
     graded = [_graded(c) for c in comps]
 
-    invert = _inverse_weights(f.eigenvalue_scalars())
+    invert = _inverse_weights(pair.eigenvalues)
     degree = 1
     while True:
         # the next degree that holds a term: an empty one would give h = 0
@@ -303,17 +306,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         back = _conjugate_components(comps + transform, t_inv, t, m_order)
         comps, transform = back[:nvars], back[nvars:]
 
-    normalized = VectorField(
-        comps,
-        f.linear,
-        f.semisimple,
-        f.nilpotent,
-        f.eigenvalues,
-        f.embedding,
-        f.diagonalizer,
-        f.diagonalizer_inverse,
-    )
-    return NormalFormResult(normalized, tuple(transform), m_order)
+    return NormalFormResult(VectorField(comps, pair), tuple(transform), m_order)
 
 
 def conjugacy_residual(f: VectorField, result: NormalFormResult) -> Tuple[Series, ...]:
@@ -340,11 +333,12 @@ def lg_nilpotency_bound(f: VectorField, order: int) -> int:
     where iota is the nilpotency index of the matrix B_n.  The bound
     below makes every word vanish.
     """
+    nil = f.chevalley.nilpotent
     iota = 1
-    power = f.nilpotent
+    power = nil
     while not power.is_zero():
         iota += 1
-        power = power * f.nilpotent
+        power = power * nil
     nu_max = (order - 1) * (iota - 1) + 1
     return (order - 1) * nu_max + order - 1
 

@@ -46,6 +46,7 @@ from math import gcd, inf, lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from . import linalg
 from .errors import CompositionError, TruncationError
 from .field import (
     ONE,
@@ -54,7 +55,6 @@ from .field import (
     Weight,
     _new,
     _reduced,
-    weight_embed,
     weights_from_scalars,
 )
 
@@ -887,35 +887,16 @@ class VectorField:
     """A formal vector field with a stationary point at the origin.
 
     Carries its components together with the exact Jordan-Chevalley data
-    of the linear part: ``linear = semisimple + nilpotent``, the
-    eigenvalues as :class:`Weight` vectors, the concrete basis values that
-    embed those weights into Q(i), and an invertible matrix whose columns
-    diagonalize the semisimple part, with its inverse (computed from the
-    diagonalizer when not given).
+    of the linear part, one checked :class:`~dulac.linalg.ChevalleyPair`
+    ``chevalley`` whose ``linear`` matrix S + N equals the degree-1
+    terms.  ``eigenvalues`` holds the pair's eigenvalues as
+    :class:`Weight` vectors, and ``embedding`` the concrete basis values
+    that embed those weights into Q(i) (:func:`weights_from_scalars`).
     """
 
-    __slots__ = (
-        "components",
-        "linear",
-        "semisimple",
-        "nilpotent",
-        "eigenvalues",
-        "embedding",
-        "diagonalizer",
-        "diagonalizer_inverse",
-    )
+    __slots__ = ("components", "chevalley", "eigenvalues", "embedding")
 
-    def __init__(
-        self,
-        components: Sequence[Series],
-        linear,
-        semisimple,
-        nilpotent,
-        eigenvalues: Sequence[Weight],
-        embedding: Sequence[Scalar],
-        diagonalizer,
-        diagonalizer_inverse=None,
-    ):
+    def __init__(self, components: Sequence[Series], chevalley: linalg.ChevalleyPair):
         components = tuple(components)
         n = len(components)
         if n == 0:
@@ -925,6 +906,7 @@ class VectorField:
                 raise ValueError("component variable count does not match dimension")
             if not comp.constant_term().is_zero():
                 raise ValueError("vector field must vanish at the origin")
+        linear = chevalley.linear
         if linear.nrows != n or linear.ncols != n:
             raise ValueError("linear part has the wrong shape")
         for i, comp in enumerate(components):
@@ -933,29 +915,13 @@ class VectorField:
                     raise ValueError(
                         "degree-1 terms of the components disagree with the linear part"
                     )
-        if semisimple + nilpotent != linear:
-            raise ValueError("semisimple and nilpotent parts do not sum to the linear part")
-        if semisimple * nilpotent != nilpotent * semisimple:
-            raise ValueError("semisimple and nilpotent parts do not commute")
-        power = nilpotent
-        for _ in range(n - 1):
-            power = power * nilpotent
-        if not power.is_zero():
-            raise ValueError("nilpotent part is not nilpotent")
-        if len(eigenvalues) != n:
+        if len(chevalley.eigenvalues) != n:
             raise ValueError("need one eigenvalue per dimension")
+        eigenvalues, embedding = weights_from_scalars(chevalley.eigenvalues)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "semisimple", semisimple)
-        object.__setattr__(self, "nilpotent", nilpotent)
-        object.__setattr__(self, "eigenvalues", tuple(eigenvalues))
-        object.__setattr__(self, "embedding", tuple(embedding))
-        object.__setattr__(self, "diagonalizer", diagonalizer)
-        if diagonalizer_inverse is None:
-            from . import linalg
-
-            diagonalizer_inverse = linalg.inverse(diagonalizer)
-        object.__setattr__(self, "diagonalizer_inverse", diagonalizer_inverse)
+        object.__setattr__(self, "chevalley", chevalley)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "embedding", embedding)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")
@@ -969,8 +935,6 @@ class VectorField:
         :class:`~dulac.errors.UnsupportedSpectrumError` when its
         characteristic polynomial does not split over Q(i).
         """
-        from . import linalg
-
         components = tuple(components)
         n = len(components)
         rows = []
@@ -978,19 +942,8 @@ class VectorField:
             if comp.nvars != n:
                 raise ValueError("component variable count does not match dimension")
             rows.append([comp.coefficient(_unit(j, n)) for j in range(n)])
-        linear = linalg.ExactMatrix.from_rows(rows)
-        pair = linalg.jordan_chevalley(linear)
-        weights, embedding = weights_from_scalars(pair.eigenvalues)
-        return cls(
-            components,
-            linear,
-            pair.semisimple,
-            pair.nilpotent,
-            weights,
-            embedding,
-            pair.diagonalizer,
-            pair.diagonalizer_inverse,
-        )
+        pair = linalg.jordan_chevalley(linalg.ExactMatrix.from_rows(rows))
+        return cls(components, pair)
 
     # -- derived views ---------------------------------------------------
 
@@ -1005,15 +958,9 @@ class VectorField:
             t = _min_trunc(t, comp.trunc)
         return t
 
-    def semisimple_is_diagonal(self) -> bool:
-        return self.semisimple.is_diagonal()
-
-    def eigenvalue_scalars(self) -> Tuple[Scalar, ...]:
-        return tuple(weight_embed(w, self.embedding) for w in self.eigenvalues)
-
     def semisimple_components(self) -> Tuple[Series, ...]:
         """Components of the linear field B_s x (exact polynomials)."""
-        return linear_components(self.semisimple)
+        return linear_components(self.chevalley.semisimple)
 
     def g_components(self) -> Tuple[Series, ...]:
         """f minus its semisimple linear part: the operand of L_g."""
@@ -1022,16 +969,7 @@ class VectorField:
         )
 
     def truncate(self, order: int) -> "VectorField":
-        return VectorField(
-            tuple(c.truncate(order) for c in self.components),
-            self.linear,
-            self.semisimple,
-            self.nilpotent,
-            self.eigenvalues,
-            self.embedding,
-            self.diagonalizer,
-            self.diagonalizer_inverse,
-        )
+        return VectorField(tuple(c.truncate(order) for c in self.components), self.chevalley)
 
     def __repr__(self) -> str:
         return f"<VectorField dim={self.nvars} trunc={self.trunc_order}>"

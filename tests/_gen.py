@@ -236,7 +236,7 @@ def field_with_linear_part(
 def diagonalized_components(field: VectorField, components) -> List[Series]:
     """Rewrite component series in the basis that diagonalizes the
     semisimple linear part."""
-    t = field.diagonalizer
+    t = field.chevalley.diagonalizer
     n = field.nvars
     trunc = components[0].trunc
     variables = [Series.variable(i, n, trunc) for i in range(n)]

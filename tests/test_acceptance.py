@@ -20,7 +20,6 @@ from dulac.ideals import (
     extract_from_member,
     extract_semiinvariants,
     is_invariant,
-    member,
     single_resonance_primes,
 )
 from dulac.linalg import confluent_vandermonde_matrix, determinant
@@ -184,10 +183,10 @@ def test_criterion_4_extraction_from_invariant_ideals():
         for g in extracted:
             decomposition = weight_decompose(g, weights)
             assert len(decomposition.weights) == 1  # weight homogeneous
-            assert member(g, handle)  # verified member
+            assert handle.member(g)  # verified member
         # two-sided generation equivalence at the truncation
         back = IdealHandle(list(extracted), order)
-        assert all(member(g, back) for g in handle.generators)
+        assert all(back.member(g) for g in handle.generators)
         assert handle.reduced_basis == back.reduced_basis
         done += 1
     elapsed = time.monotonic() - started

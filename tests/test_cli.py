@@ -157,6 +157,21 @@ def test_extract_semisimple_close_needs_concrete_weights(problem, capsys):
     assert report["error"]["type"] == "UnsupportedSpectrumError"
 
 
+def test_weights_of_a_field_need_a_diagonal_semisimple_part(problem, capsys):
+    path = problem(
+        {
+            "variables": ["x", "y"],
+            "field_mode": "gaussian",
+            "vector_field": ["-y", "x + x^2"],
+            "ideals": {"main": ["x^2"]},
+            "trunc_order": 4,
+        }
+    )
+    code, report, _ = run(capsys, ["weights", path])
+    assert code == 4
+    assert report["error"]["type"] == "NotDiagonalError"
+
+
 def test_extract_picks_sole_ideal_without_flag(problem, capsys):
     data = dict(GOLDEN)
     data["ideals"] = {"seed": ["x^3 + y", "y^2"]}

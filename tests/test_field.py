@@ -56,7 +56,6 @@ def test_scalar_predicates():
     assert not ONE.is_zero()
     assert Scalar(5).is_rational()
     assert not IMAG.is_rational()
-    assert Scalar(2, 3).conjugate() == Scalar(2, -3)
     assert Scalar(3, 4).magnitude_squared() == 25
 
 
@@ -168,9 +167,6 @@ class _FractionPair:
     def __neg__(self):
         return _FractionPair(-self.re, -self.im)
 
-    def conjugate(self):
-        return _FractionPair(self.re, -self.im)
-
     def magnitude_squared(self):
         return self.re * self.re + self.im * self.im
 
@@ -225,7 +221,6 @@ def test_scalar_matches_fraction_pair_reference(x, y, k, e):
     _agrees(s - t, r - q)
     _agrees(s * t, r * q)
     _agrees(-s, -r)
-    _agrees(s.conjugate(), r.conjugate())
     assert s.magnitude_squared() == r.magnitude_squared()
     assert type(s.magnitude_squared()) is Fraction
 

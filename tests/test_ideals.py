@@ -28,8 +28,6 @@ from dulac.ideals import (
     is_invariant,
     is_semiinvariant,
     lf_extract_semiinvariants,
-    member,
-    normal_form,
     single_resonance_primes,
     _rn_dimension,
     _verify_certificate,
@@ -593,7 +591,6 @@ def test_member_detects_combinations():
     q2 = _s({(2, 0): 1, (0, 0): 5}, 8)
     combo = q1 * g1 + q2 * g2
     assert handle.member(combo)
-    assert member(combo, handle)
     assert not handle.member(_s({Y: 1}, 8))
     assert not handle.member(_s({X: 1, (0, 3): 2}, 8))
 
@@ -779,6 +776,14 @@ def test_extract_semiinvariants_weight_components():
         for j in range(cert.matrix.ncols):
             acc = acc + cert.solution[j] * cert.matrix[i, j]
         assert acc == cert.rhs[i]
+
+
+def test_extract_semiinvariants_embeds_one_dimensional_weights_as_given():
+    # one variable, weight 1 embedded as 2: the derivation is 2*x*d/dx
+    handle = IdealHandle([_s({(2,): 1, (3,): 1}, 5, nvars=1)], 5)
+    out, certs = extract_semiinvariants(handle, [Weight((Fraction(1),))], [Scalar(2)])
+    assert [dict(g.terms) for g in out] == [{(3,): ONE}, {(2,): ONE}]
+    assert [cert.nodes for cert in certs] == [(Scalar(4), Scalar(6))]
 
 
 def test_extract_semiinvariants_requires_invariance():

@@ -358,8 +358,8 @@ def test_vector_field_from_components_diagonal():
     ])
     assert f.nvars == 2
     assert f.trunc_order == 6
-    assert f.semisimple_is_diagonal()
-    assert [s for s in f.eigenvalue_scalars()] == [Scalar(1), Scalar(3)]
+    assert f.chevalley.semisimple.is_diagonal()
+    assert f.chevalley.eigenvalues == (Scalar(1), Scalar(3))
     gs = f.g_components()
     assert gs[0] == _s({(0, 2): 5})
     assert gs[1].is_zero()
@@ -370,9 +370,9 @@ def test_vector_field_chevalley_split_on_jordan_block():
         _s({X: 2, Y: 1}, 5),
         _s({Y: 2}, 5),
     ])
-    assert f.semisimple_is_diagonal()
-    assert not f.nilpotent.is_zero()
-    assert f.eigenvalue_scalars() == (Scalar(2), Scalar(2))
+    assert f.chevalley.semisimple.is_diagonal()
+    assert not f.chevalley.nilpotent.is_zero()
+    assert f.chevalley.eigenvalues == (Scalar(2), Scalar(2))
     semi = f.semisimple_components()
     assert semi[0] == _s({X: 2})
 
@@ -388,32 +388,15 @@ def test_vector_field_truncate():
 
 
 def test_vector_field_requires_matching_linear_part():
-    from dulac.linalg import ExactMatrix
+    from dulac.linalg import ChevalleyPair, ExactMatrix
 
     good = VectorField.from_components([_s({X: 1}, 4), _s({Y: 3}, 4)])
-    with pytest.raises(ValueError):
-        VectorField(
-            components=good.components,
-            linear=ExactMatrix.diagonal([Scalar(2), Scalar(2)]),
-            semisimple=ExactMatrix.diagonal([Scalar(2), Scalar(2)]),
-            nilpotent=ExactMatrix.zeros(2, 2),
-            eigenvalues=good.eigenvalues,
-            embedding=good.embedding,
-            diagonalizer=good.diagonalizer,
-        )
-
-
-def test_vector_field_computes_a_missing_diagonalizer_inverse():
-    from dulac.linalg import ExactMatrix
-
-    f = VectorField.from_components([_s({Y: -1}, 4), _s({X: 1}, 4)])
-    assert not f.semisimple_is_diagonal()
-    rebuilt = VectorField(
-        f.components, f.linear, f.semisimple, f.nilpotent, f.eigenvalues,
-        f.embedding, f.diagonalizer,
-    )
-    assert rebuilt.diagonalizer_inverse == f.diagonalizer_inverse
-    assert f.diagonalizer * f.diagonalizer_inverse == ExactMatrix.identity(2)
+    two = ExactMatrix.diagonal([Scalar(2), Scalar(2)])
+    one = ExactMatrix.identity(2)
+    other = ChevalleyPair(two, two - two, (Scalar(2), Scalar(2)), one, one)
+    with pytest.raises(ValueError, match="degree-1 terms .* disagree with the linear part"):
+        VectorField(good.components, other)
+    assert VectorField(good.components, good.chevalley).chevalley is good.chevalley
 
 
 # -- the packed kernel against tuple-keyed arithmetic ------------------------

@@ -27,12 +27,12 @@ components reproduce the iterated Lie derivatives exactly, and every
 right-hand side and every component is re-verified by membership.
 
 The echelon form is the one elimination routine of :mod:`dulac.linalg`
-(``_insert_row`` and ``_substitute``), run on packed monomial keys.  It
-keeps its rows as dicts from those keys to
-:class:`~dulac.field.Scalar` tails, while a :class:`~dulac.poly.Series`
-stores Gaussian-integer numerators over one denominator.  The two meet
-at exactly two boundaries, both through the private pair
-``poly._scalar_terms`` (series to Scalar terms) and
+(``_insert_row`` and ``_substitute``) on packed monomial keys, and the
+certificate determinant is its forward pass on the matrix.  The echelon
+rows are dicts from those keys to :class:`~dulac.field.Scalar` tails,
+while a :class:`~dulac.poly.Series` stores Gaussian-integer numerators
+over one denominator.  The two meet at exactly two boundaries, both
+through the private pair ``poly._scalar_terms`` (series to Scalar terms) and
 ``poly._scalar_series`` (Scalar terms to series): the generators
 entering :func:`groebner` (and the basis polynomials it returns), and
 the input and remainder of :meth:`IdealHandle.normal_form`, which skips
@@ -63,6 +63,7 @@ from .poly import (
     Exponent,
     Series,
     VectorField,
+    _components,
     _degree_keys,
     _ring,
     _scalar_series,
@@ -71,6 +72,7 @@ from .poly import (
     grlex_key,
     lie_derivative,
     linear_components,
+    weight,
     weight_decompose,
 )
 
@@ -81,16 +83,11 @@ __all__ = [
     "groebner",
     "is_invariant",
     "close_under_lie",
-    "is_semiinvariant",
     "extract_semiinvariants",
     "extract_from_member",
     "lf_extract_semiinvariants",
     "single_resonance_primes",
 ]
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _at_order(s: Series, order: int) -> Series:
@@ -305,12 +302,8 @@ class IdealHandle:
         )
 
 
-def _derivation_components(f) -> Tuple[Series, ...]:
-    return f.components if isinstance(f, VectorField) else tuple(f)
-
-
 def _check_field_order(f, order: int) -> None:
-    for comp in _derivation_components(f):
+    for comp in _components(f):
         if comp.trunc is not None and comp.trunc < order:
             raise TruncationError(
                 f"the field is only known modulo <x>^{comp.trunc}, "
@@ -327,7 +320,7 @@ def is_invariant(ideal: IdealHandle, f) -> Tuple[bool, Optional[Tuple[Series, Se
     with the reduced (non-member) Lie derivative as a witness.
     """
     _check_field_order(f, ideal.trunc_order)
-    comps = _derivation_components(f)
+    comps = _components(f)
     for g in ideal.generators:
         image = lie_derivative(comps, g)
         residue = ideal.normal_form(image)
@@ -341,7 +334,7 @@ def close_under_lie(ideal: IdealHandle, f) -> IdealHandle:
     into itself, computed by adjoining reduced Lie derivatives until
     stable.  Terminates because R_N is finite-dimensional."""
     _check_field_order(f, ideal.trunc_order)
-    comps = _derivation_components(f)
+    comps = _components(f)
     current = ideal
     # Each round either stabilizes or strictly enlarges the ideal; the
     # chain is bounded by the dimension of R_N.
@@ -364,84 +357,6 @@ def close_under_lie(ideal: IdealHandle, f) -> IdealHandle:
 def _rn_dimension(nvars: int, order: int) -> int:
     """dim R_order: the number of monomials of degree < order."""
     return math.comb(order + nvars - 1, nvars)
-
-
-def is_semiinvariant(psi: Series, f, order: Optional[int] = None) -> Optional[Series]:
-    """The cofactor of psi along f, if one exists at the truncation.
-
-    Solves L_f(psi) = cofactor * psi by degree-by-degree exact division,
-    starting from the lowest homogeneous part of psi.  The cofactor is
-    determined (and returned) modulo <x>^(order - min_degree(psi)).
-    Returns None when no such factorization exists.
-    """
-    if psi.is_zero():
-        raise ValueError("the zero series is not a semi-invariant candidate")
-    if order is None:
-        order = psi.trunc
-        for comp in _derivation_components(f):
-            if comp.trunc is not None and (order is None or comp.trunc < order):
-                order = comp.trunc
-    if order is None:
-        raise TruncationError(
-            "the semi-invariant test needs a truncation order; "
-            "pass one or use truncated inputs"
-        )
-    _check_field_order(f, order)
-    rep = _at_order(psi, order)
-    if rep.is_zero():
-        raise ValueError("the series vanishes at this truncation order")
-    derivative = lie_derivative(_derivation_components(f), rep)
-    low = rep.min_degree()
-    cof_order = max(order - low, 1)
-    base = rep.homogeneous_part(low)
-    cof_parts: List[Series] = []
-    for k in range(cof_order):
-        target_deg = low + k
-        residue = (
-            derivative.homogeneous_part(target_deg)
-            if target_deg < order
-            else Series.zero(rep.nvars, order)
-        )
-        for j, lam_j in enumerate(cof_parts):
-            piece_deg = low + k - j
-            if piece_deg < order:
-                residue = residue - lam_j * rep.homogeneous_part(piece_deg)
-        part = _divide_homogeneous(residue, base)
-        if part is None:
-            return None
-        cof_parts.append(part)
-    cofactor = Series.zero(rep.nvars, cof_order)
-    for part in cof_parts:
-        cofactor = cofactor + Series(rep.nvars, part.terms, cof_order)
-    # Self-check the factorization at the working order.  The product is
-    # taken on exact copies: multiplying the truncated representatives
-    # directly would cut at the cofactor's (coarser) order and drop terms
-    # the derivative still carries.  Any other cofactor representative
-    # changes the product only in degrees >= order, so the comparison is
-    # well defined.
-    product = Series(rep.nvars, cofactor.terms) * Series(rep.nvars, rep.terms)
-    if derivative != Series(rep.nvars, product.terms, order):
-        return None
-    return cofactor
-
-
-def _divide_homogeneous(num: Series, den: Series) -> Optional[Series]:
-    """Exact quotient of homogeneous polynomials, or None when it fails."""
-    if num.is_zero():
-        return Series.zero(num.nvars)
-    quot: Dict[Exponent, Scalar] = {}
-    lm_d = den.leading_monomial()
-    lc_d = den.leading_coefficient()
-    rest = Series(num.nvars, num.terms)
-    while not rest.is_zero():
-        lm_n = rest.leading_monomial()
-        if not _divides(lm_d, lm_n):
-            return None
-        shift = tuple(a - b for a, b in zip(lm_n, lm_d))
-        coeff = rest.leading_coefficient() / lc_d
-        quot[shift] = coeff
-        rest = rest - Series.monomial(shift, coeff) * den
-    return Series(num.nvars, quot)
 
 
 # -- extraction --------------------------------------------------------------
@@ -498,14 +413,9 @@ def _symbolic_images(g: Series, eigenvalues: Sequence[Weight]) -> List[Series]:
     d independent basis directions gives d ordinary series, and the
     derivative lies in the ideal exactly when each piece does.
     """
-    dim = eigenvalues[0].dim
-    buckets: List[Dict[Exponent, Scalar]] = [dict() for _ in range(dim)]
+    buckets: List[Dict[Exponent, Scalar]] = [dict() for _ in range(eigenvalues[0].dim)]
     for e, c in g.terms.items():
-        w = Weight.zero(dim)
-        for j, exp in enumerate(e):
-            if exp:
-                w = w + eigenvalues[j].scale(exp)
-        for k, coord in enumerate(w.coords):
+        for k, coord in enumerate(weight(e, eigenvalues).coords):
             if coord:
                 buckets[k][e] = c * Scalar(coord)
     return [Series(g.nvars, terms, g.trunc) for terms in buckets]

@@ -1,10 +1,7 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Everything here is exact: determinants use fraction-free Bareiss
-elimination on Gaussian integers, rank, inverse and kernels read one
-reduced echelon form with exact pivots, and the Jordan-Chevalley
-decomposition is assembled from kernel bases of the generalized
-eigenspaces.
+Everything here is exact, and the Jordan-Chevalley decomposition is
+assembled from kernel bases of the generalized eigenspaces.
 A triangular matrix reads its eigenvalues off the diagonal.  Otherwise,
 eigenvalue extraction enumerates Gaussian-integer root candidates of the
 integerized characteristic polynomial, which finds every root in Q(i)
@@ -18,9 +15,10 @@ keys to :class:`~dulac.field.Scalar` entries, and the largest key of a
 row is its leading term: ``_insert_row`` reduces a row by its leading
 terms against the stored pivots and stores what is left, monic, under a
 new pivot, and ``_substitute`` back-substitutes reduced tails.
-:func:`rank`, :func:`inverse` and :func:`kernel_basis` key column j of a
-matrix as ncols - 1 - j; the ideal echelon form of :mod:`dulac.ideals`
-keys the columns by packed grlex monomials.
+:func:`determinant` reads the forward pass and :func:`rank`,
+:func:`inverse` and :func:`kernel_basis` the back-substituted form; all
+key column j of a matrix as ncols - 1 - j, while the ideal echelon form
+of :mod:`dulac.ideals` keys the columns by packed grlex monomials.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SingularMatrixError, UnsupportedSpectrumError
 from .field import ONE, ZERO, Scalar
@@ -181,74 +179,6 @@ def _dot(row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
     return total
 
 
-# -- determinant (fraction-free) ---------------------------------------------
-
-
-def determinant(matrix: ExactMatrix) -> Scalar:
-    """Exact determinant via Bareiss elimination on Gaussian integers.
-
-    Each row is scaled by the lcm of its entries' denominators first, and
-    the product of those scales divides the integer determinant back out.
-    """
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    scale = 1
-    int_rows: List[List[Tuple[int, int]]] = []
-    for row in matrix.rows():
-        triples = [e.as_gaussian_ratio() for e in row]
-        lcm = math.lcm(*(d for _, _, d in triples))
-        scale *= lcm
-        int_rows.append([(a * (lcm // d), b * (lcm // d)) for a, b, d in triples])
-    det_re, det_im = _bareiss(int_rows)
-    return Scalar(Fraction(det_re, scale), Fraction(det_im, scale))
-
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gdiv_exact(a, b):
-    # (a / b) in Z[i]; the caller guarantees divisibility.
-    norm = b[0] * b[0] + b[1] * b[1]
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    qre, rre = divmod(re, norm)
-    qim, rim = divmod(im, norm)
-    if rre or rim:
-        raise ArithmeticError("inexact Gaussian-integer division")
-    return (qre, qim)
-
-
-def _bareiss(m: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
-    n = len(m)
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            for r in range(k + 1, n):
-                if m[r][k] != (0, 0):
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return (0, 0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = _gdiv_exact(
-                    _gsub(_gmul(m[i][j], pivot), _gmul(mik, m[k][j])), prev
-                )
-            m[i][k] = (0, 0)
-        prev = pivot
-    last = m[n - 1][n - 1]
-    return (sign * last[0], sign * last[1])
-
-
 # -- elimination --------------------------------------------------------------
 
 
@@ -268,9 +198,10 @@ def _subtract_multiple(
             acc[e] = val
 
 
-def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> None:
+def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> Optional[Tuple[int, Scalar]]:
     """Reduce the row by its leading terms against the stored pivots and
-    store what is left, made monic, under its new pivot."""
+    store what is left, made monic, under its new pivot.  Returns that
+    pivot and the divided-out coefficient, or None if the row vanishes."""
     while row:
         lm = max(row)
         c = row.pop(lm)
@@ -280,7 +211,7 @@ def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> None:
                 inv = c.inverse()
                 row = {e: v * inv for e, v in row.items()}
             tails[lm] = row
-            return
+            return lm, c
         _subtract_multiple(row, c, tail)
 
 
@@ -297,19 +228,47 @@ def _substitute(terms: Dict[int, Scalar], tails: Tails) -> Dict[int, Scalar]:
     return out
 
 
-def _echelon(matrix: ExactMatrix) -> Tails:
-    """The reduced row-echelon form of the matrix, column j keyed as
-    ncols - 1 - j so that the leftmost column leads: each pivot key maps
-    to the tail of its monic row.  A tail term is smaller than its pivot,
-    so back-substituting in ascending key order reads reduced tails only
-    and leaves the keys of non-pivot columns alone in every tail."""
+def _keyed_rows(matrix: ExactMatrix):
+    """The rows as sparse dicts, column j keyed ncols - 1 - j: leftmost leads."""
     last = matrix.ncols - 1
+    return ({last - j: e for j, e in enumerate(row) if e} for row in matrix.rows())
+
+
+def _echelon(matrix: ExactMatrix) -> Tails:
+    """The reduced row-echelon form of the matrix on the keys of
+    :func:`_keyed_rows`: each pivot key maps to the tail of its monic
+    row.  A tail term is smaller than its pivot, so back-substituting in
+    ascending key order reads reduced tails only and leaves the keys of
+    non-pivot columns alone in every tail."""
     tails: Tails = {}
-    for row in matrix.rows():
-        _insert_row(tails, {last - j: e for j, e in enumerate(row) if e})
+    for row in _keyed_rows(matrix):
+        _insert_row(tails, row)
     for m in sorted(tails):
         tails[m] = _substitute(tails[m], tails)
     return tails
+
+
+def determinant(matrix: ExactMatrix) -> Scalar:
+    """Exact determinant from the forward pass of :func:`_echelon`.
+
+    Subtracting multiples of stored rows keeps the determinant, and the
+    stored rows, monic with nothing left of their pivots, are a permuted
+    unit upper triangular matrix.  So the determinant is the product of
+    the leading coefficients divided out, times the sign of the permutation
+    that takes each row to its pivot column; zero once a row vanishes."""
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    tails: Tails = {}
+    det, pivots = ONE, []
+    for row in _keyed_rows(matrix):
+        stored = _insert_row(tails, row)
+        if stored is None:
+            return ZERO
+        pivots.append(stored[0])
+        det = det * stored[1]
+    # Keys run against columns, so a column inversion is an ascending key pair.
+    odd = sum(a < b for i, a in enumerate(pivots) for b in pivots[i + 1:]) % 2
+    return -det if odd else det
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -401,6 +360,10 @@ def _integer_divisors(n: int) -> List[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def _gauss_eval(coeffs: List[Tuple[int, int]], z: Tuple[int, int]) -> Tuple[int, int]:

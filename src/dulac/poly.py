@@ -802,14 +802,19 @@ def _image(
     """The image of the monomial packed as ``key`` in ``ring`` under
     x_j -> subs[j], memoized in ``images``: the image of x^e / x_j, for the
     last variable x_j of x^e (the lowest nonzero base-B digit), times
-    subs[j]."""
+    subs[j].  A loop walks down to the nearest memoized divisor."""
+    _, base, _, pows, units = ring
+    chain = []
     got = images.get(key)
-    if got is None:
-        _, base, _, pows, units = ring
+    while got is None:
         j = len(pows) - 1
         while not key // pows[j] % base:
             j -= 1
-        got = _image(key - units[j], ring, subs, images) * subs[j]
+        chain.append((key, j))
+        key -= units[j]
+        got = images.get(key)
+    for key, j in reversed(chain):
+        got = got * subs[j]
         images[key] = got
     return got
 
@@ -969,7 +974,11 @@ class VectorField:
         )
 
     def truncate(self, order: int) -> "VectorField":
-        return VectorField(tuple(c.truncate(order) for c in self.components), self.chevalley)
+        """This field modulo <x>^order; itself when no component changes."""
+        comps = tuple(c.truncate(order) for c in self.components)
+        if all(a is b for a, b in zip(comps, self.components)):
+            return self
+        return VectorField(comps, self.chevalley)
 
     def __repr__(self) -> str:
         return f"<VectorField dim={self.nvars} trunc={self.trunc_order}>"

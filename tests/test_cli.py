@@ -466,10 +466,9 @@ def test_report_integer_past_the_digit_limit_exits_6_in_a_process(problem):
     _assert_budget_report(json.loads(proc.stdout), proc.stdout)
 
 
-def test_linear_field_at_a_huge_order_normalizes_in_a_process(problem):
-    # the degree loop skips every degree without a term, so no work grows with N
-    path = problem({"variables": ["x", "y"], "vector_field": ["x", "2*y"],
-                    "trunc_order": 100000000})
+def _normalize_in_a_process(path):
+    """The report of ``dulac normalize`` run in a fresh interpreter, which
+    must exit 0 within 1 s."""
     src = os.path.dirname(os.path.dirname(dulac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -480,10 +479,28 @@ def test_linear_field_at_a_huge_order_normalizes_in_a_process(problem):
     )
     assert time.monotonic() - start < 1
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_linear_field_at_a_huge_order_normalizes_in_a_process(problem):
+    # the degree loop skips every degree without a term, so no work grows with N
+    path = problem({"variables": ["x", "y"], "vector_field": ["x", "2*y"],
+                    "trunc_order": 100000000})
+    report = _normalize_in_a_process(path)
     assert report["normalized"] == ["x", "2*y"]
     assert report["transformation"] == ["x", "y"]
     assert report["pdnf"] is True
+
+
+def test_a_monomial_past_the_recursion_limit_normalizes_in_a_process(problem):
+    # the conjugacy check composes y^1000, whose image is built from those
+    # of its divisors: a recursion one frame per degree overflowed here
+    path = problem({"variables": ["x", "y"], "vector_field": ["x + y^1000", "3*y"],
+                    "trunc_order": 1001})
+    report = _normalize_in_a_process(path)
+    assert report["normalized"] == ["x", "3*y"]
+    assert report["transformation"] == ["1/2999*y^1000 + x", "y"]
+    assert report["conjugacy_holds"] is True
 
 
 def test_witness_past_the_digit_limit_exits_6(problem, capsys, monkeypatch):

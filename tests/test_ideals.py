@@ -26,7 +26,6 @@ from dulac.ideals import (
     extract_semiinvariants,
     groebner,
     is_invariant,
-    is_semiinvariant,
     lf_extract_semiinvariants,
     single_resonance_primes,
     _rn_dimension,
@@ -690,68 +689,6 @@ def test_close_under_lie_is_identity_on_invariant_ideals():
     handle = IdealHandle([_s({(3, 0): 1}, 8), _s({Y: 1}, 8)], 8)
     closed = close_under_lie(handle, f)
     assert closed.reduced_basis == handle.reduced_basis
-
-
-# -- semi-invariants -----------------------------------------------------------
-
-
-def test_is_semiinvariant_coordinate_functions():
-    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
-    cof = is_semiinvariant(_s({X: 1}, 8), f)
-    assert cof == Series.constant(Scalar(1), 2)
-    # y is not semi-invariant: L_f(y) = 3y + x^3 has an x^3 escape term
-    assert is_semiinvariant(_s({Y: 1}, 8), f) is None
-
-
-def test_is_semiinvariant_weight_monomials_under_diagonal():
-    f = _field({X: 2}, {Y: -3}, trunc=7)
-    psi = _s({(2, 1): 5}, 7)
-    cof = is_semiinvariant(psi, f)
-    assert cof == Series.constant(Scalar(1), 2)  # 2*2 + (-3) = 1
-
-
-def test_is_semiinvariant_with_series_cofactor():
-    # L_f(y) = y * (3 + x^4) exactly
-    f = _field({X: 1}, {Y: 3, (4, 1): 1}, trunc=6)
-    cof = is_semiinvariant(_s({Y: 1}, 6), f)
-    assert cof == _s({(0, 0): 3, (4, 0): 1})
-
-
-def test_is_semiinvariant_detects_high_degree_mismatch():
-    # L_f(y) = 3y + x^5: proportional up to degree 5 but not at degree 5
-    f = _field({X: 1}, {Y: 3, (5, 0): 1}, trunc=6)
-    assert is_semiinvariant(_s({Y: 1}, 6), f) is None
-
-
-def test_is_semiinvariant_requires_order_for_exact_inputs():
-    comps = [Series(2, {X: Scalar(1)}), Series(2, {Y: Scalar(3)})]
-    f = VectorField.from_components(comps)
-    psi = Series(2, {Y: Scalar(1)})
-    with pytest.raises(TruncationError):
-        is_semiinvariant(psi, f)
-    assert is_semiinvariant(psi, f, order=5) == Series.constant(Scalar(3), 2)
-
-
-def test_is_semiinvariant_product_closure():
-    # products of semi-invariants are semi-invariant, cofactors add
-    f = _field({X: 2, (2, 1): 1}, {Y: -3}, trunc=9)
-    a = _s({X: 1}, 9)
-    b = _s({Y: 1}, 9)
-    ca = is_semiinvariant(a, f)
-    cb = is_semiinvariant(b, f)
-    assert ca is not None and cb is not None
-    cab = is_semiinvariant(a * b, f)
-    assert cab is not None
-    prod_order = cab.trunc
-    lhs = Series(2, cab.terms, prod_order)
-    rhs = Series(2, (Series(2, ca.terms) + Series(2, cb.terms)).terms, prod_order)
-    assert lhs == rhs
-
-
-def test_is_semiinvariant_rejects_zero():
-    f = _field({X: 1}, {Y: 3}, trunc=5)
-    with pytest.raises(ValueError):
-        is_semiinvariant(Series.zero(2, 5), f)
 
 
 # -- extraction ----------------------------------------------------------------

@@ -66,19 +66,50 @@ def test_matrix_algebra():
     assert matvec_series(a, [Scalar(1), Scalar(1)]) == [Scalar(3), Scalar(7)]
 
 
+def _assert_sympy_determinant(m):
+    got = determinant(m)
+    want = sympy.expand(_to_sympy(m).det())
+    assert sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im) == want
+    return got
+
+
 def test_determinant_against_sympy():
+    # determinant shares its elimination with rank and ideal membership, so
+    # sympy is the independent route here
     rng = random.Random(42)
     for _ in range(60):
         n = rng.randint(1, 5)
         gaussian = rng.random() < 0.4
         # integer entries, then entries with unlike denominators per row
-        for m in (
-            _rand_matrix(rng, n, gaussian=gaussian),
-            ExactMatrix(_rand_rows(rng, n, n, gaussian)),
-        ):
-            got = determinant(m)
-            want = sympy.expand(_to_sympy(m).det())
-            assert sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im) == want
+        _assert_sympy_determinant(_rand_matrix(rng, n, gaussian=gaussian))
+        _assert_sympy_determinant(ExactMatrix(_rand_rows(rng, n, n, gaussian)))
+    # every permutation matrix: the determinant is the parity
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            m = ExactMatrix.from_rows([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            assert _assert_sympy_determinant(m) == Scalar((-1) ** inversions)
+    # rank-deficient: one row is a combination of two others and vanishes
+    # only once the rows before it are subtracted
+    for gaussian in (False, True) * 6:
+        n = rng.randint(3, 5)
+        rows = _rand_rows(rng, n, n, gaussian)
+        a, b = _rand_entry(rng, gaussian) or ONE, _rand_entry(rng, gaussian) or ONE
+        combo = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if not any(combo):
+            continue
+        rows[rng.randint(2, n - 1)] = combo
+        assert _assert_sympy_determinant(ExactMatrix(rows)).is_zero()
+    # the certificate matrices: confluent Vandermonde on Gaussian nodes
+    for q in range(1, 9):
+        for m in range(1, 8 // q + 1):
+            nodes = []
+            while len(nodes) < q:
+                z = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), rng.randint(-3, 3))
+                if z not in nodes:
+                    nodes.append(z)
+            v = confluent_vandermonde_matrix(nodes, m)
+            assert not _assert_sympy_determinant(v).is_zero()
 
 
 def test_determinant_of_known_matrices():

@@ -183,6 +183,22 @@ def test_lg_nilpotency_index_golden_value():
     assert lg_nilpotency_index(f, psi) == 3
 
 
+def test_lg_nilpotency_index_builds_no_field(monkeypatch):
+    # the normal-form check runs at the field's own order: no field rebuilt
+    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
+    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
+    built = []
+    init = VectorField.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(VectorField, "__init__", counting)
+    assert lg_nilpotency_index(f, psi) == 3
+    assert built == []
+
+
 def test_lg_nilpotency_index_rejects_non_normal_field():
     f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
     psi = _s({Y: 1}, 6)

@@ -230,6 +230,17 @@ def test_compose_simple_substitution():
     assert compose(s, subs) == _s({(2, 0): 1, (1, 2): 2, (0, 4): 1})
 
 
+def test_compose_builds_images_of_any_degree():
+    # the image of y^1500 is built from those of its divisors, far past the
+    # interpreter's recursion limit; the other monomials walk down to
+    # divisors already memoized
+    s = _s({(0, 3): 1, (0, 1500): 1, (1, 1499): 1}, 1501)
+    subs = [_s({X: 1, Y: 1}, 1501), _s({Y: 2}, 1501)]
+    assert compose(s, subs) == _s(
+        {(0, 3): 8, (0, 1500): 2 ** 1500 + 2 ** 1499, (1, 1499): 2 ** 1499}, 1501
+    )
+
+
 def test_compose_rejects_nonzero_constant_term():
     s = _s({X: 1}, 5)
     subs = [_s({(0, 0): 1, X: 1}, 5), Series.variable(1, 2, 5)]
@@ -385,6 +396,13 @@ def test_vector_field_truncate():
     cut = f.truncate(3)
     assert cut.trunc_order == 3
     assert cut.components[0] == _s({X: 1})
+    assert cut.chevalley is f.chevalley
+    # at its own order no component changes, so nothing is rebuilt
+    assert f.truncate(f.trunc_order) is f
+    assert cut.truncate(3) is cut
+    exact = VectorField.from_components([_s({X: 1}), _s({Y: 1})])
+    assert exact.truncate(3) is not exact
+    assert exact.truncate(3).trunc_order == 3
 
 
 def test_vector_field_requires_matching_linear_part():

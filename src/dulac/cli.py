@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ideals as ideal_ops
 from .errors import (
@@ -44,7 +44,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedSpectrumError,
 )
-from .exprs import format_series, parse_expression
+from .exprs import _is_name, format_series, parse_expression
 from .field import (
     Scalar,
     Weight,
@@ -72,44 +72,23 @@ EXIT_BUDGET = 6
 _MODES = ("rational", "gaussian", "symbolic")
 
 
-class Problem:
+class Problem(NamedTuple):
     """A validated problem file."""
 
-    def __init__(
-        self,
-        variables: List[str],
-        field_mode: str,
-        parameters: Dict[str, Scalar],
-        eigenvalue_scalars: Optional[List[Scalar]],
-        eigenvalue_weights: Optional[List[Weight]],
-        resonance: Optional[List[Fraction]],
-        vector_field: Optional[List[str]],
-        ideals: Dict[str, List[str]],
-        trunc_order: int,
-    ):
-        self.variables = variables
-        self.field_mode = field_mode
-        self.parameters = parameters
-        self.eigenvalue_scalars = eigenvalue_scalars
-        self.eigenvalue_weights = eigenvalue_weights
-        self.resonance = resonance
-        self.vector_field = vector_field
-        self.ideals = ideals
-        self.trunc_order = trunc_order
+    variables: List[str]
+    field_mode: str
+    parameters: Dict[str, Scalar]
+    eigenvalue_scalars: Optional[List[Scalar]]
+    eigenvalue_weights: Optional[List[Weight]]
+    resonance: Optional[List[Fraction]]
+    vector_field: Optional[List[str]]
+    ideals: Dict[str, List[str]]
+    trunc_order: int
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
-
-
-def _is_identifier(name: str) -> bool:
-    return (
-        isinstance(name, str)
-        and name != ""
-        and (name[0].isalpha() or name[0] == "_")
-        and all(c.isalnum() or c == "_" for c in name)
-    )
 
 
 def load_problem(path: str) -> Problem:
@@ -136,7 +115,7 @@ def load_problem(path: str) -> Problem:
     variables = raw.get("variables")
     _require(
         isinstance(variables, list) and variables and
-        all(_is_identifier(v) for v in variables),
+        all(_is_name(v) for v in variables),
         "'variables' must be a nonempty list of identifiers",
     )
     _require(len(set(variables)) == len(variables), "duplicate variable names")
@@ -146,8 +125,10 @@ def load_problem(path: str) -> Problem:
     _require(field_mode in _MODES, f"'field_mode' must be one of {_MODES}")
 
     parameters: Dict[str, Scalar] = {}
-    for name, value in (raw.get("parameters") or {}).items():
-        _require(_is_identifier(name) and name != "i", f"bad parameter name {name!r}")
+    raw_parameters = raw.get("parameters") or {}  # a falsy value means none
+    _require(isinstance(raw_parameters, dict), "'parameters' must be a JSON object")
+    for name, value in raw_parameters.items():
+        _require(_is_name(name) and name != "i", f"bad parameter name {name!r}")
         _require(name not in variables, f"parameter {name!r} shadows a variable")
         try:
             parameters[name] = Scalar(parse_fraction(value))
@@ -229,8 +210,10 @@ def load_problem(path: str) -> Problem:
         )
 
     ideals: Dict[str, List[str]] = {}
-    for name, gens in (raw.get("ideals") or {}).items():
-        _require(_is_identifier(name), f"bad ideal name {name!r}")
+    raw_ideals = raw.get("ideals") or {}
+    _require(isinstance(raw_ideals, dict), "'ideals' must be a JSON object")
+    for name, gens in raw_ideals.items():
+        _require(_is_name(name), f"bad ideal name {name!r}")
         _require(
             isinstance(gens, list) and all(isinstance(g, str) for g in gens),
             f"ideal {name!r} must be a list of expression strings",
@@ -253,8 +236,8 @@ def load_problem(path: str) -> Problem:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _parse_series(problem: Problem, src: str, trunc: Optional[int]) -> Series:
-    series = parse_expression(src, problem.variables, problem.parameters, trunc)
+def _parse_series(problem: Problem, src: str) -> Series:
+    series = parse_expression(src, problem.variables, problem.parameters, problem.trunc_order)
     if problem.field_mode == "rational":
         if any(not c.is_rational() for c in series.terms.values()):
             raise UnsupportedSpectrumError(
@@ -264,15 +247,7 @@ def _parse_series(problem: Problem, src: str, trunc: Optional[int]) -> Series:
     return series
 
 
-def _effective_order(problem: Problem, args) -> int:
-    if getattr(args, "trunc_order", None) is not None:
-        if args.trunc_order < 2:
-            raise SchemaError("--trunc-order must be an integer >= 2")
-        return args.trunc_order
-    return problem.trunc_order
-
-
-def build_field(problem: Problem, order: int) -> VectorField:
+def build_field(problem: Problem) -> VectorField:
     if problem.field_mode == "symbolic":
         raise UnsupportedSpectrumError(
             "this command needs a concrete vector field; symbolic mode "
@@ -280,7 +255,7 @@ def build_field(problem: Problem, order: int) -> VectorField:
         )
     if problem.vector_field is None:
         raise SchemaError("the problem file declares no 'vector_field'")
-    comps = [_parse_series(problem, src, order) for src in problem.vector_field]
+    comps = [_parse_series(problem, src) for src in problem.vector_field]
     for name, comp in zip(problem.variables, comps):
         if not comp.constant_term().is_zero():
             raise SchemaError(
@@ -305,9 +280,7 @@ def build_field(problem: Problem, order: int) -> VectorField:
     return field
 
 
-def _weights_for_problem(
-    problem: Problem, order: int
-) -> Tuple[List[Weight], Optional[Tuple[Scalar, ...]]]:
+def _weights_for_problem(problem: Problem) -> Tuple[List[Weight], Optional[Tuple[Scalar, ...]]]:
     """Eigenvalues as weights plus a Q(i)-embedding when one exists."""
     if problem.field_mode == "symbolic":
         assert problem.eigenvalue_weights is not None
@@ -315,7 +288,7 @@ def _weights_for_problem(
     if problem.eigenvalue_scalars is not None:
         weights, embedding = weights_from_scalars(problem.eigenvalue_scalars)
         return list(weights), embedding
-    field = build_field(problem, order)
+    field = build_field(problem)
     if not field.chevalley.semisimple.is_diagonal():
         raise NotDiagonalError(
             "weight operations index eigenvalues by variable position and "
@@ -337,9 +310,9 @@ def _pick_ideal(problem: Problem, args) -> Tuple[str, List[str]]:
     return name, problem.ideals[name]
 
 
-def _build_handle(problem: Problem, exprs: Sequence[str], order: int):
-    gens = [_parse_series(problem, src, order) for src in exprs]
-    return ideal_ops.IdealHandle(gens, order, nvars=len(problem.variables))
+def _build_handle(problem: Problem, exprs: Sequence[str]):
+    gens = [_parse_series(problem, src) for src in exprs]
+    return ideal_ops.IdealHandle(gens, problem.trunc_order, nvars=len(problem.variables))
 
 
 def _series_list(items: Sequence[Series], names: Sequence[str]) -> List[str]:
@@ -370,10 +343,10 @@ def _certificate_json(cert, names: Sequence[str]) -> dict:
     return out
 
 
-def _base_report(problem: Problem, command: str, order: int) -> dict:
+def _base_report(problem: Problem, command: str) -> dict:
     return {
         "command": command,
-        "trunc_order": order,
+        "trunc_order": problem.trunc_order,
         "field_mode": problem.field_mode,
         "variables": list(problem.variables),
     }
@@ -383,10 +356,9 @@ def _base_report(problem: Problem, command: str, order: int) -> dict:
 
 
 def cmd_check_pdnf(problem: Problem, args) -> Tuple[dict, int]:
-    order = _effective_order(problem, args)
-    field = build_field(problem, order)
-    ok, residual = is_pdnf(field, order)
-    report = _base_report(problem, "check-pdnf", order)
+    field = build_field(problem)
+    ok, residual = is_pdnf(field)
+    report = _base_report(problem, "check-pdnf")
     report["eigenvalues"] = [format_scalar(s) for s in field.chevalley.eigenvalues]
     report["pdnf"] = ok
     report["residual"] = _series_list(residual, problem.variables)
@@ -394,13 +366,12 @@ def cmd_check_pdnf(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_normalize(problem: Problem, args) -> Tuple[dict, int]:
-    order = _effective_order(problem, args)
-    field = build_field(problem, order)
+    field = build_field(problem)
     result = normalize(field)
-    ok, residual = is_pdnf(result.normalized, order)
+    ok, residual = is_pdnf(result.normalized)
     conjugacy = conjugacy_residual(field, result)
     conjugacy_ok = all(r.is_zero() for r in conjugacy)
-    report = _base_report(problem, "normalize", order)
+    report = _base_report(problem, "normalize")
     report["eigenvalues"] = [format_scalar(s) for s in field.chevalley.eigenvalues]
     report["input"] = _series_list(field.components, problem.variables)
     report["normalized"] = _series_list(
@@ -418,7 +389,6 @@ def cmd_normalize(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_weights(problem: Problem, args) -> Tuple[dict, int]:
-    order = _effective_order(problem, args)
     name, exprs = _pick_ideal(problem, args)
     index = args.index
     _require(
@@ -426,10 +396,10 @@ def cmd_weights(problem: Problem, args) -> Tuple[dict, int]:
         f"--index {index} out of range for ideal {name!r} "
         f"with {len(exprs)} generators",
     )
-    series = _parse_series(problem, exprs[index], order)
-    weights, _ = _weights_for_problem(problem, order)
+    series = _parse_series(problem, exprs[index])
+    weights, _ = _weights_for_problem(problem)
     decomposition = weight_decompose(series, weights)
-    report = _base_report(problem, "weights", order)
+    report = _base_report(problem, "weights")
     report["ideal"] = name
     report["series"] = format_series(series, problem.variables)
     report["eigenvalues"] = [format_weight(w) for w in weights]
@@ -441,10 +411,9 @@ def cmd_weights(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_invariance(problem: Problem, args) -> Tuple[dict, int]:
-    order = _effective_order(problem, args)
     name, exprs = _pick_ideal(problem, args)
-    handle = _build_handle(problem, exprs, order)
-    field = build_field(problem, order)
+    handle = _build_handle(problem, exprs)
+    field = build_field(problem)
     if args.semisimple:
         derivation = field.semisimple_components()
         derivation_name = "semisimple"
@@ -452,7 +421,7 @@ def cmd_invariance(problem: Problem, args) -> Tuple[dict, int]:
         derivation = field
         derivation_name = "field"
     invariant, witness = ideal_ops.is_invariant(handle, derivation)
-    report = _base_report(problem, "invariance", order)
+    report = _base_report(problem, "invariance")
     report["ideal"] = name
     report["derivation"] = derivation_name
     report["generators"] = _series_list(handle.generators, problem.variables)
@@ -475,16 +444,15 @@ def cmd_invariance(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_extract(problem: Problem, args) -> Tuple[dict, int]:
-    order = _effective_order(problem, args)
     name, exprs = _pick_ideal(problem, args)
-    handle = _build_handle(problem, exprs, order)
+    handle = _build_handle(problem, exprs)
     seeds = [g for g in handle.generators if not g.is_zero()]
-    report = _base_report(problem, "extract", order)
+    report = _base_report(problem, "extract")
     report["ideal"] = name
     report["seed_generators"] = _series_list(seeds, problem.variables)
 
     if args.semisimple:
-        weights, embedding = _weights_for_problem(problem, order)
+        weights, embedding = _weights_for_problem(problem)
         work = handle
         if args.close:
             if embedding is None:
@@ -501,7 +469,7 @@ def cmd_extract(problem: Problem, args) -> Tuple[dict, int]:
         )
         report["route"] = "semisimple"
     else:
-        field = build_field(problem, order)
+        field = build_field(problem)
         work = handle
         if args.close:
             work = ideal_ops.close_under_lie(handle, field)
@@ -522,8 +490,7 @@ def cmd_extract(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_resonance(problem: Problem, args) -> Tuple[dict, int]:
-    order = _effective_order(problem, args)
-    weights, _ = _weights_for_problem(problem, order)
+    weights, _ = _weights_for_problem(problem)
     _require(
         problem.resonance is not None,
         "the 'resonance' key is required for this command",
@@ -535,7 +502,7 @@ def cmd_resonance(problem: Problem, args) -> Tuple[dict, int]:
     candidates, hypothesis = ideal_ops.single_resonance_primes(
         weights, problem.resonance
     )
-    report = _base_report(problem, "resonance", order)
+    report = _base_report(problem, "resonance")
     report["eigenvalues"] = [format_weight(w) for w in weights]
     report["alpha"] = [format_fraction(a) for a in problem.resonance]
     report["hypothesis"] = hypothesis
@@ -685,15 +652,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit({"error": _error_payload(exc, None)}, args.verbose, code)
         return code
     try:
+        if args.trunc_order is not None:
+            # a rejected override is reported at the file's order
+            _require(args.trunc_order >= 2, "--trunc-order must be an integer >= 2")
+            problem = problem._replace(trunc_order=args.trunc_order)
         # By name, so a handler replaced on this module is the one called.
         report, code = globals()[args.handler.__name__](problem, args)
     except (DulacError, ArithmeticError) as exc:
         code = _exit_code_for(exc)
-        try:
-            order = _effective_order(problem, args)
-        except SchemaError:  # the override itself was rejected
-            order = problem.trunc_order
-        report = _base_report(problem, args.command, order)
+        report = _base_report(problem, args.command)
         try:
             report["error"] = _error_payload(exc, problem.variables)
         except BudgetError as budget:  # a witness too long to print

@@ -22,6 +22,7 @@ series.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -41,6 +42,17 @@ class _Token(NamedTuple):
     col: int
 
 
+_WORD = re.compile(r"\w+")  # letters, digits and '_', as str.isalnum and '_'
+
+
+def _is_name(name) -> bool:
+    """Whether ``name`` is a string that reads as one identifier token: a
+    letter or '_', then letters, digits or '_'.  Variable, parameter and
+    ideal names all follow this rule, and so does the tokenizer."""
+    return (isinstance(name, str) and (name[:1].isalpha() or name[:1] == "_")
+            and _WORD.fullmatch(name) is not None)
+
+
 def _tokenize(src: str) -> List[_Token]:
     tokens: List[_Token] = []
     line, col = 1, 1
@@ -57,18 +69,16 @@ def _tokenize(src: str) -> List[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", src[i:j], line, col))
             col += j - i
             i = j
             continue
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
+            j = _WORD.match(src, i).end()
             tokens.append(_Token("ident", src[i:j], line, col))
             col += j - i
             i = j
@@ -253,7 +263,7 @@ def parse_expression(
 
 def _check_names(names: Sequence[str], params: Dict[str, Scalar] = {}) -> None:
     for name in list(names) + list(params):
-        if not name.isidentifier():
+        if not _is_name(name):
             raise ValueError(f"invalid name {name!r}: not an identifier")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")

@@ -20,11 +20,13 @@ large echelon form touch a small part of it.
 
 On top of the ideal arithmetic sit the semi-invariant extraction
 routines.  The weight components of a member, and their iterated images
-under the nilpotent part, are computed directly from the exponents; a
-(confluent) Vandermonde certificate then replays them: its determinant
-is nonzero, so the solution of matrix * x = rhs is unique, the
-components reproduce the iterated Lie derivatives exactly, and every
-right-hand side and every component is re-verified by membership.
+under L_g (g = f - B_s x, the non-semisimple rest of f), are computed
+directly from the exponents; a (confluent) Vandermonde certificate then
+replays them: its determinant is nonzero, so the solution of
+matrix * x = rhs is unique, the components reproduce the iterated Lie
+derivatives exactly, and every right-hand side and every component is
+re-verified by membership.  Every derivative here is a
+``lie_derivative`` of :mod:`dulac.poly`.
 
 The echelon form is the one elimination routine of :mod:`dulac.linalg`
 (``_insert_row`` and ``_substitute``) on packed monomial keys, and the
@@ -405,22 +407,6 @@ def _collect_generators(pieces: Iterable[Series]) -> Tuple[Series, ...]:
     return tuple(unique)
 
 
-def _symbolic_images(g: Series, eigenvalues: Sequence[Weight]) -> List[Series]:
-    """Per-basis-coordinate pieces of the semisimple Lie derivative.
-
-    With symbolic eigenvalues the derivative of a term c*x^a is
-    w(a)*c*x^a, a series with Weight coefficients; splitting along the
-    d independent basis directions gives d ordinary series, and the
-    derivative lies in the ideal exactly when each piece does.
-    """
-    buckets: List[Dict[Exponent, Scalar]] = [dict() for _ in range(eigenvalues[0].dim)]
-    for e, c in g.terms.items():
-        for k, coord in enumerate(weight(e, eigenvalues).coords):
-            if coord:
-                buckets[k][e] = c * Scalar(coord)
-    return [Series(g.nvars, terms, g.trunc) for terms in buckets]
-
-
 def extract_semiinvariants(
     ideal: IdealHandle,
     eigenvalues: Sequence[Weight],
@@ -474,9 +460,14 @@ def extract_semiinvariants(
 def _extract_symbolic(
     ideal: IdealHandle, eigenvalues: Sequence[Weight]
 ) -> Tuple[Series, ...]:
+    """L_{B_s} = sum_k b_k D_k, with D_k the diagonal derivation by the k-th
+    weight coordinates; the basis values b_k are Q-linearly independent, so
+    the ideal is invariant exactly when it is under every D_k."""
+    diagonals = ([Scalar(w.coords[k]) for w in eigenvalues] for k in range(eigenvalues[0].dim))
+    derivations = [linear_components(linalg.ExactMatrix.diagonal(d)) for d in diagonals]
     for g in ideal.generators:
-        for piece in _symbolic_images(g, eigenvalues):
-            residue = ideal.normal_form(piece)
+        for d in derivations:
+            residue = ideal.normal_form(lie_derivative(d, g))
             if not residue.is_zero():
                 raise NotInvariantError(
                     "the ideal is not invariant under the semisimple derivation",
@@ -599,8 +590,9 @@ def extract_from_member(
     if rep.is_zero():
         return (), None
     f_comps = tuple(c.truncate(order) for c in f.components)
-    g_comps = tuple(c.truncate(order) for c in f.g_components())
-    certificate = _certify(ideal, rep, f.eigenvalues, f.embedding, f_comps, g_comps, m)
+    certificate = _certify(
+        ideal, rep, f.eigenvalues, f.embedding, f_comps, f.g_components(order), m
+    )
     return certificate.solution[:len(certificate.weights)], certificate
 
 
@@ -670,10 +662,7 @@ def single_resonance_primes(
             raise HypothesisError(
                 "the leading eigenvalues are Q-linearly dependent"
             )
-        combo = Weight.zero(dim)
-        for a, w in zip(alphas, eigenvalues[: n - 1]):
-            combo = combo + w.scale(a)
-        if combo != eigenvalues[n - 1]:
+        if weight(alphas, eigenvalues[: n - 1]) != eigenvalues[n - 1]:
             raise HypothesisError(
                 "the last eigenvalue does not satisfy the declared resonance relation"
             )

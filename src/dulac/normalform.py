@@ -6,10 +6,11 @@ order.  :func:`normalize` removes every non-resonant term degree by
 degree with near-identity substitutions x -> x + h_k, h_k homogeneous of
 degree k, solving the homological equation (D + ad_N) h_k = F_k in the
 basis that diagonalizes B_s.  There D multiplies the term x^e of
-component i by c(e, i) = sum_j e_j*lambda_j - lambda_i, and ad_N keeps
-each eigenspace of D, so on the non-resonant terms h_k is the finite
-series sum_m (-D^-1 ad_N)^m D^-1 F_k, one loop for every eigenvalue at
-once (Murdock, *Normal Forms and Unfoldings for Local Dynamical
+component i by c(e, i) = sum_j e_j*lambda_j - lambda_i, and ad_N is the
+Lie bracket [N y, .] with the nilpotent linear field.  It keeps each
+eigenspace of D, so on the non-resonant terms h_k is the finite series
+sum_m (-D^-1 ad_N)^m D^-1 F_k, one loop for every eigenvalue at once
+(Murdock, *Normal Forms and Unfoldings for Local Dynamical
 Systems*, ch. 4).  Resonant terms, where c = 0, are left in place, i.e.
 the normalized field keeps exactly the resonant terms it must.  Each
 substitution is a Taylor sum cut at the last degree that can survive the
@@ -22,7 +23,9 @@ raises degrees by k - 1.  Degrees that hold no term are skipped.
 
 All transformations are composed and returned, so the conjugacy identity
 ``Dh(x) . normalized(x) = f(h(x))`` holds exactly modulo the truncation
-ideal and can be rechecked via :func:`conjugacy_residual`.
+ideal and can be rechecked via :func:`conjugacy_residual`.  Every
+derivative taken here is a ``lie_derivative`` or ``lie_bracket`` of
+:mod:`dulac.poly`.
 """
 
 from __future__ import annotations
@@ -75,14 +78,16 @@ def is_resonant(alpha: Exponent, index: int, eigenvalues: Sequence[Weight]) -> b
 
 
 def is_pdnf(f: VectorField, order: Optional[int] = None) -> Tuple[bool, Tuple[Series, ...]]:
-    """Check [f, B_s x] = 0 at the given (or the field's) truncation order.
+    """Check [f, B_s x] = 0 modulo <x>^order, by default at the field's
+    own truncation order.
 
     Returns ``(flag, residual)`` with the exact bracket residual, which is
-    the zero vector precisely when the field is in normal form.
+    the zero vector precisely when the field is in normal form.  The
+    truncated components are bracketed directly; no field is built.
     """
-    work = f if order is None else f.truncate(order)
-    residual = lie_bracket(work.components, work.semisimple_components())
-    return all(r.is_zero() for r in residual), tuple(residual)
+    comps = f.components if order is None else [c.truncate(order) for c in f.components]
+    residual = lie_bracket(comps, f.semisimple_components())
+    return not any(residual), residual
 
 
 @dataclass(frozen=True)
@@ -156,16 +161,6 @@ def _conjugate_components(
             for u in linalg.matvec_series(t_inv, composed[i:i + n])]
 
 
-def _ad_nilpotent(
-    nil: linalg.ExactMatrix, nil_comps: Sequence[Series], vec: List[Series]
-) -> List[Series]:
-    """[B_n y, u] = Du . (B_n y) - B_n u on a vector of series, where
-    ``nil_comps`` are the components of the linear field B_n y."""
-    part1 = [lie_derivative(nil_comps, u) for u in vec]
-    part2 = linalg.matvec_series(nil, vec)
-    return [a - b for a, b in zip(part1, part2)]
-
-
 def _inverse_weights(lam: Sequence[Scalar]):
     """D^-1 for the diagonal part D of the homological operator, applied
     to one component: ``invert(s, i)`` divides each term x^e of s by
@@ -210,65 +205,66 @@ def _inverse_weights(lam: Sequence[Scalar]):
 
 
 def _homological_solution(
-    parts: Sequence[Series], invert, nil: linalg.ExactMatrix, nil_comps: Sequence[Series]
+    parts: Sequence[Series], invert, nil_comps: Sequence[Series]
 ) -> List[Series]:
     """The h without resonant terms that solves (D + ad_N) h = the
     non-resonant part of the homogeneous ``parts``, with ``invert`` as
-    from :func:`_inverse_weights`.  ad_N keeps every eigenspace of D, so it
-    commutes with D^-1 and h = sum_m (-D^-1 ad_N)^m D^-1 parts, a finite
-    sum since ad_N is nilpotent on each homogeneous degree."""
+    from :func:`_inverse_weights`.  ad_N u = Du . (N y) - N u is the Lie
+    bracket [N y, u] with the linear field whose components are
+    ``nil_comps``.  It keeps every eigenspace of D, so it commutes with
+    D^-1 and h = sum_m (-D^-1 ad_N)^m D^-1 parts, a finite sum since ad_N
+    is nilpotent on each homogeneous degree."""
     h = term = [invert(p, i) for i, p in enumerate(parts)]
-    if nil.is_zero():
+    if not any(nil_comps):
         return h
     for _ in range(len(parts) * (parts[0].trunc + 1) ** len(parts)):
-        term = [invert(-u, i) for i, u in enumerate(_ad_nilpotent(nil, nil_comps, term))]
+        term = [invert(-u, i) for i, u in enumerate(lie_bracket(nil_comps, term))]
         if not any(term):
             return h
         h = [a + b for a, b in zip(h, term)]
     raise ArithmeticError("homological inversion did not terminate")
 
 
-def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
-    """Remove all non-resonant terms of degree 2..order-1.
+def normalize(f: VectorField) -> NormalFormResult:
+    """Remove all non-resonant terms of degree 2..N-1, N the field's
+    truncation order.
 
-    The field must carry a truncation order (or one must be supplied):
-    normalization is a statement modulo the truncation ideal.  Works for
-    any linear part whose spectrum lies in Q(i); a non-diagonal
-    semisimple part is handled by conjugating with the stored
-    diagonalizer and its inverse and mapping the result back, so the
-    returned data live in the original coordinates.  Normalization keeps
-    the linear part, so the normalized field carries f's checked
-    :class:`~dulac.linalg.ChevalleyPair` itself.
+    The field must carry a truncation order: normalization is a
+    statement modulo the truncation ideal.  Works for any linear part
+    whose spectrum lies in Q(i); a non-diagonal semisimple part is handled
+    by conjugating with the stored diagonalizer and its inverse and
+    mapping the result back, so the returned data live in the original
+    coordinates.  Normalization keeps the linear part, so the normalized
+    field carries f's checked :class:`~dulac.linalg.ChevalleyPair` itself.
 
     The components are kept as homogeneous parts by degree, and the loop
     steps from one degree that holds a term to the next, so a linear
     field at a huge order does no work per degree.  At degree k, h_k
     comes from :func:`_homological_solution`: D^-1 divides each term by
     its weight difference c(e, i), computed in integers once per monomial
-    and component in this call, and ad_N rounds run only when the
-    nilpotent part is nonzero.  The field and the accumulated
-    transformation are then shifted by x -> x + h_k with :func:`_shift`,
-    all 2n series sharing one table of powers h^alpha; each shifted
-    component is split into its parts in one pass, and the Jacobian
-    factor ``(I + Dh_k)^-1`` is applied by the triangular recursion
-    ``g_d = F_d - Dh_k g_(d-k+1)`` on them.  The changes of coordinates
-    into and out of the diagonalizing basis share one table of monomial
-    images per direction.
+    and component in this call, and the ad_N rounds (Lie brackets with
+    the nilpotent linear field) run only when it is nonzero.  The field
+    and the accumulated transformation are then shifted by x -> x + h_k
+    with :func:`_shift`, all 2n series sharing one table of powers
+    h^alpha; each shifted component is split into its parts in one pass,
+    and the Jacobian factor ``(I + Dh_k)^-1`` is applied by the triangular
+    recursion ``g_d = F_d - Dh_k g_(d-k+1)`` on them.  The changes of
+    coordinates into and out of the diagonalizing basis share one table
+    of monomial images per direction.
     """
-    m_order = order if order is not None else f.trunc_order
+    m_order = f.trunc_order
     if m_order is None:
         raise TruncationError("normalize requires a truncation order")
-    work_field = f.truncate(m_order)
+    comps = [c.truncate(m_order) for c in f.components]
     nvars = f.nvars
 
     pair = f.chevalley
     diagonal_already = pair.semisimple.is_diagonal()
     if diagonal_already:
-        comps = list(work_field.components)
         nil = pair.nilpotent
     else:
         t, t_inv = pair.diagonalizer, pair.diagonalizer_inverse
-        comps = _conjugate_components(work_field.components, t, t_inv, m_order)
+        comps = _conjugate_components(comps, t, t_inv, m_order)
         nil = t_inv * pair.nilpotent * t
 
     nil_comps = linear_components(nil, m_order)
@@ -285,7 +281,7 @@ def normalize(f: VectorField, order: Optional[int] = None) -> NormalFormResult:
         if degree is None:
             break
         parts = [g.get(degree, zero) for g in graded]
-        h_vec = _homological_solution(parts, invert, nil, nil_comps)
+        h_vec = _homological_solution(parts, invert, nil_comps)
         if not any(h_vec):
             continue
         # (I + Dh) g = F with F = f(x + h), one homogeneous degree at a time
@@ -343,9 +339,7 @@ def lg_nilpotency_bound(f: VectorField, order: int) -> int:
     return (order - 1) * nu_max + order - 1
 
 
-def lg_nilpotency_index(
-    f: VectorField, phi: Series, order: Optional[int] = None
-) -> int:
+def lg_nilpotency_index(f: VectorField, phi: Series, order: Optional[int] = None) -> int:
     """The smallest l with L_g^(l)(phi) = 0 modulo the truncation ideal,
     where g = f - B_s x and f is required to be in normal form."""
     n_order = order
@@ -353,13 +347,13 @@ def lg_nilpotency_index(
         n_order = phi.trunc if phi.trunc is not None else f.trunc_order
     if n_order is None:
         raise TruncationError("nilpotency index requires a truncation order")
-    ok, residual = is_pdnf(f, min(n_order, f.trunc_order) if f.trunc_order else n_order)
+    work = min(n_order, f.trunc_order) if f.trunc_order else n_order
+    ok, residual = is_pdnf(f, work)
     if not ok:
         raise NotNormalFormError(
             "field is not in normal form; L_g need not be nilpotent", residual
         )
-    g = tuple(c.truncate(n_order) if c.trunc is None or c.trunc > n_order else c
-              for c in f.g_components())
+    g = f.g_components(work)
     psi = phi.truncate(n_order) if phi.trunc is None or phi.trunc > n_order else phi
     bound = lg_nilpotency_bound(f, n_order)
     count = 0

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import itemgetter, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import CompositionError, TruncationError
@@ -71,7 +71,6 @@ __all__ = [
     "VectorField",
     "WeightDecomposition",
     "grlex_key",
-    "iter_exponents",
     "weight",
     "weight_decompose",
     "lie_derivative",
@@ -85,16 +84,6 @@ __all__ = [
 def grlex_key(e: Exponent):
     """Graded lexicographic sort key (higher key = larger monomial)."""
     return (sum(e), e)
-
-
-def iter_exponents(nvars: int, total: int) -> Iterator[Exponent]:
-    """All exponent tuples of the given total degree, first variable heaviest."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in iter_exponents(nvars - 1, total - head):
-            yield (head,) + tail
 
 
 def _unit(j: int, n: int) -> Exponent:
@@ -426,11 +415,6 @@ class Series:
         first by default."""
         ring, terms = self._r, _scalar_terms(self)
         return [(_unpack(k, ring), terms[k]) for k in sorted(terms, reverse=reverse)]
-
-    def leading_monomial(self) -> Optional[Exponent]:
-        if self.is_zero():
-            return None
-        return _unpack(max(self._keys()), self._r)
 
     def leading_coefficient(self) -> Scalar:
         if self.is_zero():
@@ -967,11 +951,11 @@ class VectorField:
         """Components of the linear field B_s x (exact polynomials)."""
         return linear_components(self.chevalley.semisimple)
 
-    def g_components(self) -> Tuple[Series, ...]:
-        """f minus its semisimple linear part: the operand of L_g."""
-        return tuple(
-            comp - bs for comp, bs in zip(self.components, self.semisimple_components())
-        )
+    def g_components(self, order: Optional[int] = None) -> Tuple[Series, ...]:
+        """f minus its semisimple linear part, modulo <x>^order when an
+        order is given: the operand of L_g."""
+        comps = self.components if order is None else [c.truncate(order) for c in self.components]
+        return tuple(comp - bs for comp, bs in zip(comps, self.semisimple_components()))
 
     def truncate(self, order: int) -> "VectorField":
         """This field modulo <x>^order; itself when no component changes."""

@@ -1,12 +1,21 @@
 """Seeded builders for the randomized suites: fields, ideals, spectra."""
 
+import itertools
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from dulac.field import Scalar, Weight
 from dulac.linalg import ExactMatrix, inverse, matvec_series
-from dulac.poly import Series, VectorField, compose, iter_exponents, weight
+from dulac.poly import Series, VectorField, compose, weight
+
+
+def iter_exponents(nvars: int, total: int):
+    """All exponent tuples of the given total degree, first variable
+    heaviest: a sorted multiset of variable indices is a monomial, and
+    ascending multisets give descending exponent tuples."""
+    for combo in itertools.combinations_with_replacement(range(nvars), total):
+        yield tuple(combo.count(j) for j in range(nvars))
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:

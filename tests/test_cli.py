@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import dulac
 from dulac import cli
 from dulac.cli import build_parser, main
+from dulac.exprs import format_series, parse_expression
 
 GOLDEN = {
     "variables": ["x", "y"],
@@ -577,6 +578,128 @@ def test_trunc_order_flag_overrides_file(problem, capsys):
     code, report, _ = run(capsys, ["check-pdnf", path, "--trunc-order", "5"])
     assert code == 0
     assert report["trunc_order"] == 5
+
+
+def test_rejected_trunc_order_override_is_reported_at_the_file_order(problem, capsys):
+    path = problem(GOLDEN)
+    code, report, _ = run(capsys, ["normalize", path, "--trunc-order", "1"])
+    assert code == 2
+    assert report == {
+        "command": "normalize",
+        "trunc_order": 8,
+        "field_mode": "rational",
+        "variables": ["x", "y"],
+        "error": {"type": "SchemaError", "message": "--trunc-order must be an integer >= 2"},
+    }
+
+
+@pytest.mark.parametrize("command, key, first", [
+    ("check-pdnf", "residual", "x²"),
+    ("normalize", "transformation", "x² + x²*_y"),
+])
+def test_names_that_read_as_one_token_are_accepted(problem, capsys, command, key, first):
+    # isalnum holds for a superscript digit, so x² and b² are identifiers
+    path = problem({"variables": ["x²", "_y"], "parameters": {"b²": "1"},
+                    "vector_field": [first, "2*_y + b²*x²^2"], "trunc_order": 4,
+                    "ideals": {"I²": ["x²"]}})
+    code, report, _ = run(capsys, [command, path])
+    assert code == 0
+    names = report["variables"]
+    assert names == ["x²", "_y"]
+    printed = report[key] + report.get("normalized", [])
+    assert all(text == "0" for text in printed) or any("x²*_y" in text for text in printed)
+    for text in printed:
+        assert format_series(parse_expression(text, names), names) == text
+
+
+def test_a_lone_superscript_digit_is_an_unexpected_character(problem, capsys):
+    path = problem({"variables": ["x", "y"], "vector_field": ["x + ²", "2*y"]})
+    code, report, _ = run(capsys, ["check-pdnf", path])
+    assert code == 2
+    assert report["error"]["type"] == "ExprSyntaxError"
+    assert "unexpected character '²'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("value", [[1], 1, 1.5, True, "s"], ids=repr)
+@pytest.mark.parametrize("key", ["parameters", "ideals"])
+@pytest.mark.parametrize("command", ["check-pdnf", "extract"])
+def test_non_object_parameters_or_ideals_exit_2(problem, capsys, command, key, value):
+    data = dict(GOLDEN)
+    data[key] = value
+    code, report, _ = run(capsys, [command, problem(data)])
+    assert code == 2
+    assert report == {"error": {"type": "SchemaError",
+                                "message": f"{key!r} must be a JSON object"}}
+
+
+@pytest.mark.parametrize("value", [None, [], 0, "", False, {}], ids=repr)
+def test_falsy_parameters_mean_none(problem, capsys, value):
+    data = {k: v for k, v in GOLDEN.items() if k != "parameters"}
+    data["vector_field"] = ["x", "3*y + x^3"]
+    data["parameters"] = value
+    code, report, _ = run(capsys, ["check-pdnf", problem(data)])
+    assert code == 0 and report["pdnf"] is True
+
+
+def test_trunc_order_defaults_to_8_and_may_be_2(problem, capsys):
+    data = {k: v for k, v in GOLDEN.items() if k != "trunc_order"}
+    code, report, _ = run(capsys, ["check-pdnf", problem(data)])
+    assert code == 0 and report["trunc_order"] == 8
+    code, report, _ = run(capsys, ["check-pdnf", problem(data), "--trunc-order", "2"])
+    assert code == 0 and report["trunc_order"] == 2
+    code, report, _ = run(capsys, ["check-pdnf", problem(dict(data, trunc_order=2))])
+    assert code == 0 and report["trunc_order"] == 2
+
+
+@pytest.mark.parametrize("mode, code", [("rational", 5), ("gaussian", 0)])
+def test_imaginary_coefficients_need_gaussian_mode(problem, capsys, mode, code):
+    data = dict(GOLDEN, field_mode=mode, ideals={"I": ["(0+1*i)*x^3 + y"]})
+    got, report, _ = run(capsys, ["weights", problem(data)])
+    assert got == code
+    if code:
+        assert "imaginary coefficients in rational mode" in report["error"]["message"]
+    else:
+        assert report["weights"] == {"3": "(0+1*i)*x^3 + y"}
+
+
+def test_imaginary_eigenvalues_declared_in_rational_mode_exit_5(problem, capsys):
+    data = dict(GOLDEN, eigenvalues=["0+1*i", "0-1*i"])
+    code, report, _ = run(capsys, ["weights", problem(data), "--ideal", "psi"])
+    assert code == 5
+    assert "imaginary eigenvalues declared in rational mode" in report["error"]["message"]
+
+
+def test_weights_read_off_a_diagonal_field_without_declared_eigenvalues(problem, capsys):
+    data = {k: v for k, v in GOLDEN.items() if k != "eigenvalues"}
+    code, report, _ = run(capsys, ["weights", problem(data), "--ideal", "psi"])
+    assert code == 0
+    assert report["eigenvalues"] == ["1", "3"]
+    assert report["weights"] == {"3": "x^3 + y", "6": "y^2"}
+
+
+def test_invariance_reports_the_basis_only_when_asked(problem, capsys):
+    path = problem(dict(GOLDEN, ideals={"J": ["y^2"]}))
+    code, report, _ = run(capsys, ["invariance", path])
+    assert "basis" not in report and "truncation_monomials" not in report
+    code, report, _ = run(capsys, ["invariance", path, "--basis"])
+    assert report["basis"] == ["y^2"]
+    assert report["truncation_monomials"] == ["x^8", "x^7*y"]
+
+
+def test_extract_semisimple_closes_along_concrete_weights(problem, capsys):
+    path = problem(GOLDEN)
+    code, report, _ = run(capsys, ["extract", path, "--ideal", "psi", "--semisimple", "--close"])
+    assert code == 0
+    assert report["route"] == "semisimple" and report["closed"] is True
+    assert report["generators"] == ["x^2*y^2", "x^3 + y", "y^3", "y^2"]
+
+
+def test_resonance_of_one_variable_takes_no_coefficients(problem, capsys):
+    path = problem({"variables": ["x"], "field_mode": "symbolic",
+                    "eigenvalues": [["1"]], "resonance": []})
+    code, report, _ = run(capsys, ["resonance", path])
+    assert code == 0
+    assert report["candidates"] == [["x"]]
 
 
 def test_parameters_are_substituted(problem, capsys):

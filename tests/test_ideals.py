@@ -32,18 +32,20 @@ from dulac.ideals import (
     _verify_certificate,
 )
 from dulac.linalg import ExactMatrix, determinant, matvec_series
+from dulac.normalform import lg_nilpotency_index
 from dulac.poly import (
     Series,
     VectorField,
     _ring,
     _unpack,
     grlex_key,
-    iter_exponents,
     lie_derivative,
+    weight,
     weight_decompose,
 )
 
 from _gen import (
+    iter_exponents,
     pdnf_field,
     random_exponent,
     random_scalar,
@@ -130,7 +132,7 @@ def test_groebner_buchberger_closure_property():
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 a, b = polys[i], polys[j]
-                la, lb = a.leading_monomial(), b.leading_monomial()
+                la, lb = (max(p.terms, key=grlex_key) for p in (a, b))
                 lcm = tuple(max(p, q) for p, q in zip(la, lb))
                 if sum(lcm) >= 5:
                     continue
@@ -756,6 +758,48 @@ def test_extract_semiinvariants_symbolic_mode():
         {(2, 0): ONE},
         {(1, 1): ONE},
     ]
+    # one variable with a two-dimensional weight
+    single = IdealHandle([_s({(2,): 1, (3,): 1}, 5, nvars=1)], 5)
+    out, certs = extract_semiinvariants(single, [Weight((1, 2))], None)
+    assert certs is None and [dict(g.terms) for g in out] == [{(3,): ONE}, {(2,): ONE}]
+
+
+def test_symbolic_invariance_keeps_the_generator_major_witness():
+    # D_0 (first weight coordinates) fixes g1 and moves g2; D_1 moves g1
+    # only.  Generators come first, so the witness is g1's D_1 image.
+    names = ("x", "y", "z")
+    weights = [Weight((1, 0)), Weight((1, 0)), Weight((0, 1))]
+    g1, g2 = (parse_expression(t, names, trunc_order=5) for t in ("x*z + y*z^2", "x + y^2"))
+    handle = IdealHandle([g1, g2], 5)
+
+    def image(g, k):  # L_{D_k} g by its formula, term by term
+        return Series(3, {e: c * Scalar(weight(e, weights).coords[k])
+                          for e, c in g.terms.items()}, g.trunc)
+
+    assert not handle.normal_form(image(g2, 0)).is_zero()
+    assert handle.normal_form(image(g1, 0)).is_zero()
+    with pytest.raises(NotInvariantError) as info:
+        extract_semiinvariants(handle, weights, None)
+    generator, residue = info.value.witness
+    assert generator == g1
+    assert residue == handle.normal_form(image(g1, 1)) != Series.zero(3, 5)
+
+
+def test_block_count_is_the_nilpotency_index_on_random_normal_fields():
+    rng = random.Random(1818)
+    counts = set()
+    for _ in range(25):
+        n = rng.choice([2, 3])
+        order = rng.choice([4, 5, 6])
+        f = pdnf_field(rng, n, order)
+        seed = random_series(rng, n, order, max_terms=4, min_degree=1)
+        closed = close_under_lie(IdealHandle([seed], order), f)
+        for member in (seed,) + closed.reduced_basis:
+            _, cert = extract_from_member(member, closed, f)
+            if cert is not None:
+                assert cert.block_count == lg_nilpotency_index(f, member, order)
+                counts.add(cert.block_count)
+    assert max(counts) >= 3
 
 
 def test_extract_from_member_golden():
@@ -969,9 +1013,9 @@ def test_single_resonance_candidates_all_subsets():
 
 def test_single_resonance_rejects_positive_alpha():
     basis = _symbolic_basis(1)
-    lam2 = basis[0].scale(2)
-    with pytest.raises(HypothesisError):
-        single_resonance_primes(basis + [lam2], [Fraction(2)])
+    for alpha in (Fraction(2), Fraction(1, 2)):
+        with pytest.raises(HypothesisError, match="nonpositive"):
+            single_resonance_primes(basis + [basis[0].scale(alpha)], [alpha])
 
 
 def test_single_resonance_rejects_dependent_leading_eigenvalues():
@@ -984,10 +1028,16 @@ def test_single_resonance_rejects_dependent_leading_eigenvalues():
 
 def test_single_resonance_rejects_broken_relation():
     basis = _symbolic_basis(2)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="resonance relation"):
         single_resonance_primes(
             basis + [basis[0]], [Fraction(-1), Fraction(-1)]
         )
+    # a last eigenvalue independent of the leading ones breaks the relation
+    with pytest.raises(HypothesisError, match="resonance relation"):
+        single_resonance_primes(_symbolic_basis(3), [Fraction(-1), Fraction(-1)])
+    # two eigenvalues: the relation lambda_2 = alpha*lambda_1 is checked too
+    with pytest.raises(HypothesisError, match="resonance relation"):
+        single_resonance_primes([basis[0], basis[0].scale(2)], [Fraction(-1)])
 
 
 def test_single_resonance_wrong_arity():

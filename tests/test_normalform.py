@@ -13,7 +13,6 @@ from dulac.errors import NotNormalFormError, TruncationError
 from dulac.field import Scalar, weights_from_scalars
 from dulac.linalg import ExactMatrix, inverse, matvec_series
 from dulac.normalform import (
-    _ad_nilpotent,
     _conjugate_components,
     _homological_solution,
     _inverse_weights,
@@ -86,6 +85,9 @@ def test_is_pdnf_reports_bracket_residual():
     # [f, B_s x] = (0, -x^3) for this field
     assert residual[0].is_zero()
     assert residual[1] == _s({(3, 0): -1})
+    # modulo <x>^3 the offending x^3 is gone; the residual is read there
+    ok, residual = is_pdnf(f, 3)
+    assert ok and all(r.trunc == 3 for r in residual)
 
 
 def test_is_pdnf_accepts_resonant_field():
@@ -159,7 +161,7 @@ def test_normalize_requires_truncation_order():
     f = VectorField.from_components(comps)
     with pytest.raises(TruncationError):
         normalize(f)
-    result = normalize(f, order=4)
+    result = normalize(f.truncate(4))
     assert result.trunc_order == 4
 
 
@@ -181,10 +183,17 @@ def test_lg_nilpotency_index_golden_value():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
     assert lg_nilpotency_index(f, psi) == 3
+    # an exact phi is read at the field's order, a coarser one at its own
+    assert lg_nilpotency_index(f, Series(2, psi.terms)) == 3
+    assert lg_nilpotency_index(f, psi.truncate(6), 8) == 2
+    # with no order given, phi's own order counts: x^6 is nonzero modulo
+    # <x>^8 although the field is only known modulo <x>^6
+    assert lg_nilpotency_index(f.truncate(6), _s({(6, 0): 1}, 8)) == 1
 
 
 def test_lg_nilpotency_index_builds_no_field(monkeypatch):
-    # the normal-form check runs at the field's own order: no field rebuilt
+    # the normal-form check brackets the truncated components: no field is
+    # built, also when phi or the order is coarser than the field
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
     built = []
@@ -196,6 +205,9 @@ def test_lg_nilpotency_index_builds_no_field(monkeypatch):
 
     monkeypatch.setattr(VectorField, "__init__", counting)
     assert lg_nilpotency_index(f, psi) == 3
+    # L_g^2 psi = 2*x^6 vanishes modulo <x>^6
+    assert lg_nilpotency_index(f, psi.truncate(6)) == 2
+    assert lg_nilpotency_index(f, psi, 6) == 2
     assert built == []
 
 
@@ -287,6 +299,28 @@ def _neumann_step(comps, transform, h, order):
         power = matmul(power, minus_jac)
     new = [sum((row[k] * composed[k] for k in range(n)), zero) for row in neumann]
     return new, [compose(t_i, phi) for t_i in transform]
+
+
+def _ad_nilpotent(nil, nil_comps, vec):
+    """[N y, u] = Du . (N y) - N u by its formula: a Lie derivative along
+    the components of N y, minus a matrix-vector product."""
+    part1 = [lie_derivative(nil_comps, u) for u in vec]
+    part2 = matvec_series(nil, vec)
+    return [a - b for a, b in zip(part1, part2)]
+
+
+def test_ad_nilpotent_is_the_lie_bracket_with_the_nilpotent_field():
+    rng = random.Random(4242)
+    for _ in range(40):
+        n = rng.choice([2, 3])
+        order = rng.randint(3, 7)
+        nil = ExactMatrix.from_rows(
+            [[random_scalar(rng, gaussian=True) if j > i else Scalar(0) for j in range(n)]
+             for i in range(n)]
+        )
+        nil_comps = linear_components(nil, order)
+        vec = [random_series(rng, n, order, gaussian=True, min_degree=1) for _ in range(n)]
+        assert list(lie_bracket(nil_comps, vec)) == _ad_nilpotent(nil, nil_comps, vec)
 
 
 def _reference_normalize(f):
@@ -418,14 +452,14 @@ def test_homological_solution_inverts_the_operator_termwise(kind, monkeypatch):
     nil_comps = linear_components(nil, order)
     rounds = []
     monkeypatch.setattr(
-        normalform, "_ad_nilpotent", lambda *a: rounds.append(1) or _ad_nilpotent(*a)
+        normalform, "lie_bracket", lambda *a: rounds.append(1) or lie_bracket(*a)
     )
     invert = _inverse_weights(lam)
     most_rounds, resonant_seen, solved = 0, False, False
     for degree in range(2, order):
         parts = [c.homogeneous_part(degree) for c in comps]
         rounds.clear()
-        h = _homological_solution(parts, invert, nil, nil_comps)
+        h = _homological_solution(parts, invert, nil_comps)
         most_rounds = max(most_rounds, len(rounds))
         nonresonant = [
             Series(n, {e: c for e, c in p.terms.items()

@@ -19,8 +19,10 @@ commands that work purely with weights are available.
 
 Exit codes: 0 success, 1 I/O failure, 2 parse or schema error,
 3 hypothesis violation, 4 mathematical failure (the report carries the
-witness), 5 unsupported spectrum or mode mismatch.  Reports are
-deterministic: same input file, byte-identical output.
+witness), 5 unsupported spectrum or mode mismatch, 6 resource budget
+exceeded (an integer of the report is longer than Python's int-to-str
+limit, 4300 digits by default).  Reports are deterministic: same input
+file, byte-identical output.
 """
 
 from __future__ import annotations

@@ -74,6 +74,7 @@ from .poly import (
     grlex_key,
     lie_derivative,
     linear_components,
+    matvec_series,
     weight,
     weight_decompose,
 )
@@ -494,7 +495,7 @@ def _verify_certificate(ideal, matrix, rhs, solution) -> Scalar:
     det = linalg.determinant(matrix)
     if det.is_zero():
         raise CertificateError("the certificate matrix is singular")
-    product = linalg.matvec_series(matrix, solution)
+    product = matvec_series(matrix, solution)
     for got, want in zip(product, rhs):
         if got != want:
             raise CertificateError("matrix * solution does not reproduce the rhs")

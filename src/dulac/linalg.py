@@ -36,7 +36,6 @@ __all__ = [
     "ExactMatrix",
     "ChevalleyPair",
     "determinant",
-    "matvec_series",
     "charpoly",
     "gaussian_roots",
     "jordan_chevalley",
@@ -306,25 +305,6 @@ def kernel_basis(matrix: ExactMatrix) -> List[Tuple[Scalar, ...]]:
             vec[last - key] = -tail.get(last - fc, ZERO)
         basis.append(tuple(vec))
     return basis
-
-
-def matvec_series(matrix: ExactMatrix, vec: Sequence) -> list:
-    """Matrix of scalars times a vector of series (or scalars)."""
-    if len(vec) != matrix.ncols:
-        raise ValueError("vector length does not match matrix width")
-    out = []
-    for i in range(matrix.nrows):
-        acc = None
-        for j in range(matrix.ncols):
-            c = matrix[i, j]
-            if not c:
-                continue
-            piece = vec[j] * c
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            acc = vec[0] * ZERO
-        out.append(acc)
-    return out
 
 
 # -- characteristic polynomial & eigenvalues ---------------------------------

@@ -42,16 +42,18 @@ from .poly import (
     Exponent,
     Series,
     VectorField,
+    _PLUS,
     _canonical,
     _compose_all,
+    _dot,
     _graded,
-    _join,
     _partial,
     _triples,
     compose,
     lie_bracket,
     lie_derivative,
     linear_components,
+    matvec_series,
     weight,
 )
 
@@ -121,7 +123,7 @@ def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Serie
     """
     k = min((p.min_degree() for p in h if p), default=1)
     room = inf if s.trunc is None else s.trunc
-    total = s
+    pairs = [(s, _PLUS)]
     # (alpha, the multiplicity of its last index, d^alpha s / alpha!)
     frontier = [((), 0, s)]
     while frontier and room > k:
@@ -143,10 +145,10 @@ def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Serie
                     pj = powers[child] = powers[alpha] * h[j] if alpha else h[j]
                 if pj.is_zero():
                     continue
-                total = total + dj * pj
+                pairs.append((dj, pj))
                 grown.append((child, m, dj))
         frontier = grown
-    return total
+    return _dot(s.nvars, pairs, s.trunc)
 
 
 def _conjugate_components(
@@ -158,7 +160,7 @@ def _conjugate_components(
     n = t.nrows
     composed = _compose_all(components, linear_components(t, trunc))
     return [u for i in range(0, len(composed), n)
-            for u in linalg.matvec_series(t_inv, composed[i:i + n])]
+            for u in matvec_series(t_inv, composed[i:i + n])]
 
 
 def _inverse_weights(lam: Sequence[Scalar]):
@@ -285,18 +287,20 @@ def normalize(f: VectorField) -> NormalFormResult:
         if not any(h_vec):
             continue
         # (I + Dh) g = F with F = f(x + h), one homogeneous degree at a time
-        jac = [[_partial(h_i, k) for k in range(nvars)] for h_i in h_vec]
+        # the Jacobian of -h_k, so that each g_d below is one sum
+        jac = [[_partial(h_i, k) for k in range(nvars)] for h_i in [-h for h in h_vec]]
         powers: Dict[tuple, Series] = {}
-        graded = [_graded(_shift(_join(zero._r, g.values(), m_order), h_vec, powers))
+        graded = [_graded(_shift(_dot(nvars, [(p, _PLUS) for p in g.values()], m_order),
+                                 h_vec, powers))
                   for g in graded]
         for d in range(degree, m_order):
             low = [g.get(d - degree + 1) for g in graded]
             for i, g in enumerate(graded):
-                for k in range(nvars):
-                    if jac[i][k] and low[k]:
-                        g[d] = g.get(d, zero) - jac[i][k] * low[k]
+                pairs = [(jac[i][k], low[k]) for k in range(nvars) if jac[i][k] and low[k]]
+                if pairs:
+                    g[d] = _dot(nvars, [(g.get(d, zero), _PLUS), *pairs], m_order)
         transform = [_shift(t_i, h_vec, powers) for t_i in transform]
-    comps = [_join(zero._r, g.values(), m_order) for g in graded]
+    comps = [_dot(nvars, [(p, _PLUS) for p in g.values()], m_order) for g in graded]
 
     if not diagonal_already:
         back = _conjugate_components(comps + transform, t_inv, t, m_order)

@@ -24,8 +24,15 @@ packed as k is (re[k] + im[k]*i) / d, with two dicts of Python ints over
 the same keys (``im`` is empty for a real series) and d > 0.  Every
 series is canonical: gcd(d, every numerator) == 1 and no stored
 numerator is zero, so equal values in one ring have equal storage.
-Each kernel operation is integer arithmetic on the numerators followed
-by one gcd over the result.  :class:`~dulac.field.Scalar` values and
+Every sum, product and linear combination of series is one call of the
+kernel ``_dot``, which computes sum_k a_k*b_k for series a_k and factors
+b_k that are series or Gaussian rationals (p + q*i)/e.  It accumulates
+every product into one numerator dict over the lcm of the product
+denominators and runs one zero filter and one gcd on the result.  The
+result is truncated at the smallest order of its factors (and of an
+optional cap); a truncated result uses B = trunc + 1, and an exact one
+the largest base a product needs: B_a + B_b - 1 for a series factor and
+B_a for a rational one.  :class:`~dulac.field.Scalar` values and
 exponent tuples appear only at the boundary: the constructor,
 :attr:`Series.terms`, :meth:`Series.sorted_terms`,
 :meth:`Series.coefficient` and :meth:`Series.leading_coefficient`, and
@@ -43,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -64,6 +71,9 @@ Exponent = Tuple[int, ...]
 _Ring = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
 # numerators keyed by packed monomials
 _Nums = Dict[int, int]
+# the rational factors 1 and -1 as _dot takes them
+_PLUS = (1, 0, 1)
+_MINUS = (-1, 0, 1)
 
 __all__ = [
     "Exponent",
@@ -78,6 +88,7 @@ __all__ = [
     "lie_bracket",
     "compose",
     "linear_components",
+    "matvec_series",
 ]
 
 
@@ -191,94 +202,43 @@ def _repack(s: "Series", ring: _Ring, trunc: Optional[int]) -> Tuple[_Nums, _Num
     return re, im
 
 
-def _operands(a: "Series", b: "Series", product: bool):
-    """(ring, trunc, a's numerators, b's numerators) of a + b or a * b in
-    one ring, each numerator pair as (re, im) over a._d and b._d.
-
-    A truncated result uses B = trunc + 1.  An exact sum uses the larger
-    base, and an exact product B_a + B_b - 1, which lies above every
-    exponent of the product."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable counts differ")
-    if a._r is b._r and a.trunc == b.trunc and (a.trunc is not None or not product):
-        return a._r, a.trunc, (a._re, a._im), (b._re, b._im)
-    trunc = _min_trunc(a.trunc, b.trunc)
-    if trunc is not None:
-        base = trunc + 1
-    elif product:
-        base = a._r[1] + b._r[1] - 1
-    else:
-        base = max(a._r[1], b._r[1])
-    ring = _ring(a.nvars, base)
-    return ring, trunc, _repack(a, ring, trunc), _repack(b, ring, trunc)
-
-
-def _combine(x: _Nums, fx: int, y: _Nums, fy: int) -> _Nums:
-    """x*fx + y*fy; cancelled entries stay in as zeros."""
-    out = dict(x) if fx == 1 else {k: v * fx for k, v in x.items()}
-    get = out.get
-    if fy == 1:
-        for k, v in y.items():
-            out[k] = get(k, 0) + v
-    else:
-        for k, v in y.items():
-            out[k] = get(k, 0) + v * fy
-    return out
-
-
-def _sum(a: "Series", b: "Series", sign: int) -> "Series":
-    """a + sign*b for sign = 1 or -1."""
-    ring, trunc, (re1, im1), (re2, im2) = _operands(a, b, False)
-    d1, d2 = a._d, b._d
-    if sign == 1 and not re1 and not im1 and ring is b._r and trunc == b.trunc:
-        return b
-    if d1 == d2:
-        f1, f2 = 1, sign
-    else:
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, sign * (d1 // g)
-    re = _combine(re1, f1, re2, f2)
-    im = _combine(im1, f1, im2, f2) if im1 or im2 else {}
-    return _canonical(ring, re, im, d1 * f1, trunc)
-
-
 def _triples(re: _Nums, im: _Nums):
     """(key, re, im) for every term of a Gaussian series."""
     get_re, get_im = re.get, im.get
     return [(k, get_re(k, 0), get_im(k, 0)) for k in re.keys() | im.keys()]
 
 
-def _convolve(left: _Nums, right: _Nums, cap) -> _Nums:
-    """The integer product of two real numerator dicts, keeping the keys
-    below cap; zero entries stay in."""
+def _convolve(left: _Nums, right: _Nums, cap, f: int, out: _Nums) -> None:
+    """Add f times the integer product of two real numerator dicts to out,
+    keeping the keys below cap; zero entries stay in."""
     # A pair is dropped exactly when its key sum reaches trunc*B^n: a
     # kept pair has degree below trunc < B, so no exponent carries; a
     # dropped one has a key sum of at least degree*B^n.  With the right
     # keys ascending, the first such pair ends a row.
     pairs = sorted(right.items())
-    out: _Nums = {}
     get = out.get
     for e1, c1 in left.items():
+        c1 *= f
         room = cap - e1
         for e2, c2 in pairs:
             if e2 >= room:
                 break
             e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
-    return out
 
 
 def _convolve_gaussian(
-    left: Tuple[_Nums, _Nums], right: Tuple[_Nums, _Nums], cap
-) -> Tuple[_Nums, _Nums]:
-    """The product of two Gaussian numerator pairs in one loop over
-    (key, re, im) triples, keeping the keys below cap; zero entries stay
-    in."""
+    left: Tuple[_Nums, _Nums], right: Tuple[_Nums, _Nums], cap, f: int,
+    out_re: _Nums, out_im: _Nums,
+) -> None:
+    """Add f times the product of two Gaussian numerator pairs to (out_re,
+    out_im) in one loop over (key, re, im) triples, keeping the keys below
+    cap; zero entries stay in."""
     pairs = sorted(_triples(*right))
-    out_re: _Nums = {}
-    out_im: _Nums = {}
     get_re, get_im = out_re.get, out_im.get
     for e1, a1, b1 in _triples(*left):
+        a1 *= f
+        b1 *= f
         room = cap - e1
         for e2, a2, b2 in pairs:
             if e2 >= room:
@@ -286,7 +246,67 @@ def _convolve_gaussian(
             e = e1 + e2
             out_re[e] = get_re(e, 0) + a1 * a2 - b1 * b2
             out_im[e] = get_im(e, 0) + a1 * b2 + b1 * a2
-    return out_re, out_im
+
+
+def _dot(nvars: int, pairs, trunc: Optional[int]) -> "Series":
+    """sum_k a_k * b_k for series a_k in nvars variables and factors b_k,
+    each a series or a Gaussian rational triple (p, q, e) = (p + q*i)/e,
+    modulo the smallest truncation order among trunc and the factors.
+
+    Every product is accumulated into one pair of numerator dicts over
+    the lcm of the product denominators, and the result is made canonical
+    once.  A truncated result uses B = trunc + 1; an exact one the largest
+    base a product needs, B_a + B_b - 1 for a series factor and B_a for a
+    rational one, or 2 for an empty sum."""
+    base = 2
+    den = 1
+    dens = []
+    # _min_trunc and max inlined: this loop runs once per pair
+    for a, b in pairs:
+        if a.nvars != nvars:
+            raise ValueError("variable counts differ")
+        if trunc is None or a.trunc is not None and a.trunc < trunc:
+            trunc = a.trunc
+        if isinstance(b, Series):
+            if b.nvars != nvars:
+                raise ValueError("variable counts differ")
+            if trunc is None or b.trunc is not None and b.trunc < trunc:
+                trunc = b.trunc
+            k, d = a._r[1] + b._r[1] - 1, a._d * b._d
+        else:
+            k, d = a._r[1], a._d * b[2]
+        if k > base:
+            base = k
+        dens.append(d)
+        if den % d:
+            den = lcm(den, d)
+    ring = _ring(nvars, base if trunc is None else trunc + 1)
+    cap = inf if trunc is None else trunc * ring[2]
+    re: _Nums = {}
+    im: _Nums = {}
+    get_re, get_im = re.get, im.get
+    for (a, b), d in zip(pairs, dens):
+        f = den // d
+        left = _repack(a, ring, trunc)
+        if isinstance(b, Series):
+            right = _repack(b, ring, trunc)
+            if left[1] or right[1]:
+                _convolve_gaussian(left, right, cap, f, re, im)
+            else:
+                _convolve(left[0], right[0], cap, f, re)
+            continue
+        p, q = b[0] * f, b[1] * f
+        a_re, a_im = left
+        for k, v in a_re.items():
+            re[k] = get_re(k, 0) + v * p
+        for k, v in a_im.items():
+            im[k] = get_im(k, 0) + v * p
+        if q:
+            for k, v in a_re.items():
+                im[k] = get_im(k, 0) + v * q
+            for k, v in a_im.items():
+                re[k] = get_re(k, 0) - v * q
+    return _canonical(ring, re, im, den, trunc)
 
 
 class Series:
@@ -427,24 +447,6 @@ class Series:
             return self
         return self * lc.inverse()
 
-    def homogeneous_part(self, k: int) -> "Series":
-        """The degree-k homogeneous component.
-
-        Asking at or above the truncation order is an error: those
-        coefficients were discarded and the answer would be meaningless.
-        """
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.trunc is not None and k >= self.trunc:
-            raise TruncationError(
-                f"degree {k} is not represented at truncation order {self.trunc}"
-            )
-        top = self._r[2]
-        low, high = k * top, (k + 1) * top
-        re = {e: v for e, v in self._re.items() if low <= e < high}
-        im = {e: v for e, v in self._im.items() if low <= e < high} if self._im else {}
-        return _canonical(self._r, re, im, self._d, self.trunc)
-
     def truncate(self, order: int) -> "Series":
         """View this series modulo <x>^order (order must not exceed what is
         known); the series itself when order is its truncation order."""
@@ -482,66 +484,27 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return _sum(self, other, 1)
+        return _dot(self.nvars, [(self, _PLUS), (other, _PLUS)], None)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return _sum(self, other, -1)
+        return _dot(self.nvars, [(self, _PLUS), (other, _MINUS)], None)
 
     def __neg__(self) -> "Series":
-        return _wrap(
-            self._r,
-            {k: -v for k, v in self._re.items()},
-            {k: -v for k, v in self._im.items()},
-            self._d,
-            self.trunc,
-        )
+        return _dot(self.nvars, [(self, _MINUS)], None)
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, Series):
-            ring, trunc, left, right = _operands(self, other, True)
-            cap = inf if trunc is None else trunc * ring[2]
-            if left[1] or right[1]:
-                re, im = _convolve_gaussian(left, right, cap)
+        if not isinstance(other, Series):
+            if isinstance(other, Scalar):
+                other = other.as_gaussian_ratio()
+            elif isinstance(other, (int, Fraction)):
+                other = (other.numerator, 0, other.denominator)
             else:
-                re, im = _convolve(left[0], right[0], cap), {}
-            return _canonical(ring, re, im, self._d * other._d, trunc)
-        if isinstance(other, int):
-            return self._scaled(other, 0, 1)
-        if isinstance(other, Scalar):
-            return self._scaled(*other.as_gaussian_ratio())
-        if isinstance(other, Fraction):
-            return self._scaled(other.numerator, 0, other.denominator)
-        return NotImplemented
+                return NotImplemented
+        return _dot(self.nvars, [(self, other)], None)
 
     __rmul__ = __mul__
-
-    def _scaled(self, a: int, b: int, e: int) -> "Series":
-        """This series times the canonical Gaussian rational (a + b*i)/e."""
-        re, im, d = self._re, self._im, self._d
-        if not b:
-            if not a:
-                return Series.zero(self.nvars, self.trunc)
-            if a == 1 and e == 1:
-                return self
-            # With g = gcd(d, a), d/g is coprime to a/g and to every
-            # numerator, so only a denominator e can leave a content.
-            g = gcd(d, a)
-            if g != 1:
-                a //= g
-                d //= g
-            out_re = {k: v * a for k, v in re.items()}
-            out_im = {k: v * a for k, v in im.items()} if im else {}
-            if e == 1:
-                return _wrap(self._r, out_re, out_im, d, self.trunc)
-            return _canonical(self._r, out_re, out_im, d * e, self.trunc)
-        out_re: _Nums = {}
-        out_im: _Nums = {}
-        for k, x, y in _triples(re, im):
-            out_re[k] = x * a - y * b
-            out_im[k] = x * b + y * a
-        return _canonical(self._r, out_re, out_im, d * e, self.trunc)
 
     def __pow__(self, exponent: int) -> "Series":
         if not isinstance(exponent, int) or exponent < 0:
@@ -650,20 +613,6 @@ def _graded(s: Series) -> Dict[int, Series]:
             for d in sorted(re.keys() | im.keys())}
 
 
-def _join(ring: _Ring, parts, trunc: Optional[int]) -> Series:
-    """The sum of series in ``ring`` that hold disjoint degrees, as one
-    union of their terms over the lcm of their denominators; canonical as
-    it stands, by the argument of :func:`_numerators`."""
-    den = lcm(*(part._d for part in parts))
-    re: _Nums = {}
-    im: _Nums = {}
-    for part in parts:
-        f = den // part._d
-        re.update({k: v * f for k, v in part._re.items()})
-        im.update({k: v * f for k, v in part._im.items()})
-    return _wrap(ring, re, im, den, trunc)
-
-
 # -- weights ---------------------------------------------------------------
 
 
@@ -747,17 +696,13 @@ def lie_derivative(f: FieldLike, s: Series) -> Series:
                 "lie derivative requires a field with no constant term"
             )
         trunc = _min_trunc(trunc, c.trunc)
-    result = Series.zero(s.nvars, trunc)
+    pairs = []
     for j, comp in enumerate(comps):
-        if comp.is_zero():
-            continue
-        d = _partial(s, j)
-        if d.is_zero():
-            continue
-        result = result + d * comp
-    if trunc is not None:
-        result = result.truncate(trunc)
-    return result
+        if comp:
+            d = _partial(s, j)
+            if d:
+                pairs.append((d, comp))
+    return _dot(s.nvars, pairs, trunc)
 
 
 def lie_derivative_iter(f: FieldLike, s: Series, count: int) -> Series:
@@ -832,31 +777,23 @@ def _compose_all(series: Sequence[Series], subs: Sequence[Series]) -> List[Serie
     for s in series:
         trunc = _min_trunc(s.trunc, subs_trunc)
         images = tables.setdefault((s._r, trunc), {0: Series.constant(ONE, target_nvars, trunc)})
-        pieces = [(k, _image(k, s._r, subs, images)) for k in s._keys()]
-        # every image is truncated at trunc; exact images may differ in base
-        ring = max((img._r for _, img in pieces), key=itemgetter(1), default=images[0]._r)
-        # Over the lcm L of the image denominators D_k the result is
-        # sum_k (re_k + im_k*i) * (L / D_k) * image_k, all over s._d * L.
-        common = lcm(*(img._d for _, img in pieces))
         s_re, s_im = s._re, s._im
-        out_re: _Nums = {}
-        out_im: _Nums = {}
-        get_re, get_im = out_re.get, out_im.get
-        for k, img in pieces:
-            f = common // img._d
-            a, b = s_re.get(k, 0) * f, s_im.get(k, 0) * f
-            img_re, img_im = _repack(img, ring, trunc)
-            if a:
-                for m, v in img_re.items():
-                    out_re[m] = get_re(m, 0) + a * v
-                for m, v in img_im.items():
-                    out_im[m] = get_im(m, 0) + a * v
-            if b:
-                for m, v in img_re.items():
-                    out_im[m] = get_im(m, 0) + b * v
-                for m, v in img_im.items():
-                    out_re[m] = get_re(m, 0) - b * v
-        out.append(_canonical(ring, out_re, out_im, s._d * common, trunc))
+        pairs = [(_image(k, s._r, subs, images), (s_re.get(k, 0), s_im.get(k, 0), s._d))
+                 for k in s._keys()]
+        out.append(_dot(target_nvars, pairs, trunc))
+    return out
+
+
+def matvec_series(matrix: linalg.ExactMatrix, vec: Sequence[Series]) -> List[Series]:
+    """Matrix of scalars times a vector of series, one ``_dot`` per row; a
+    zero row gives the zero series at the truncation order of vec[0]."""
+    if len(vec) != matrix.ncols:
+        raise ValueError("vector length does not match matrix width")
+    nvars = vec[0].nvars
+    out = []
+    for row in matrix.rows():
+        pairs = [(s, c.as_gaussian_ratio()) for s, c in zip(vec, row) if c]
+        out.append(_dot(nvars, pairs, None) if pairs else Series.zero(nvars, vec[0].trunc))
     return out
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from dulac.field import Scalar, Weight
-from dulac.linalg import ExactMatrix, inverse, matvec_series
-from dulac.poly import Series, VectorField, compose, weight
+from dulac.linalg import ExactMatrix, inverse
+from dulac.poly import Series, VectorField, compose, matvec_series, weight
 
 
 def iter_exponents(nvars: int, total: int):
@@ -16,6 +16,11 @@ def iter_exponents(nvars: int, total: int):
     ascending multisets give descending exponent tuples."""
     for combo in itertools.combinations_with_replacement(range(nvars), total):
         yield tuple(combo.count(j) for j in range(nvars))
+
+
+def homogeneous_part(s: Series, k: int) -> Series:
+    """The degree-k terms of s, rebuilt from its public terms."""
+    return Series(s.nvars, {e: c for e, c in s.terms.items() if sum(e) == k}, s.trunc)
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:

@@ -18,7 +18,7 @@ from dulac.errors import (
     TruncationError,
 )
 from dulac.exprs import format_series, parse_expression
-from dulac.field import IMAG, ONE, Scalar, Weight, weights_from_scalars
+from dulac.field import IMAG, ONE, ZERO, Scalar, Weight, weights_from_scalars
 from dulac.ideals import (
     IdealHandle,
     close_under_lie,
@@ -31,7 +31,7 @@ from dulac.ideals import (
     _rn_dimension,
     _verify_certificate,
 )
-from dulac.linalg import ExactMatrix, determinant, matvec_series
+from dulac.linalg import ExactMatrix, determinant
 from dulac.normalform import lg_nilpotency_index
 from dulac.poly import (
     Series,
@@ -40,6 +40,7 @@ from dulac.poly import (
     _unpack,
     grlex_key,
     lie_derivative,
+    matvec_series,
     weight,
     weight_decompose,
 )
@@ -802,6 +803,39 @@ def test_block_count_is_the_nilpotency_index_on_random_normal_fields():
     assert max(counts) >= 3
 
 
+def _scalar_matvec(matrix, vec):
+    """matrix * vec on the Scalar terms of vec, with no series arithmetic."""
+    out = []
+    for row in matrix.rows():
+        acc = {}
+        for c, s in zip(row, vec):
+            for e, v in s.terms.items():
+                acc[e] = acc.get(e, ZERO) + c * v
+        out.append({e: v for e, v in acc.items() if not v.is_zero()})
+    return out
+
+
+def test_certificate_replay_holds_on_a_scalar_product_loop():
+    # _certify builds the rhs with lie_derivative and _verify_certificate
+    # replays it with matvec_series, and both are sums of poly._dot; this
+    # product loop is the route that shares nothing with either.
+    rng = random.Random(1913)
+    replayed = 0
+    for _ in range(12):
+        n = rng.choice([2, 3])
+        order = rng.choice([4, 5, 6])
+        f = pdnf_field(rng, n, order)
+        seed = random_series(rng, n, order, gaussian=True, max_terms=4, min_degree=1)
+        closed = close_under_lie(IdealHandle([seed], order), f)
+        for member in (seed,) + closed.reduced_basis:
+            _, cert = extract_from_member(member, closed, f)
+            if cert is not None:
+                got = _scalar_matvec(cert.matrix, cert.solution)
+                assert got == [want.terms for want in cert.rhs]
+                replayed += cert.block_count > 1
+    assert replayed >= 10
+
+
 def test_extract_from_member_golden():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     closed = IdealHandle([_s({(3, 0): 1}, 8), _s({Y: 1}, 8)], 8)
@@ -889,6 +923,15 @@ def test_certificate_replay_rejects_a_tampered_rhs_entry():
     tampered = _replace(cert.rhs, 2, cert.rhs[2] + _s({(3, 0): 1}, 8))
     with pytest.raises(CertificateError, match="does not reproduce"):
         _verify_certificate(closed, cert.matrix, tampered, cert.solution)
+
+
+def test_certificate_replay_names_the_source_when_an_rhs_entry_leaves_the_ideal():
+    closed, cert = _readme_certificate()
+    smaller = IdealHandle([_s({Y: 1}, 8)], 8)
+    assert not smaller.member(cert.rhs[0])
+    with pytest.raises(NotInvariantError, match="left the ideal") as caught:
+        _verify_certificate(smaller, cert.matrix, cert.rhs, cert.solution)
+    assert caught.value.witness == (cert.rhs[0], smaller.normal_form(cert.rhs[0]))
 
 
 def test_certificate_replay_rejects_a_tampered_matrix_entry():

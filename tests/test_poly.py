@@ -11,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac import poly
 from dulac.errors import CompositionError, TruncationError
 from dulac.field import ONE, ZERO, Scalar, Weight, weights_from_scalars
+from dulac.linalg import ExactMatrix
 from dulac.poly import (
     Series,
     VectorField,
+    _PLUS,
     _compose_all,
+    _dot,
     _graded,
-    _join,
     _partial,
     _ring,
     _scalar_terms,
@@ -27,6 +30,7 @@ from dulac.poly import (
     lie_bracket,
     lie_derivative,
     lie_derivative_iter,
+    matvec_series,
     weight,
     weight_decompose,
 )
@@ -58,6 +62,12 @@ def test_series_addition_and_scaling():
     assert a - a == Series.zero(2)
     assert a * Scalar(2) == _s({X: 2, (2, 0): 6})
     assert a * Fraction(1, 3) == _s({X: Fraction(1, 3), (2, 0): 1})
+    # an operand that is not a coefficient raises TypeError
+    for other in (1.5, "2", None):
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            other * a
 
 
 def test_series_multiplication_truncates_to_finest():
@@ -81,10 +91,8 @@ def test_series_degrees_and_parts():
     s = _s({Y: 2, (3, 0): 1, (1, 2): -4}, 5)
     assert s.min_degree() == 1
     assert s.degree() == 3
-    assert s.homogeneous_part(3) == _s({(3, 0): 1, (1, 2): -4})
-    assert s.homogeneous_part(2).is_zero()
-    with pytest.raises(TruncationError):
-        s.homogeneous_part(5)
+    assert list(_graded(s)) == [1, 3]
+    assert _graded(s)[3] == _s({(3, 0): 1, (1, 2): -4})
 
 
 def test_series_truncate_only_coarsens():
@@ -338,7 +346,6 @@ def test_series_results_are_canonical_under_mixed_truncations(data, nvars):
     # a copy of a at another truncation makes cancellations likely
     a_cut = Series(nvars, a.terms, data.draw(any_trunc))
     c = data.draw(st.sampled_from([Scalar(0), Scalar(-1), Scalar(2, 1), 3]))
-    k = data.draw(st.integers(0, (a.trunc or 6) - 1))
     j = data.draw(st.integers(0, nvars - 1))
     # bounded truncations keep composition small
     field = data.draw(st.lists(
@@ -347,7 +354,7 @@ def test_series_results_are_canonical_under_mixed_truncations(data, nvars):
     ))
     results = [
         a + b, a - b, a - a_cut, a * b, -a, a * c, c * a,
-        a.homogeneous_part(k), _partial(a, j),
+        *_graded(a).values(), _partial(a, j),
         lie_derivative(field, a), compose(a, field),
     ]
     for r in results:
@@ -547,8 +554,8 @@ def test_packed_kernel_matches_the_tuple_keyed_reference():
             for j in range(nvars):
                 _assert_matches(_partial(s, j), _ref_partial(_ref(s), j))
             top = 6 if s.trunc is None else s.trunc - 1
-            k = rng.randint(0, top)
-            _assert_matches(s.homogeneous_part(k), _ref_homogeneous_part(_ref(s), k))
+            for k, part in _graded(s).items():
+                _assert_matches(part, _ref_homogeneous_part(_ref(s), k))
             order = rng.randint(1, top + 1)
             _assert_matches(s.truncate(order), _ref_truncate(_ref(s), order))
             for reverse in (True, False):
@@ -682,7 +689,6 @@ def test_kernel_results_have_canonical_numerators(data, nvars):
         [Scalar(0), Scalar(-1), Scalar(Fraction(2, 3)), Scalar(0, Fraction(-3, 4)),
          Scalar(Fraction(1, 6), 2), 6, -4, Fraction(-5, 2)]
     ))
-    k = data.draw(st.integers(0, (a.trunc or 6) - 1))
     j = data.draw(st.integers(0, nvars - 1))
     order = data.draw(st.integers(1, a.trunc or 6))
     field = data.draw(st.lists(
@@ -691,7 +697,7 @@ def test_kernel_results_have_canonical_numerators(data, nvars):
     ))
     results = [
         a + b, a - b, a - a, a * b, a * a, -a, a * c, c * a,
-        a.homogeneous_part(k), a.truncate(order), _partial(a, j),
+        *_graded(a).values(), a.truncate(order), _partial(a, j),
         lie_derivative(field, a), compose(a, field), a.monic(),
     ]
     for r in results:
@@ -714,9 +720,9 @@ def test_equal_values_built_by_different_routes_have_equal_storage(data, nvars, 
         nvars, {e: v for e, v in a.terms.items() if sum(e) < order}, order
     )
     assert _storage(a.truncate(order)) == _storage(rebuilt)
-    k = data.draw(st.integers(0, trunc - 1))
-    part = Series(nvars, {e: v for e, v in a.terms.items() if sum(e) == k}, trunc)
-    assert _storage(a.homogeneous_part(k)) == _storage(part)
+    for k, part in _graded(a).items():
+        rebuilt = Series(nvars, {e: v for e, v in a.terms.items() if sum(e) == k}, trunc)
+        assert _storage(part) == _storage(rebuilt)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -727,11 +733,12 @@ def test_graded_parts_rejoin_to_the_series(data, nvars):
     parts = _graded(s)
     assert list(parts) == sorted({sum(e) for e in s.terms})
     for d, part in parts.items():
-        assert _storage(part) == _storage(s.homogeneous_part(d))
-        assert part.trunc == s.trunc
+        _assert_numerators_canonical(part)
+        assert part == Series(nvars, {e: c for e, c in s.terms.items() if sum(e) == d})
+        assert part._r is s._r and part.trunc == s.trunc
     # a zero part, as normalize's triangular recursion can leave, adds nothing
     parts = [*parts.values(), Series.zero(nvars, s.trunc)]
-    joined = _join(s._r, parts, s.trunc)
+    joined = _dot(nvars, [(part, _PLUS) for part in parts], s.trunc)
     _assert_numerators_canonical(joined)
     assert _storage(joined) == _storage(s) and joined.trunc == s.trunc
 
@@ -850,3 +857,114 @@ def test_numerator_product_matches_the_scalar_product():
         _assert_numerators_canonical(got)
         seen_zero += not want
     assert seen_zero >= 2
+
+
+# -- the kernel _dot against the tuple-keyed product loop ----------------------
+
+
+def _ref_dot(nvars, pairs, trunc):
+    """sum_k a_k * b_k on tuple-keyed terms, a rational factor taken as a
+    constant exact series."""
+    total = ({}, trunc)
+    for a, b in pairs:
+        factor = ({(0,) * nvars: b}, None) if isinstance(b, Scalar) else b
+        total = _ref_add(total, _ref_mul(a, factor))
+    return total
+
+
+def _triple_scalar(p, q, e):
+    return Scalar(Fraction(p, e), Fraction(q, e))
+
+
+def _negated(s):
+    return Series(s.nvars, {e: -c for e, c in s.terms.items()}, s.trunc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_dot_matches_the_tuple_keyed_product_loop(data, nvars):
+    any_trunc = st.sampled_from([None, None, 2, 3, 4, 6])
+    shared = data.draw(st.sampled_from([None, 2, 6]))
+    triples = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        a = data.draw(_series_with(nvars, any_trunc, shared))
+        if data.draw(st.booleans()):
+            b = data.draw(_series_with(nvars, any_trunc, shared))
+            cancel = _negated(b)
+        else:
+            b = data.draw(triples)
+            cancel = (-b[0], -b[1], b[2])
+        pairs.append((a, b))
+        if data.draw(st.integers(0, 3)) == 0:
+            pairs.append((a, cancel))  # this pair's product cancels to zero
+    trunc = data.draw(any_trunc)
+    got = _dot(nvars, pairs, trunc)
+    want = _ref_dot(
+        nvars,
+        [(_ref(a), _ref(b) if isinstance(b, Series) else _triple_scalar(*b)) for a, b in pairs],
+        trunc,
+    )
+    _assert_matches(got, want)
+    _assert_numerators_canonical(got)
+    if got.trunc is not None:
+        base = got.trunc + 1
+    else:
+        base = max([2] + [a._r[1] + (b._r[1] - 1 if isinstance(b, Series) else 0)
+                          for a, b in pairs])
+    assert got._r is _ring(nvars, base)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_lie_derivative_and_matvec_match_the_product_loop(data, nvars):
+    any_trunc = st.sampled_from([None, 2, 3, 4, 6])
+    shared = data.draw(st.sampled_from([None, 2, 6]))
+    s = data.draw(_series_with(nvars, any_trunc, shared))
+    field = [data.draw(_series_with(nvars, any_trunc, shared, min_degree=1))
+             for _ in range(nvars)]
+    trunc = s.trunc
+    for comp in field:
+        trunc = _ref_min(trunc, comp.trunc)
+    want = _ref_dot(
+        nvars, [(_ref_partial(_ref(s), j), _ref(comp)) for j, comp in enumerate(field)], trunc
+    )
+    _assert_matches(lie_derivative(field, s), want)
+
+    entries = st.sampled_from([Scalar(0), Scalar(1), Scalar(-2), Scalar(Fraction(1, 3), -1),
+                               Scalar(0, Fraction(5, 2))])
+    rows = data.draw(st.integers(1, 3))
+    matrix = ExactMatrix([[data.draw(entries) for _ in field] for _ in range(rows)])
+    for row, got in zip(matrix.rows(), matvec_series(matrix, field)):
+        pairs = [(_ref(comp), c) for comp, c in zip(field, row) if c]
+        _assert_matches(got, _ref_dot(nvars, pairs, None) if pairs else ({}, field[0].trunc))
+        _assert_numerators_canonical(got)
+
+
+def _count_canonical(monkeypatch):
+    calls = []
+    original = poly._canonical
+    monkeypatch.setattr(
+        poly, "_canonical", lambda *args: calls.append(1) or original(*args)
+    )
+    return calls
+
+
+def test_sums_of_products_make_one_canonical_per_result(monkeypatch):
+    n, order = 3, 6
+    x = [Series.variable(j, n, order) for j in range(n)]
+    half = Scalar(Fraction(1, 2), 1)
+    field = [x[0] * half + x[1] * x[2], x[1] * 3 + x[0] * x[0], x[2] * half + x[0] * x[1]]
+    s = x[0] * x[1] * half + x[2] * x[2] * x[0] + x[1] ** 3
+    calls = _count_canonical(monkeypatch)
+    lie_derivative(field, s)
+    assert len(calls) == n + 1  # n partials and one sum
+    calls.clear()
+    lie_derivative([field[0], Series.zero(n, order), field[2]], s)
+    assert len(calls) == n  # no partial along a zero component
+    matrix = ExactMatrix([[half, Scalar(2), Scalar(-1)],
+                          [Scalar(0, 1), Scalar(Fraction(1, 3)), half],
+                          [Scalar(5), Scalar(0), Scalar(1, 1)]])
+    calls.clear()
+    matvec_series(matrix, field)
+    assert len(calls) == matrix.nrows

@@ -68,7 +68,6 @@ from .normalform import (
 from .poly import (
     Series,
     VectorField,
-    WeightDecomposition,
     compose,
     lie_bracket,
     lie_derivative,
@@ -103,7 +102,6 @@ __all__ = [
     "UnsupportedSpectrumError",
     "VectorField",
     "Weight",
-    "WeightDecomposition",
     "ZERO",
     "close_under_lie",
     "compose",

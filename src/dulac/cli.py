@@ -303,6 +303,7 @@ def _weights_for_problem(problem: Problem) -> Tuple[List[Weight], Optional[Tuple
 def _pick_ideal(problem: Problem, args) -> Tuple[str, List[str]]:
     name = getattr(args, "ideal", None)
     if name is None:
+        _require(bool(problem.ideals), "the file defines no ideals")
         _require(
             len(problem.ideals) == 1,
             "the file defines several ideals; pick one with --ideal",
@@ -407,7 +408,7 @@ def cmd_weights(problem: Problem, args) -> Tuple[dict, int]:
     report["eigenvalues"] = [format_weight(w) for w in weights]
     report["weights"] = {
         format_weight(w): format_series(component, problem.variables)
-        for w, component in decomposition
+        for w, component in decomposition.items()
     }
     return report, EXIT_OK
 

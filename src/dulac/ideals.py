@@ -56,7 +56,6 @@ from .errors import (
     NotDiagonalError,
     NotInvariantError,
     NotNormalFormError,
-    TruncationError,
 )
 from .field import ONE, Scalar, Weight, weight_embed
 from .linalg import Tails, _insert_row, _substitute
@@ -93,16 +92,6 @@ __all__ = [
 ]
 
 
-def _at_order(s: Series, order: int) -> Series:
-    """View a series in R_order; reject inputs that know too little."""
-    if s.trunc is not None and s.trunc < order:
-        raise TruncationError(
-            f"series is only known modulo <x>^{s.trunc}, "
-            f"which cannot represent an element of R_{order}"
-        )
-    return s.truncate(order)
-
-
 def _generators(
     gens: Iterable[Series], trunc_order: int, nvars: Optional[int]
 ) -> Tuple[Tuple[Series, ...], int]:
@@ -115,7 +104,7 @@ def _generators(
             nvars = g.nvars
         elif g.nvars != nvars:
             raise ValueError("generators live in different variable sets")
-        out.append(_at_order(g, trunc_order))
+        out.append(g.truncate(trunc_order))
     if nvars is None:
         raise ValueError("an empty generating set needs an explicit variable count")
     return tuple(out), nvars
@@ -279,7 +268,7 @@ class IdealHandle:
         some term is a pivot."""
         if psi.nvars != self.nvars:
             raise ValueError("variable counts differ")
-        rep = _at_order(psi, self.trunc_order)
+        rep = psi.truncate(self.trunc_order)
         basis = self._ensure_basis()
         keys = rep._keys()
         if basis.tails.keys().isdisjoint(keys):
@@ -305,15 +294,6 @@ class IdealHandle:
         )
 
 
-def _check_field_order(f, order: int) -> None:
-    for comp in _components(f):
-        if comp.trunc is not None and comp.trunc < order:
-            raise TruncationError(
-                f"the field is only known modulo <x>^{comp.trunc}, "
-                f"too coarse for an ideal at order {order}"
-            )
-
-
 def is_invariant(ideal: IdealHandle, f) -> Tuple[bool, Optional[Tuple[Series, Series]]]:
     """Whether the ideal is carried into itself by the derivation along f.
 
@@ -322,8 +302,7 @@ def is_invariant(ideal: IdealHandle, f) -> Tuple[bool, Optional[Tuple[Series, Se
     every product.  On failure, returns the offending generator together
     with the reduced (non-member) Lie derivative as a witness.
     """
-    _check_field_order(f, ideal.trunc_order)
-    comps = _components(f)
+    comps = [c.truncate(ideal.trunc_order) for c in _components(f)]
     for g in ideal.generators:
         image = lie_derivative(comps, g)
         residue = ideal.normal_form(image)
@@ -336,8 +315,7 @@ def close_under_lie(ideal: IdealHandle, f) -> IdealHandle:
     """The smallest ideal containing the input that the derivation maps
     into itself, computed by adjoining reduced Lie derivatives until
     stable.  Terminates because R_N is finite-dimensional."""
-    _check_field_order(f, ideal.trunc_order)
-    comps = _components(f)
+    comps = [c.truncate(ideal.trunc_order) for c in _components(f)]
     current = ideal
     # Each round either stabilizes or strictly enlarges the ideal; the
     # chain is bounded by the dimension of R_N.
@@ -476,9 +454,7 @@ def _extract_symbolic(
                 )
     pieces: List[Series] = []
     for g in ideal.generators:
-        dec = weight_decompose(g, eigenvalues)
-        for w in dec.weights:
-            component = dec[w]
+        for component in weight_decompose(g, eigenvalues).values():
             if not ideal.member(component):
                 raise CertificateError(
                     "a weight component failed the membership recheck"
@@ -520,7 +496,7 @@ def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, m):
     the solution whose block j holds the j-th L_g images of the weight
     components, block 0 the components themselves."""
     dec = weight_decompose(source, eigenvalues)
-    weights = dec.weights
+    weights = tuple(dec)
     q = len(weights)
     nodes = tuple(weight_embed(w, embedding) for w in weights)
     if len(set(nodes)) != q:
@@ -532,7 +508,7 @@ def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, m):
     rhs: List[Series] = [source]
     for _ in range(q * m - 1):
         rhs.append(lie_derivative(f_comps, rhs[-1]))
-    solution: List[Series] = [dec[w] for w in weights]
+    solution: List[Series] = list(dec.values())
     for j in range(1, m):
         start = (j - 1) * q
         for k in range(q):
@@ -573,7 +549,7 @@ def extract_from_member(
             "extraction indexes weights by position and needs a diagonal "
             "semisimple part; normalize in the diagonalizing basis first"
         )
-    _check_field_order(f, order)
+    f_comps = tuple(c.truncate(order) for c in f.components)
     # lg_nilpotency_index checks the normal form before it reads phi, so
     # that check still precedes the truncation and membership checks.
     try:
@@ -582,7 +558,7 @@ def extract_from_member(
         raise NotNormalFormError(
             "the field must be in normal form for weight extraction", exc.residual
         ) from None
-    rep = _at_order(phi, order)
+    rep = phi.truncate(order)
     if not ideal.member(rep):
         raise NotInvariantError(
             "the series is not a member of the ideal",
@@ -590,7 +566,6 @@ def extract_from_member(
         )
     if rep.is_zero():
         return (), None
-    f_comps = tuple(c.truncate(order) for c in f.components)
     certificate = _certify(
         ideal, rep, f.eigenvalues, f.embedding, f_comps, f.g_components(order), m
     )

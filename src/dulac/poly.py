@@ -32,7 +32,10 @@ denominators and runs one zero filter and one gcd on the result.  The
 result is truncated at the smallest order of its factors (and of an
 optional cap); a truncated result uses B = trunc + 1, and an exact one
 the largest base a product needs: B_a + B_b - 1 for a series factor and
-B_a for a rational one.  :class:`~dulac.field.Scalar` values and
+B_a for a rational one.  Likewise every grouping of a series' terms is
+one pass of ``_split`` over the packed keys, by degree (``_graded``) or
+by monomial weight (:func:`weight_decompose`), with each part made
+canonical once.  :class:`~dulac.field.Scalar` values and
 exponent tuples appear only at the boundary: the constructor,
 :attr:`Series.terms`, :meth:`Series.sorted_terms`,
 :meth:`Series.coefficient` and :meth:`Series.leading_coefficient`, and
@@ -79,7 +82,6 @@ __all__ = [
     "Exponent",
     "Series",
     "VectorField",
-    "WeightDecomposition",
     "grlex_key",
     "weight",
     "weight_decompose",
@@ -430,11 +432,11 @@ class Series:
             return ZERO
         return self._coefficient_at(sum(map(mul, exps, units)))
 
-    def sorted_terms(self, reverse: bool = True):
-        """Terms as (exponent, coefficient) in grlex order, leading monomial
-        first by default."""
+    def sorted_terms(self):
+        """Terms as (exponent, coefficient) in descending grlex order,
+        leading monomial first."""
         ring, terms = self._r, _scalar_terms(self)
-        return [(_unpack(k, ring), terms[k]) for k in sorted(terms, reverse=reverse)]
+        return [(_unpack(k, ring), terms[k]) for k in sorted(terms, reverse=True)]
 
     def leading_coefficient(self) -> Scalar:
         if self.is_zero():
@@ -599,18 +601,24 @@ def _partial(s: Series, j: int, cap=inf) -> Series:
     return _canonical(s._r, _derive(s._re, p, base, u, cap), im, s._d, s.trunc)
 
 
-def _graded(s: Series) -> Dict[int, Series]:
-    """The homogeneous parts of s keyed by degree in ascending order, split
-    in one pass over its terms; only the degrees that hold a term appear."""
-    top = s._r[2]
-    re: Dict[int, _Nums] = {}
-    im: Dict[int, _Nums] = {}
+def _split(s: Series, label, sort_key=None) -> Dict[object, Series]:
+    """The parts of s whose packed keys share a ``label(key)``, keyed by
+    label in ``sorted(labels, key=sort_key)`` order: one pass over its
+    terms, each part made canonical once."""
+    re: Dict[object, _Nums] = {}
+    im: Dict[object, _Nums] = {}
     for k, v in s._re.items():
-        re.setdefault(k // top, {})[k] = v
+        re.setdefault(label(k), {})[k] = v
     for k, v in s._im.items():
-        im.setdefault(k // top, {})[k] = v
-    return {d: _canonical(s._r, re.get(d, {}), im.get(d, {}), s._d, s.trunc)
-            for d in sorted(re.keys() | im.keys())}
+        im.setdefault(label(k), {})[k] = v
+    return {w: _canonical(s._r, re.get(w, {}), im.get(w, {}), s._d, s.trunc)
+            for w in sorted(re.keys() | im.keys(), key=sort_key)}
+
+
+def _graded(s: Series) -> Dict[int, Series]:
+    """The homogeneous parts of s keyed by degree in ascending order; only
+    the degrees that hold a term appear."""
+    return _split(s, s._r[2].__rfloordiv__)
 
 
 # -- weights ---------------------------------------------------------------
@@ -627,50 +635,13 @@ def weight(exps: Exponent, eigenvalues: Sequence[Weight]) -> Weight:
     return total
 
 
-class WeightDecomposition:
-    """A series split into its weight-homogeneous components.
-
-    Components are stored in ascending coordinate order of their weights,
-    which fixes a deterministic iteration order everywhere downstream.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Dict[Weight, Series]):
-        ordered = {
-            w: components[w]
-            for w in sorted(components, key=lambda w: w.sort_key())
-        }
-        object.__setattr__(self, "components", ordered)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightDecomposition is immutable")
-
-    @property
-    def weights(self) -> Tuple[Weight, ...]:
-        return tuple(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, w: Weight) -> Series:
-        return self.components[w]
-
-    def __iter__(self):
-        return iter(self.components.items())
-
-
-def weight_decompose(s: Series, eigenvalues: Sequence[Weight]) -> WeightDecomposition:
-    """Group the terms of a series by monomial weight."""
+def weight_decompose(s: Series, eigenvalues: Sequence[Weight]) -> Dict[Weight, Series]:
+    """The weight-homogeneous parts of a series keyed by monomial weight,
+    in ascending :meth:`Weight.sort_key` order."""
     if len(eigenvalues) != s.nvars:
         raise ValueError("eigenvalue count does not match variable count")
-    buckets: Dict[Weight, Dict[Exponent, Scalar]] = {}
-    for e, c in s.terms.items():
-        w = weight(e, eigenvalues)
-        buckets.setdefault(w, {})[e] = c
-    return WeightDecomposition(
-        {w: Series(s.nvars, terms, s.trunc) for w, terms in buckets.items()}
-    )
+    ring = s._r
+    return _split(s, lambda k: weight(_unpack(k, ring), eigenvalues), Weight.sort_key)
 
 
 # -- derivations ------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_criterion_4_extraction_from_invariant_ideals():
         assert extracted, "extraction may not drop a nonzero invariant ideal"
         for g in extracted:
             decomposition = weight_decompose(g, weights)
-            assert len(decomposition.weights) == 1  # weight homogeneous
+            assert len(decomposition) == 1  # weight homogeneous
             assert handle.member(g)  # verified member
         # two-sided generation equivalence at the truncation
         back = IdealHandle(list(extracted), order)

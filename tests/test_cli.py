@@ -190,6 +190,20 @@ def test_extract_requires_ideal_choice_when_ambiguous(problem, capsys):
     assert "--ideal" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["weights", "extract"])
+@pytest.mark.parametrize("ideals, message", [
+    (None, "the file defines no ideals"),
+    (GOLDEN["ideals"], "the file defines several ideals; pick one with --ideal"),
+])
+def test_ideal_choice_without_flag_names_the_count(problem, capsys, command, ideals, message):
+    data = {"variables": ["x", "y"], "vector_field": ["x", "3*y + x^3"]}
+    if ideals is not None:
+        data["ideals"] = ideals
+    code, report, _ = run(capsys, [command, problem(data)])
+    assert code == 2
+    assert report["error"]["message"] == message
+
+
 # -- check-pdnf and normalize ----------------------------------------------
 
 

@@ -32,7 +32,7 @@ from dulac.ideals import (
     _verify_certificate,
 )
 from dulac.linalg import ExactMatrix, determinant
-from dulac.normalform import lg_nilpotency_index
+from dulac.normalform import lg_nilpotency_index, normalize
 from dulac.poly import (
     Series,
     VectorField,
@@ -46,12 +46,14 @@ from dulac.poly import (
 )
 
 from _gen import (
+    field_with_linear_part,
     iter_exponents,
     pdnf_field,
     random_exponent,
     random_scalar,
     random_series,
     scrambled_generators,
+    splitting_linear_part,
     weight_homogeneous_generators,
 )
 
@@ -605,6 +607,31 @@ def test_member_requires_compatible_truncation():
     assert handle.member(_s({(2, 0): 1}))
 
 
+_COARSE_CALLS = {
+    # a field known only modulo <x>^4 against an ideal at order 6
+    "is_invariant": lambda ideal, f4, f6: is_invariant(ideal, f4),
+    "close_under_lie": lambda ideal, f4, f6: close_under_lie(ideal, f4),
+    "extract_from_member field": lambda ideal, f4, f6: extract_from_member(
+        ideal.generators[0], ideal, f4
+    ),
+    # a series known only modulo <x>^4 viewed at order 6
+    "IdealHandle generator": lambda ideal, f4, f6: IdealHandle([_s({X: 1}, 4)], 6),
+    "normal_form": lambda ideal, f4, f6: ideal.normal_form(_s({(2, 0): 1}, 4)),
+    "extract_from_member phi": lambda ideal, f4, f6: extract_from_member(
+        _s({(3, 0): 1, Y: 1}, 4), ideal, f6
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_COARSE_CALLS))
+def test_inputs_coarser_than_the_ideal_raise_truncation_error(call):
+    f4 = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=4)
+    f6 = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=6)
+    ideal = IdealHandle([_s({(3, 0): 1, Y: 1}, 6), _s({(0, 2): 1}, 6)], 6)
+    with pytest.raises(TruncationError):
+        _COARSE_CALLS[call](ideal, f4, f6)
+
+
 def test_member_sees_through_truncation_units():
     # y(1+y) = -x^3 + (x^3 + y + y^2), so y ~ unit * x^3 modulo the ideal
     # and y^3 is a member once degree-8 noise is discarded.
@@ -694,6 +721,30 @@ def test_close_under_lie_is_identity_on_invariant_ideals():
     assert closed.reduced_basis == handle.reduced_basis
 
 
+def test_closures_along_normalized_fields_are_semisimple_invariant():
+    # The paper's theorem as an oracle: along a field in normal form, every
+    # invariant ideal is also invariant under the semisimple part B_s.
+    rng = random.Random(2003)
+    proper = 0
+    for case in range(40):
+        n = rng.choice([2, 3])
+        order = rng.choice([4, 5])
+        linear = splitting_linear_part(rng, n)
+        f = field_with_linear_part(rng, linear, order, max_terms=3, gaussian=case % 4 == 0)
+        g = normalize(f).normalized
+        seeds = [
+            random_series(rng, n, order, max_terms=3, min_degree=1)
+            for _ in range(rng.randint(1, 2))
+        ]
+        closed = close_under_lie(IdealHandle(seeds, order, n), g)
+        invariant, witness = is_invariant(closed, g.semisimple_components())
+        assert invariant, witness
+        if not all(closed.member(Series.variable(j, n, order)) for j in range(n)):
+            proper += 1
+    # most closures are not the maximal ideal, so the oracle is not vacuous
+    assert proper >= 20
+
+
 # -- extraction ----------------------------------------------------------------
 
 
@@ -742,7 +793,7 @@ def test_extract_semiinvariants_gaussian_spectrum():
     out, certs = extract_semiinvariants(handle, weights, embedding)
     for g in out:
         dec = weight_decompose(g, weights)
-        assert len(dec.weights) == 1
+        assert len(dec) == 1
         assert handle.member(g)
 
 
@@ -850,7 +901,7 @@ def test_extract_from_member_golden():
     assert abs(cert.determinant.re) == 19683
     # the first block of the solution is the weight decomposition itself
     dec = weight_decompose(psi, f.eigenvalues)
-    assert list(cert.solution[:2]) == [component for _, component in dec]
+    assert list(cert.solution[:2]) == list(dec.values())
 
 
 def test_extract_from_member_rejects_non_members():
@@ -968,7 +1019,7 @@ def test_extract_semiinvariants_gaussian_embedding_certificate():
     assert cert.source == mixed
     assert sorted(cert.nodes, key=str) == sorted([Scalar(0, 2), Scalar(0)], key=str)
     assert cert.determinant.magnitude_squared() == 4
-    assert list(cert.solution) == [component for _, component in weight_decompose(mixed, weights)]
+    assert list(cert.solution) == list(weight_decompose(mixed, weights).values())
     assert matvec_series(cert.matrix, cert.solution) == list(cert.rhs)
     assert _verify_certificate(handle, cert.matrix, cert.rhs, cert.solution) == cert.determinant
 

@@ -145,7 +145,7 @@ def test_weight_decompose_reconstructs():
         dec = weight_decompose(s, weights)
         total = Series.zero(3, 7)
         seen = set()
-        for w, component in dec:
+        for w, component in dec.items():
             assert w not in seen
             seen.add(w)
             for exps in component.terms:
@@ -475,8 +475,26 @@ def _ref_truncate(a, order):
     return _ref_clean(a[0], order), order
 
 
-def _ref_sorted_terms(a, reverse=True):
-    return sorted(a[0].items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
+def _ref_sorted_terms(a):
+    return sorted(a[0].items(), key=lambda t: grlex_key(t[0]), reverse=True)
+
+
+def _ref_weight_decompose(a, eigenvalues):
+    buckets = {}
+    for e, c in a[0].items():
+        buckets.setdefault(weight(e, eigenvalues), {})[e] = c
+    return [(w, (buckets[w], a[1])) for w in sorted(buckets, key=Weight.sort_key)]
+
+
+# Eigenvalues with 1-, 2- and 3-dimensional weights for up to four
+# variables, chosen so that distinct monomials share a weight: x_0^2 and
+# x_1, x_0 and x_2 (first list); x_0 and x_1, x_0*x_1 and x_2 (second);
+# x_0*x_1 and x_2 (third).
+_REF_EIGENVALUES = [
+    [Weight((c,)) for c in (1, 2, 1, Fraction(-1, 2))],
+    [Weight(c) for c in ((1, 0), (1, 0), (2, 0), (0, Fraction(1, 3)))],
+    [Weight(c) for c in ((1, 0, -1), (0, 1, 1), (1, 1, 0), (0, 0, 2))],
+]
 
 
 def _ref_compose(a, subs, target_nvars):
@@ -556,13 +574,18 @@ def test_packed_kernel_matches_the_tuple_keyed_reference():
             top = 6 if s.trunc is None else s.trunc - 1
             for k, part in _graded(s).items():
                 _assert_matches(part, _ref_homogeneous_part(_ref(s), k))
+            for eigenvalues in _REF_EIGENVALUES:
+                parts = weight_decompose(s, eigenvalues[:nvars])
+                want = _ref_weight_decompose(_ref(s), eigenvalues[:nvars])
+                assert list(parts) == [w for w, _ in want]
+                for part, (_, ref_part) in zip(parts.values(), want):
+                    _assert_matches(part, ref_part)
             order = rng.randint(1, top + 1)
             _assert_matches(s.truncate(order), _ref_truncate(_ref(s), order))
-            for reverse in (True, False):
-                assert s.sorted_terms(reverse) == _ref_sorted_terms(_ref(s), reverse)
-                assert [e for e, _ in s.sorted_terms(reverse)] == sorted(
-                    s.terms, key=grlex_key, reverse=reverse
-                )
+            assert s.sorted_terms() == _ref_sorted_terms(_ref(s))
+            assert [e for e, _ in s.sorted_terms()] == sorted(
+                s.terms, key=grlex_key, reverse=True
+            )
             if s:
                 assert s.degree() == max(map(sum, s.terms))
                 assert s.min_degree() == min(map(sum, s.terms))

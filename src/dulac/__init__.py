@@ -62,7 +62,6 @@ from .normalform import (
     is_pdnf,
     is_resonant,
     lg_nilpotency_bound,
-    lg_nilpotency_index,
     normalize,
 )
 from .poly import (
@@ -121,7 +120,6 @@ __all__ = [
     "jordan_chevalley",
     "lf_extract_semiinvariants",
     "lg_nilpotency_bound",
-    "lg_nilpotency_index",
     "lie_bracket",
     "lie_derivative",
     "lie_derivative_iter",

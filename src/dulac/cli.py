@@ -475,7 +475,15 @@ def cmd_extract(problem: Problem, args) -> Tuple[dict, int]:
         field = build_field(problem)
         work = handle
         if args.close:
-            work = ideal_ops.close_under_lie(handle, field)
+            # By the paper's theorem the closure of the seeds along a field in
+            # normal form (the only kind extraction accepts) holds their
+            # weight components, so it is the closure of those.
+            components = [
+                c for g in seeds for c in weight_decompose(g, field.eigenvalues).values()
+            ]
+            work = ideal_ops.close_under_lie(
+                ideal_ops.IdealHandle(components, handle.trunc_order, handle.nvars), field
+            )
         generators, certificates = ideal_ops.lf_extract_semiinvariants(
             work, field, seeds
         )

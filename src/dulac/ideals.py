@@ -20,13 +20,13 @@ large echelon form touch a small part of it.
 
 On top of the ideal arithmetic sit the semi-invariant extraction
 routines.  The weight components of a member, and their iterated images
-under L_g (g = f - B_s x, the non-semisimple rest of f), are computed
-directly from the exponents; a (confluent) Vandermonde certificate then
-replays them: its determinant is nonzero, so the solution of
-matrix * x = rhs is unique, the components reproduce the iterated Lie
-derivatives exactly, and every right-hand side and every component is
-re-verified by membership.  Every derivative here is a
-``lie_derivative`` of :mod:`dulac.poly`.
+under L_g (g = f - B_s x, the non-semisimple rest of f) up to the first
+block that vanishes, are computed directly from the exponents; a
+(confluent) Vandermonde certificate then replays them: its determinant
+is nonzero, so the solution of matrix * x = rhs is unique, the
+components reproduce the iterated Lie derivatives exactly, and every
+right-hand side and every component is re-verified by membership.
+Every derivative here is a ``lie_derivative`` of :mod:`dulac.poly`.
 
 The echelon form is the one elimination routine of :mod:`dulac.linalg`
 (``_insert_row`` and ``_substitute``) on packed monomial keys, and the
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .field import ONE, Scalar, Weight, weight_embed
 from .linalg import Tails, _insert_row, _substitute
-from .normalform import lg_nilpotency_index
+from .normalform import is_pdnf, lg_nilpotency_bound
 from .poly import (
     Exponent,
     Series,
@@ -425,12 +425,15 @@ def extract_semiinvariants(
             "the ideal is not invariant under the semisimple derivation",
             witness=witness,
         )
+    # diag(lambda) is its own semisimple part: its g is 0, so every
+    # certificate has the one block of the weight components
+    no_g = [Series.zero(ideal.nvars, ideal.trunc_order)] * ideal.nvars
     pieces: List[Series] = []
     certificates: List[ExtractionCertificate] = []
     for g in ideal.generators:
         if g.is_zero():
             continue
-        certificate = _certify(ideal, g, eigenvalues, embedding, diag, diag, 1)
+        certificate = _certify(ideal, g, eigenvalues, embedding, diag, no_g, 1)
         certificates.append(certificate)
         pieces.extend(certificate.solution)
     return _collect_generators(pieces), tuple(certificates)
@@ -489,12 +492,14 @@ def _verify_certificate(ideal, matrix, rhs, solution) -> Scalar:
     return det
 
 
-def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, m):
+def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, cap):
     """The replayed certificate of the weight components of ``source``:
-    the confluent Vandermonde matrix with m blocks on the distinct
-    weights, the rhs of q*m iterated L_f-derivatives of ``source``, and
     the solution whose block j holds the j-th L_g images of the weight
-    components, block 0 the components themselves."""
+    components, block 0 the components themselves, walked until a block
+    vanishes, so the block count m is the number of nonzero blocks (at
+    most ``cap``); the confluent Vandermonde matrix with m blocks on the
+    distinct weights; and the rhs of q*m iterated L_f-derivatives of
+    ``source``."""
     dec = weight_decompose(source, eigenvalues)
     weights = tuple(dec)
     q = len(weights)
@@ -504,15 +509,20 @@ def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, m):
             "the embedding collapses distinct weights; "
             "its basis values must be Q-linearly independent"
         )
+    solution: List[Series] = []
+    block = list(dec.values())
+    while any(block):
+        if len(solution) == cap * q:
+            raise ArithmeticError(
+                "nilpotency bound exceeded; the field data are inconsistent"
+            )
+        solution.extend(block)
+        block = [lie_derivative(g_comps, c) for c in block]
+    m = len(solution) // q
     matrix = linalg.confluent_vandermonde_matrix(nodes, m)
     rhs: List[Series] = [source]
     for _ in range(q * m - 1):
         rhs.append(lie_derivative(f_comps, rhs[-1]))
-    solution: List[Series] = list(dec.values())
-    for j in range(1, m):
-        start = (j - 1) * q
-        for k in range(q):
-            solution.append(lie_derivative(g_comps, solution[start + k]))
     det = _verify_certificate(ideal, matrix, rhs, solution)
     return ExtractionCertificate(
         matrix=matrix,
@@ -533,12 +543,14 @@ def extract_from_member(
     """Weight components of one ideal member of an L_f-invariant ideal,
     certified by the confluent Vandermonde system.
 
-    ``m`` is the measured nilpotency index of L_g on phi (g the
-    non-semisimple rest of f) and ``q`` the number of distinct weights;
-    the system has size q*m.  Its right-hand sides are the iterated
-    L_f-derivatives of phi; the solution stacks the L_g-iterates of the
-    directly decomposed weight components blockwise, and block 0 — the
-    components themselves — is returned.  The certificate is replayed
+    The field must be in normal form: then L_g (g the non-semisimple rest
+    of f) is nilpotent and keeps each weight space.  The solution stacks
+    the L_g-iterates of the directly decomposed weight components
+    blockwise until a block vanishes, and block 0 — the components
+    themselves — is returned.  With ``m`` the number of nonzero blocks,
+    the nilpotency index of L_g on phi, and ``q`` the number of distinct
+    weights, the system has size q*m, and its right-hand sides are the
+    iterated L_f-derivatives of phi.  The certificate is replayed
     before it is issued: the determinant is nonzero, so the solution is
     the only one, matrix * solution reproduces the rhs exactly, and every
     entry is a member of the ideal.
@@ -550,14 +562,11 @@ def extract_from_member(
             "semisimple part; normalize in the diagonalizing basis first"
         )
     f_comps = tuple(c.truncate(order) for c in f.components)
-    # lg_nilpotency_index checks the normal form before it reads phi, so
-    # that check still precedes the truncation and membership checks.
-    try:
-        m = lg_nilpotency_index(f, phi, order)
-    except NotNormalFormError as exc:
+    ok, residual = is_pdnf(f, order)
+    if not ok:
         raise NotNormalFormError(
-            "the field must be in normal form for weight extraction", exc.residual
-        ) from None
+            "the field must be in normal form for weight extraction", residual
+        )
     rep = phi.truncate(order)
     if not ideal.member(rep):
         raise NotInvariantError(
@@ -567,7 +576,8 @@ def extract_from_member(
     if rep.is_zero():
         return (), None
     certificate = _certify(
-        ideal, rep, f.eigenvalues, f.embedding, f_comps, f.g_components(order), m
+        ideal, rep, f.eigenvalues, f.embedding, f_comps, f.g_components(order),
+        lg_nilpotency_bound(f, order),
     )
     return certificate.solution[:len(certificate.weights)], certificate
 
@@ -586,7 +596,11 @@ def lf_extract_semiinvariants(
     homogeneous elements (hence invariant under the semisimple part
     alone).  After ``closed = close_under_lie(seed, f)``, passing the
     seed generators extracts from the original seeds rather than from
-    the closure, as ``dulac extract --close`` does.
+    the closure, as ``dulac extract --close`` does.  That command closes
+    the weight components of the seeds instead of the seeds: every
+    L_f-invariant ideal of a field in normal form is invariant under its
+    semisimple part, so the closure of the seeds already holds their
+    weight components, and both closures are the same ideal.
     """
     invariant, witness = is_invariant(ideal, f)
     if not invariant:

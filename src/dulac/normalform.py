@@ -36,7 +36,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import NotNormalFormError, TruncationError
+from .errors import TruncationError
 from .field import Scalar, Weight, _new
 from .poly import (
     Exponent,
@@ -63,7 +63,6 @@ __all__ = [
     "is_pdnf",
     "normalize",
     "conjugacy_residual",
-    "lg_nilpotency_index",
     "lg_nilpotency_bound",
 ]
 
@@ -322,7 +321,8 @@ def conjugacy_residual(f: VectorField, result: NormalFormResult) -> Tuple[Series
 
 
 def lg_nilpotency_bound(f: VectorField, order: int) -> int:
-    """A derived upper bound for :func:`lg_nilpotency_index`.
+    """A derived upper bound for the nilpotency index of L_g on R_order,
+    g = f - B_s x for f in normal form.
 
     Write L_g = L_{B_n} + R where R collects the degree-raising parts
     (each nonlinear homogeneous term raises degree by at least one).  A
@@ -341,31 +341,3 @@ def lg_nilpotency_bound(f: VectorField, order: int) -> int:
         power = power * nil
     nu_max = (order - 1) * (iota - 1) + 1
     return (order - 1) * nu_max + order - 1
-
-
-def lg_nilpotency_index(f: VectorField, phi: Series, order: Optional[int] = None) -> int:
-    """The smallest l with L_g^(l)(phi) = 0 modulo the truncation ideal,
-    where g = f - B_s x and f is required to be in normal form."""
-    n_order = order
-    if n_order is None:
-        n_order = phi.trunc if phi.trunc is not None else f.trunc_order
-    if n_order is None:
-        raise TruncationError("nilpotency index requires a truncation order")
-    work = min(n_order, f.trunc_order) if f.trunc_order else n_order
-    ok, residual = is_pdnf(f, work)
-    if not ok:
-        raise NotNormalFormError(
-            "field is not in normal form; L_g need not be nilpotent", residual
-        )
-    g = f.g_components(work)
-    psi = phi.truncate(n_order) if phi.trunc is None or phi.trunc > n_order else phi
-    bound = lg_nilpotency_bound(f, n_order)
-    count = 0
-    while not psi.is_zero():
-        psi = lie_derivative(g, psi)
-        count += 1
-        if count > bound:
-            raise ArithmeticError(
-                "nilpotency bound exceeded; the field data are inconsistent"
-            )
-    return count

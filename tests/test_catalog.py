@@ -16,6 +16,8 @@ import os
 import pytest
 
 from dulac import cli
+from dulac.ideals import IdealHandle, close_under_lie
+from dulac.poly import weight_decompose
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 VARIANT = 0
@@ -55,3 +57,24 @@ def test_catalog_reports_are_byte_identical(name, tmp_path):
             mismatches.append(pid)
     assert workload.slots == {"normalize": 100, "ideal_basis": 100, "extract": 300}[name]
     assert not mismatches
+
+
+def test_closing_weight_components_matches_the_rounds_on_the_extract_catalog(tmp_path):
+    # `extract --close` closes the weight components of the seeds; on every
+    # catalog field (all in normal form) that is the closure of the seeds
+    workload = WORKLOADS["extract"]
+    path = str(tmp_path / "problem.json")
+    for slot in range(workload.slots):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(workload.problem(slot, VARIANT))
+        problem = cli.load_problem(path)
+        field = cli.build_field(problem)
+        (exprs,) = problem.ideals.values()
+        handle = cli._build_handle(problem, exprs)
+        components = [
+            c for g in handle.generators for c in weight_decompose(g, field.eigenvalues).values()
+        ]
+        direct = close_under_lie(IdealHandle(components, handle.trunc_order, handle.nvars), field)
+        rounds = close_under_lie(handle, field)
+        assert direct.reduced_basis == rounds.reduced_basis, slot
+        assert direct.truncation_monomials == rounds.truncation_monomials, slot

@@ -706,6 +706,90 @@ def test_extract_semisimple_closes_along_concrete_weights(problem, capsys):
     assert code == 0
     assert report["route"] == "semisimple" and report["closed"] is True
     assert report["generators"] == ["x^2*y^2", "x^3 + y", "y^3", "y^2"]
+    # the semisimple derivation has no L_g blocks past the components
+    assert [c["block_count"] for c in report["certificates"]] == [1] * 5
+
+
+def _extract_head(mode):
+    return {"command": "extract", "trunc_order": 6, "field_mode": mode, "variables": ["x", "y"]}
+
+
+CLOSE_CASES = {
+    "semi-invariant seed split": (
+        ["x", "3*y"], ["x^2 + y"], "rational", 0, {
+            "ideal": "I",
+            "seed_generators": ["x^2 + y"],
+            "route": "lie-derivative",
+            "closed": True,
+            "generators": ["x^2", "y"],
+            "certificates": [{
+                "source": "x^2 + y",
+                "weights": ["2", "3"],
+                "nodes": ["2", "3"],
+                "block_count": 1,
+                "size": 2,
+                "matrix": [["1", "1"], ["2", "3"]],
+                "rhs": ["x^2 + y", "2*x^2 + 3*y"],
+                "solution": ["x^2", "y"],
+                "determinant": "1",
+                "abs_determinant": "1",
+                "trunc_order": 6,
+            }],
+        },
+    ),
+    "field not in normal form": (
+        ["x", "2*y + x^3"], ["y"], "rational", 4, {
+            "error": {
+                "type": "NotNormalFormError",
+                "message": "the field must be in normal form for weight extraction",
+                "residual": ["0", "-x^3"],
+            },
+        },
+    ),
+    "no seed": (
+        ["x", "2*y + x^3"], ["0"], "rational", 0, {
+            "ideal": "I",
+            "seed_generators": [],
+            "route": "lie-derivative",
+            "closed": True,
+            "generators": [],
+            "certificates": [],
+        },
+    ),
+    "rotation": (
+        ["y", "-x"], ["x^2 + y^2"], "gaussian", 4, {
+            "error": {
+                "type": "NotDiagonalError",
+                "message": "extraction indexes weights by position and needs a "
+                "diagonal semisimple part; normalize in the diagonalizing basis first",
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSE_CASES))
+def test_extract_close_reports_are_pinned(problem, capsys, monkeypatch, case):
+    # `--close` closes the weight components of the seeds; the reports are
+    # the bytes of closing the seeds themselves, and a field that is not
+    # in normal form is refused before its closure could differ
+    field, ideal, mode, code, tail = CLOSE_CASES[case]
+    path = problem({"variables": ["x", "y"], "field_mode": mode, "vector_field": field,
+                    "ideals": {"I": ideal}, "trunc_order": 6})
+    calls = []
+    groebner = cli.ideal_ops.groebner
+
+    def counting(*args):
+        calls.append(args)
+        return groebner(*args)
+
+    monkeypatch.setattr(cli.ideal_ops, "groebner", counting)
+    assert main(["extract", path, "--close"]) == code
+    expected = json.dumps({**_extract_head(mode), **tail}, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    if case == "semi-invariant seed split":
+        # x^2 and y are invariant already: one basis, no closure round
+        assert len(calls) == 1
 
 
 def test_resonance_of_one_variable_takes_no_coefficients(problem, capsys):

@@ -32,7 +32,7 @@ from dulac.ideals import (
     _verify_certificate,
 )
 from dulac.linalg import ExactMatrix, determinant
-from dulac.normalform import lg_nilpotency_index, normalize
+from dulac.normalform import lg_nilpotency_bound, normalize
 from dulac.poly import (
     Series,
     VectorField,
@@ -745,6 +745,33 @@ def test_closures_along_normalized_fields_are_semisimple_invariant():
     assert proper >= 20
 
 
+def test_closing_the_weight_components_gives_the_closure_of_the_seeds():
+    # The paper's theorem again, as `dulac extract --close` uses it: along a
+    # field in normal form the closure of the seeds holds their weight
+    # components, so closing the components gives the same ideal, and the
+    # reduced basis is unique.
+    rng = random.Random(2105)
+    split = 0
+    for _ in range(40):
+        n = rng.choice([2, 3])
+        order = rng.choice([4, 5, 6])
+        f = pdnf_field(rng, n, order)
+        seeds = [
+            random_series(rng, n, order, max_terms=4, min_degree=1)
+            for _ in range(rng.randint(1, 2))
+        ]
+        components = [c for g in seeds for c in weight_decompose(g, f.eigenvalues).values()]
+        rounds = close_under_lie(IdealHandle(seeds, order, n), f)
+        direct = close_under_lie(IdealHandle(components, order, n), f)
+        assert direct.reduced_basis == rounds.reduced_basis
+        assert direct.truncation_monomials == rounds.truncation_monomials
+        if IdealHandle(seeds, order, n).reduced_basis != IdealHandle(components, order, n).reduced_basis:
+            split += 1
+    # a quarter of the seed ideals do not hold their own components, so
+    # the closure does real work there
+    assert split >= 8
+
+
 # -- extraction ----------------------------------------------------------------
 
 
@@ -760,6 +787,9 @@ def test_extract_semiinvariants_weight_components():
         {(0, 2): ONE},
     ]
     assert certs is not None and len(certs) >= 1
+    # diag(lambda) has g = 0: one block, the weight components themselves
+    assert [c.block_count for c in certs] == [1] * len(certs)
+    assert all(c.matrix.nrows == len(c.weights) for c in certs)
     cert = certs[-1]
     # replay the certificate: W u = rhs
     for i in range(cert.matrix.nrows):
@@ -837,6 +867,17 @@ def test_symbolic_invariance_keeps_the_generator_major_witness():
     assert residue == handle.normal_form(image(g1, 1)) != Series.zero(3, 5)
 
 
+def _lg_walk(f, phi, order):
+    """The smallest l with L_g^l(phi) = 0 modulo <x>^order, g = f - B_s x:
+    L_g iterated on phi itself, not on its weight components."""
+    g = [c.truncate(order) - s for c, s in zip(f.components, f.semisimple_components())]
+    psi, count = phi.truncate(order), 0
+    while not psi.is_zero():
+        psi = lie_derivative(g, psi)
+        count += 1
+    return count
+
+
 def test_block_count_is_the_nilpotency_index_on_random_normal_fields():
     rng = random.Random(1818)
     counts = set()
@@ -849,9 +890,46 @@ def test_block_count_is_the_nilpotency_index_on_random_normal_fields():
         for member in (seed,) + closed.reduced_basis:
             _, cert = extract_from_member(member, closed, f)
             if cert is not None:
-                assert cert.block_count == lg_nilpotency_index(f, member, order)
+                assert cert.block_count == _lg_walk(f, member, order)
                 counts.add(cert.block_count)
     assert max(counts) >= 3
+
+
+def test_block_count_is_bounded_on_random_normal_fields():
+    rng = random.Random(202)
+    for _ in range(20):
+        n = rng.choice([2, 3])
+        order = rng.choice([4, 5, 6])
+        f = pdnf_field(rng, n, order)
+        psi = random_series(rng, n, order, max_terms=4, min_degree=1)
+        if psi.is_zero():
+            continue
+        # the maximal ideal is invariant along every field vanishing at 0
+        maximal = IdealHandle([Series.variable(j, n, order) for j in range(n)], order)
+        _, cert = extract_from_member(psi, maximal, f)
+        assert 1 <= cert.block_count <= lg_nilpotency_bound(f, order)
+
+
+def test_block_count_golden_value_builds_no_field(monkeypatch):
+    # L_g psi = x^3 + 2*x^3*y and L_g^2 psi = 2*x^6, which vanishes modulo
+    # <x>^6; the normal-form check brackets the truncated components, so
+    # no field is built, also at an order coarser than the field's
+    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
+    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
+    built = []
+    init = VectorField.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(VectorField, "__init__", counting)
+    for order, m in ((8, 3), (6, 2)):
+        maximal = IdealHandle([_s({X: 1}, order), _s({Y: 1}, order)], order)
+        _, cert = extract_from_member(psi, maximal, f)
+        assert cert.block_count == m
+        assert cert.matrix.nrows == 2 * m
+    assert built == []
 
 
 def _scalar_matvec(matrix, vec):
@@ -914,8 +992,11 @@ def test_extract_from_member_rejects_non_members():
 def test_extract_from_member_rejects_non_normal_fields():
     f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
     handle = IdealHandle([_s({Y: 1}, 6)], 6)
-    with pytest.raises(NotNormalFormError):
+    with pytest.raises(NotNormalFormError) as info:
         extract_from_member(_s({Y: 1}, 6), handle, f)
+    assert str(info.value) == "the field must be in normal form for weight extraction"
+    # [f, B_s x] = (0, -x^3): the x^3 term of weight 3 in the weight-2 slot
+    assert info.value.residual == (Series.zero(2, 6), _s({(3, 0): -1}, 6))
 
 
 def test_extract_from_member_rejects_non_diagonal_semisimple():
@@ -1059,6 +1140,9 @@ def test_lf_extract_semiinvariants_from_seed_members():
     closed = close_under_lie(IdealHandle([psi], 8), f)
     gens, certs = lf_extract_semiinvariants(closed, f, [psi])
     assert [format_series(g, names) for g in gens] == ["x^3 + y", "y^2"]
+    assert [cert.source for cert in certs] == [psi]
+    # a zero member has no components and no certificate
+    gens, certs = lf_extract_semiinvariants(closed, f, [psi, Series.zero(2, 8)])
     assert [cert.source for cert in certs] == [psi]
     from_closure, _ = lf_extract_semiinvariants(closed, f, closed.generators)
     assert [format_series(g, names) for g in from_closure] == [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulac import linalg, normalform, poly
-from dulac.errors import NotNormalFormError, TruncationError
+from dulac.errors import TruncationError
 from dulac.field import Scalar, weights_from_scalars
 from dulac.linalg import ExactMatrix, inverse
 from dulac.normalform import (
@@ -21,7 +21,6 @@ from dulac.normalform import (
     is_pdnf,
     is_resonant,
     lg_nilpotency_bound,
-    lg_nilpotency_index,
     normalize,
 )
 from dulac.poly import (
@@ -179,46 +178,6 @@ def test_normalized_fields_commute_with_semisimple_part():
         assert all(b.is_zero() for b in bracket)
 
 
-def test_lg_nilpotency_index_golden_value():
-    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
-    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
-    assert lg_nilpotency_index(f, psi) == 3
-    # an exact phi is read at the field's order, a coarser one at its own
-    assert lg_nilpotency_index(f, Series(2, psi.terms)) == 3
-    assert lg_nilpotency_index(f, psi.truncate(6), 8) == 2
-    # with no order given, phi's own order counts: x^6 is nonzero modulo
-    # <x>^8 although the field is only known modulo <x>^6
-    assert lg_nilpotency_index(f.truncate(6), _s({(6, 0): 1}, 8)) == 1
-
-
-def test_lg_nilpotency_index_builds_no_field(monkeypatch):
-    # the normal-form check brackets the truncated components: no field is
-    # built, also when phi or the order is coarser than the field
-    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
-    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
-    built = []
-    init = VectorField.__init__
-
-    def counting(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(VectorField, "__init__", counting)
-    assert lg_nilpotency_index(f, psi) == 3
-    # L_g^2 psi = 2*x^6 vanishes modulo <x>^6
-    assert lg_nilpotency_index(f, psi.truncate(6)) == 2
-    assert lg_nilpotency_index(f, psi, 6) == 2
-    assert built == []
-
-
-def test_lg_nilpotency_index_rejects_non_normal_field():
-    f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
-    psi = _s({Y: 1}, 6)
-    with pytest.raises(NotNormalFormError) as info:
-        lg_nilpotency_index(f, psi)
-    assert info.value.residual is not None
-
-
 def test_lg_nilpotency_bound_grows_with_nilpotent_depth():
     # purely semisimple: iota = 1, nu_max = 1, bound = (N-1)*1 + N-1
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=6)
@@ -226,19 +185,6 @@ def test_lg_nilpotency_bound_grows_with_nilpotent_depth():
     # one Jordan block: iota = 2, nu_max = (N-1)*1 + 1 = 6, bound = (N-1)*6 + N-1
     jordan = _field({X: 2, Y: 1}, {Y: 2}, trunc=6)
     assert lg_nilpotency_bound(jordan, 6) == 35
-
-
-def test_lg_nilpotency_index_bounded_on_random_normal_fields():
-    rng = random.Random(202)
-    for _ in range(20):
-        n = rng.choice([2, 3])
-        order = rng.choice([4, 5, 6])
-        f = pdnf_field(rng, n, order)
-        psi = random_series(rng, n, order, max_terms=4, min_degree=1)
-        if psi.is_zero():
-            continue
-        index = lg_nilpotency_index(f, psi)
-        assert 0 <= index <= lg_nilpotency_bound(f, order)
 
 
 def test_normalize_diagonalized_output_matches_direct_diagonal_run():

@@ -761,12 +761,13 @@ def test_closing_the_weight_components_gives_the_closure_of_the_seeds():
             for _ in range(rng.randint(1, 2))
         ]
         components = [c for g in seeds for c in weight_decompose(g, f.eigenvalues).values()]
-        rounds = close_under_lie(IdealHandle(seeds, order, n), f)
-        direct = close_under_lie(IdealHandle(components, order, n), f)
+        seed_ideal = IdealHandle(seeds, order, n)
+        component_ideal = IdealHandle(components, order, n)
+        rounds = close_under_lie(seed_ideal, f)
+        direct = close_under_lie(component_ideal, f)
         assert direct.reduced_basis == rounds.reduced_basis
         assert direct.truncation_monomials == rounds.truncation_monomials
-        if IdealHandle(seeds, order, n).reduced_basis != IdealHandle(components, order, n).reduced_basis:
-            split += 1
+        split += seed_ideal.reduced_basis != component_ideal.reduced_basis
     # a quarter of the seed ideals do not hold their own components, so
     # the closure does real work there
     assert split >= 8
@@ -1142,7 +1143,7 @@ def test_lf_extract_semiinvariants_from_seed_members():
     assert [format_series(g, names) for g in gens] == ["x^3 + y", "y^2"]
     assert [cert.source for cert in certs] == [psi]
     # a zero member has no components and no certificate
-    gens, certs = lf_extract_semiinvariants(closed, f, [psi, Series.zero(2, 8)])
+    _, certs = lf_extract_semiinvariants(closed, f, [psi, Series.zero(2, 8)])
     assert [cert.source for cert in certs] == [psi]
     from_closure, _ = lf_extract_semiinvariants(closed, f, closed.generators)
     assert [format_series(g, names) for g in from_closure] == [

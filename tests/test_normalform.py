@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulac import linalg, normalform, poly
-from dulac.errors import TruncationError
+from dulac.errors import NotNormalFormError, TruncationError
 from dulac.field import Scalar, weights_from_scalars
+from dulac.ideals import IdealHandle, extract_from_member
 from dulac.linalg import ExactMatrix, inverse
 from dulac.normalform import (
     _conjugate_components,
@@ -176,6 +177,52 @@ def test_normalized_fields_commute_with_semisimple_part():
             result.normalized.components, result.normalized.semisimple_components()
         )
         assert all(b.is_zero() for b in bracket)
+
+
+def _maximal(order):
+    return IdealHandle([_s({X: 1}, order), _s({Y: 1}, order)], order)
+
+
+def test_lg_nilpotency_index_golden_value():
+    # the nilpotency index of L_g on phi is extraction's block count m:
+    # L_g psi = x^3 + 2*x^3*y and L_g^2 psi = 2*x^6, which vanishes modulo
+    # <x>^6 but not modulo <x>^8
+    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
+    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
+    for order, m in ((8, 3), (6, 2)):
+        _, cert = extract_from_member(psi, _maximal(order), f)
+        assert cert.block_count == m
+        assert cert.matrix.nrows == 2 * m
+
+
+def test_lg_nilpotency_index_builds_no_field(monkeypatch):
+    # the normal-form check brackets the truncated components: no field is
+    # built, also at an order coarser than the field's
+    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
+    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
+    built = []
+    init = VectorField.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(VectorField, "__init__", counting)
+    assert extract_from_member(psi, _maximal(8), f)[1].block_count == 3
+    assert extract_from_member(psi, _maximal(6), f)[1].block_count == 2
+    assert built == []
+
+
+def test_lg_nilpotency_index_rejects_non_normal_field():
+    # the block count is read only along a field in normal form; the
+    # refusal carries is_pdnf's residual [f, B_s x] = (0, -x^3)
+    f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
+    psi = _s({Y: 1}, 6)
+    with pytest.raises(NotNormalFormError) as info:
+        extract_from_member(psi, IdealHandle([psi], 6), f)
+    assert str(info.value) == "the field must be in normal form for weight extraction"
+    assert info.value.residual == is_pdnf(f, 6)[1]
+    assert info.value.residual == (Series.zero(2, 6), _s({(3, 0): -1}, 6))
 
 
 def test_lg_nilpotency_bound_grows_with_nilpotent_depth():

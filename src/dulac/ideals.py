@@ -12,8 +12,11 @@ reduced Groebner basis of the generators together with all degree-N
 monomials.  Truncation takes part in the elimination: a polynomial whose
 leading term has low-degree tail content can reveal new members
 (g = ``x^2*y + y`` at N = 4 yields ``y``: x^2*g is x^2*y modulo degree
-4, so y = g - x^2*g is a member).  Membership is then one pass over the
-terms: each pivot term is replaced by its row's reduced tail, which holds
+4, so y = g - x^2*g is a member).  A shift enters the elimination
+through the precomputed monic suffixes of its generator, and most
+shifts stop at a fresh pivot or vanish against monomial pivots without
+a single subtraction.  Membership is then one pass over the terms:
+each pivot term is replaced by its row's reduced tail, which holds
 standard monomials only.  Tails are back-substituted on demand: a query
 reduces only the pivots its terms reach, so a few membership tests on a
 large echelon form touch a small part of it.
@@ -29,7 +32,8 @@ right-hand side and every component is re-verified by membership.
 Every derivative here is a ``lie_derivative`` of :mod:`dulac.poly`.
 
 The echelon form is the one elimination routine of :mod:`dulac.linalg`
-(``_insert_row`` and ``_substitute``) on packed monomial keys, and the
+(``_insert_row`` and ``_substitute``) on packed monomial keys, called
+for the shifts whose leading terms meet a nonempty tail, and the
 certificate determinant is its forward pass on the matrix.  The echelon
 rows are dicts from those keys to :class:`~dulac.field.Scalar` tails,
 while a :class:`~dulac.poly.Series` stores Gaussian-integer numerators
@@ -166,18 +170,28 @@ def groebner(
     R_N is finite-dimensional, and the image of the ideal in it is the
     K-span of the truncated shifts x^a*g with |a| + mindeg(g) < N (the
     Macaulay-matrix view behind F4).  Each shift is reduced by its
-    leading terms against the rows stored so far, one dict lookup per
-    leading term, and kept monic under a new pivot if anything is left.
-    The pivots are then the leading monomials of the ideal below degree
-    N.  Substituting the rows of smaller pivots into a tail leaves
-    standard monomials only; that reduced echelon form depends on the
-    ideal alone, not on the order the shifts arrived in, and so does
-    everything read off it: the rows at the minimal pivots (no ``m - e_i``
-    among the pivots) are the unique reduced basis polynomials, and a
-    degree-N monomial belongs to the basis exactly when none of its
-    degree-(N-1) divisors is a pivot.  Only the minimal pivots are
-    reduced here; the other tails stay raw until a query reaches them
-    (:meth:`ReducedBasis.reduce_tails`).
+    leading terms against the rows stored so far and kept monic under a
+    new pivot if anything is left.  Truncation at degree k cuts a
+    generator's highest-degree terms, so every shift of degree k walks a
+    tail of one list, computed once per generator: its monic suffixes,
+    each the key of a term and the later terms divided by that term's
+    coefficient.  A shifted key that is no pivot stores the shifted
+    suffix as its tail; a pivot with an empty tail (a monomial of the
+    ideal) cancels the lead alone, so the walk goes on to the next
+    suffix, and the row vanishes once every term has cancelled so.  Only
+    a pivot with a nonempty tail hands the shifted monic suffix to
+    :func:`~dulac.linalg._insert_row`.  A row and its scalar multiples
+    reduce to the same monic row, so the stored tails are those of
+    inserting every shift whole.  The pivots are then the leading
+    monomials of the ideal below degree N.  Substituting the rows of
+    smaller pivots into a tail leaves standard monomials only; that
+    reduced echelon form depends on the ideal alone, not on the order the
+    shifts arrived in, and so does everything read off it: the rows at
+    the minimal pivots (no ``m - e_i`` among the pivots) are the unique
+    reduced basis polynomials, and a degree-N monomial belongs to the
+    basis exactly when none of its degree-(N-1) divisors is a pivot.
+    Only the minimal pivots are reduced here; the other tails stay raw
+    until a query reaches them (:meth:`ReducedBasis.reduce_tails`).
 
     The echelon form works on the packed keys that series truncated at N
     already hold (:mod:`dulac.poly`: key(e) = |e|*B^n +
@@ -190,21 +204,37 @@ def groebner(
     generators, nvars = _generators(gens, trunc_order, nvars)
     ring = _ring(nvars, trunc_order + 1)
     top, units = ring[2], ring[4]
-    packed = []
+    suffixes = []
     for terms in map(_scalar_terms, generators):
-        if terms:
-            keyed = [(e, e // top, c) for e, c in terms.items()]
-            packed.append((min(terms) // top, keyed))
+        keys = sorted(terms, reverse=True)
+        monic = []
+        for i, e in enumerate(keys):
+            inv = terms[e].inverse()
+            monic.append((e // top, e, {m: terms[m] * inv for m in keys[i + 1:]}))
+        suffixes.append(monic)
     shifts = _degree_keys(nvars, trunc_order)
     tails: Tails = {}
-    # Shifts of high degree go first: truncation makes them short, and the
-    # longer rows that come later reduce against them cheaply.
+    # Shifts of high degree go first: truncation leaves their rows a term
+    # or two, most of which land on fresh pivots with empty tails, and the
+    # longer rows that come later step over those in the walk below.
     for k in reversed(range(trunc_order)):
+        cut = trunc_order - k
+        rows = [[(e, s) for d, e, s in monic if d < cut] for monic in suffixes]
+        rows = [row for row in rows if row]
         for shift in shifts[k]:
-            for low, terms in packed:
-                if low + k < trunc_order:
-                    row = {e + shift: c for e, d, c in terms if d + k < trunc_order}
-                    _insert_row(tails, row)
+            for row in rows:
+                # a row that meets only empty tails, term after term, vanishes
+                for e, suffix in row:
+                    lead = e + shift
+                    tail = tails.get(lead)
+                    if tail is None:
+                        tails[lead] = {m + shift: v for m, v in suffix.items()}
+                    elif tail:
+                        shifted = {m + shift: v for m, v in suffix.items()}
+                        _insert_row(tails, {lead: ONE, **shifted})
+                    else:
+                        continue
+                    break
 
     blocked = {m + u for m in tails for u in units}
     minimal = sorted((m for m in tails if m not in blocked), reverse=True)

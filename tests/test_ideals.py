@@ -21,6 +21,7 @@ from dulac.exprs import format_series, parse_expression
 from dulac.field import IMAG, ONE, ZERO, Scalar, Weight, weights_from_scalars
 from dulac.ideals import (
     IdealHandle,
+    ReducedBasis,
     close_under_lie,
     extract_from_member,
     extract_semiinvariants,
@@ -31,12 +32,14 @@ from dulac.ideals import (
     _rn_dimension,
     _verify_certificate,
 )
-from dulac.linalg import ExactMatrix, determinant
+from dulac.linalg import ExactMatrix, _insert_row, determinant
 from dulac.normalform import lg_nilpotency_bound, normalize
 from dulac.poly import (
     Series,
     VectorField,
+    _degree_keys,
     _ring,
+    _scalar_terms,
     _unpack,
     grlex_key,
     lie_derivative,
@@ -393,6 +396,81 @@ def test_packed_echelon_form_matches_the_tuple_keyed_reference():
             assert got.trunc == order
 
 
+def _shiftwise_tails(gens, order, nvars):
+    """The raw echelon form of whole shift rows, the reference for the
+    suffix walk of ``groebner``: one row dict per truncated shift x^a*g
+    on packed keys, shifts of high degree first, each inserted by
+    ``linalg._insert_row``."""
+    top = _ring(nvars, order + 1)[2]
+    keyed = [
+        [(e, e // top, c) for e, c in _scalar_terms(g.truncate(order)).items()]
+        for g in gens
+    ]
+    shifts = _degree_keys(nvars, order)
+    tails = {}
+    for k in reversed(range(order)):
+        for shift in shifts[k]:
+            for terms in keyed:
+                _insert_row(tails, {e + shift: c for e, d, c in terms if d + k < order})
+    return tails
+
+
+def _catalog_ideals():
+    """Each catalog template at the lowest order the ideal_basis workload
+    draws for it, once with a rational and once with a Gaussian non-unit
+    leading coefficient."""
+    rng = random.Random(23)
+    for template, order in zip(CATALOG_TEMPLATES, CATALOG_LOWEST_ORDERS):
+        for lead_coeff, gaussian in ((Scalar(Fraction(-3, 2)), False), (Scalar(2, -3), True)):
+            gens = []
+            for lead, *rest in template:
+                terms = {lead: lead_coeff}
+                for e in rest:
+                    terms[e] = random_scalar(rng, gaussian)
+                    while terms[e].is_zero():
+                        terms[e] = random_scalar(rng, gaussian)
+                gens.append(Series(3, terms, order))
+            yield 3, order, gaussian, gens
+
+
+def test_groebner_stores_the_raw_tails_of_whole_shift_rows():
+    # Lazy reduction starts from the raw rows, so these pin every later
+    # reduced tail and normal form as well.
+    cases = itertools.chain(_packed_echelon_instances(), _catalog_ideals())
+    for nvars, order, _, gens in cases:
+        basis = groebner(gens, order, nvars=nvars)
+        raw = _shiftwise_tails(gens, order, nvars)
+        assert {m: raw[m] for m in basis.unreduced} == {
+            m: basis.tails[m] for m in basis.unreduced
+        }
+        # groebner reduced the tails the minimal pivots reach; so does raw
+        ReducedBasis((), (), raw, set(raw)).reduce_tails(basis.tails.keys() - basis.unreduced)
+        assert raw == basis.tails
+
+
+def test_only_shifts_that_meet_a_nonempty_tail_reach_insert_row(monkeypatch):
+    import dulac.ideals as ideals_module
+
+    calls = []
+
+    def counting(tails, row):
+        calls.append(max(row))
+        return _insert_row(tails, row)
+
+    monkeypatch.setattr(ideals_module, "_insert_row", counting)
+    # the first ideal_basis shape: every collision meets a monomial pivot
+    # (inserting each shift whole made 455 calls)
+    order = 14
+    g = Series(3, {(2, 0, 0): ONE, (0, 1, 0): Scalar(Fraction(-5, 7))}, order)
+    assert len(groebner([g], order).tails) == 455
+    assert calls == []
+    # the shapes of the lazy-tail test meet nonempty tails too
+    names = ("x", "y", "z")
+    gens = [parse_expression(g, names, trunc_order=10) for g in ("x*y + z", "x^2 - 2/3*y")]
+    groebner(gens, 10)
+    assert calls
+
+
 def _reduced_count(basis):
     return len(basis.tails) - len(basis.unreduced)
 
@@ -505,6 +583,8 @@ CATALOG_TEMPLATES = [
     [[(2, 1, 0), (0, 0, 2)]],
     [[(2, 0, 0), (0, 1, 0), (0, 0, 2)]],
 ]
+# The lowest truncation order the workload draws for each template.
+CATALOG_LOWEST_ORDERS = [14, 12, 12, 10, 14, 10, 12]
 
 _ratios = st.builds(
     Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4)

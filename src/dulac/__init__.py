@@ -43,7 +43,6 @@ from .ideals import (
     IdealHandle,
     ReducedBasis,
     close_under_lie,
-    extract_from_member,
     extract_semiinvariants,
     groebner,
     is_invariant,
@@ -70,7 +69,6 @@ from .poly import (
     compose,
     lie_bracket,
     lie_derivative,
-    lie_derivative_iter,
     weight_decompose,
 )
 
@@ -107,7 +105,6 @@ __all__ = [
     "confluent_vandermonde_matrix",
     "conjugacy_residual",
     "determinant",
-    "extract_from_member",
     "extract_semiinvariants",
     "format_fraction",
     "format_scalar",
@@ -122,7 +119,6 @@ __all__ = [
     "lg_nilpotency_bound",
     "lie_bracket",
     "lie_derivative",
-    "lie_derivative_iter",
     "normalize",
     "parse_expression",
     "parse_fraction",

@@ -22,9 +22,10 @@ series.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExprSyntaxError
 from .field import ONE, Scalar, _decimal, format_scalar
@@ -261,8 +262,19 @@ def parse_expression(
     return parser.parse()
 
 
-def _check_names(names: Sequence[str], params: Dict[str, Scalar] = {}) -> None:
-    for name in list(names) + list(params):
+def _check_names(names: Iterable[str], params: Iterable[str] = ()) -> None:
+    """Raise ValueError unless the variable and parameter names are valid
+    and distinct; each distinct pair of name lists is checked once."""
+    key = (tuple(names), tuple(params))
+    try:
+        _check_name_tuples(*key)
+    except TypeError:  # an unhashable name, which the check refuses uncached
+        _check_name_tuples.__wrapped__(*key)
+
+
+@functools.lru_cache(maxsize=64)
+def _check_name_tuples(names: Tuple[str, ...], params: Tuple[str, ...]) -> None:
+    for name in names + params:
         if not _is_name(name):
             raise ValueError(f"invalid name {name!r}: not an identifier")
     if len(set(names)) != len(names):

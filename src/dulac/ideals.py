@@ -22,14 +22,16 @@ reduces only the pivots its terms reach, so a few membership tests on a
 large echelon form touch a small part of it.
 
 On top of the ideal arithmetic sit the semi-invariant extraction
-routines.  The weight components of a member, and their iterated images
-under L_g (g = f - B_s x, the non-semisimple rest of f) up to the first
-block that vanishes, are computed directly from the exponents; a
-(confluent) Vandermonde certificate then replays them: its determinant
-is nonzero, so the solution of matrix * x = rhs is unique, the
-components reproduce the iterated Lie derivatives exactly, and every
-right-hand side and every component is re-verified by membership.
-Every derivative here is a ``lie_derivative`` of :mod:`dulac.poly`.
+routines: the two certified routes check the ideal and the field once,
+then share one loop over the members.  The weight components of a
+member, and their iterated images under L_g (g = f - B_s x, the
+non-semisimple rest of f) up to the first block that vanishes, are
+computed directly from the exponents; a (confluent) Vandermonde
+certificate then replays them: its determinant is nonzero, so the
+solution of matrix * x = rhs is unique, the components reproduce the
+iterated Lie derivatives exactly, and every right-hand side and every
+component is re-verified by membership.  Every derivative here is a
+``lie_derivative`` of :mod:`dulac.poly`.
 
 The echelon form is the one elimination routine of :mod:`dulac.linalg`
 (``_insert_row`` and ``_substitute``) on packed monomial keys, called
@@ -90,7 +92,6 @@ __all__ = [
     "is_invariant",
     "close_under_lie",
     "extract_semiinvariants",
-    "extract_from_member",
     "lf_extract_semiinvariants",
     "single_resonance_primes",
 ]
@@ -425,7 +426,8 @@ def extract_semiinvariants(
     semisimple derivation diag(lambda).
 
     Concrete spectra (one-dimensional weights, or an explicit embedding
-    of the weight basis into Q(i)) get the full certified route: the
+    of the weight basis into Q(i)) get the certified loop of
+    :func:`lf_extract_semiinvariants` over the generators: the
     weight components, computed directly from the exponents, are the
     solution, and the certificate replays them against the Vandermonde
     matrix on the distinct weights, whose nonzero determinant makes them
@@ -458,15 +460,7 @@ def extract_semiinvariants(
     # diag(lambda) is its own semisimple part: its g is 0, so every
     # certificate has the one block of the weight components
     no_g = [Series.zero(ideal.nvars, ideal.trunc_order)] * ideal.nvars
-    pieces: List[Series] = []
-    certificates: List[ExtractionCertificate] = []
-    for g in ideal.generators:
-        if g.is_zero():
-            continue
-        certificate = _certify(ideal, g, eigenvalues, embedding, diag, no_g, 1)
-        certificates.append(certificate)
-        pieces.extend(certificate.solution)
-    return _collect_generators(pieces), tuple(certificates)
+    return _extract(ideal, ideal.generators, eigenvalues, embedding, diag, no_g, 1)
 
 
 def _extract_symbolic(
@@ -567,49 +561,26 @@ def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, cap):
     )
 
 
-def extract_from_member(
-    phi: Series, ideal: IdealHandle, f: VectorField
-) -> Tuple[Tuple[Series, ...], Optional[ExtractionCertificate]]:
-    """Weight components of one ideal member of an L_f-invariant ideal,
-    certified by the confluent Vandermonde system.
-
-    The field must be in normal form: then L_g (g the non-semisimple rest
-    of f) is nilpotent and keeps each weight space.  The solution stacks
-    the L_g-iterates of the directly decomposed weight components
-    blockwise until a block vanishes, and block 0 — the components
-    themselves — is returned.  With ``m`` the number of nonzero blocks,
-    the nilpotency index of L_g on phi, and ``q`` the number of distinct
-    weights, the system has size q*m, and its right-hand sides are the
-    iterated L_f-derivatives of phi.  The certificate is replayed
-    before it is issued: the determinant is nonzero, so the solution is
-    the only one, matrix * solution reproduces the rhs exactly, and every
-    entry is a member of the ideal.
-    """
-    order = ideal.trunc_order
-    if not f.chevalley.semisimple.is_diagonal():
-        raise NotDiagonalError(
-            "extraction indexes weights by position and needs a diagonal "
-            "semisimple part; normalize in the diagonalizing basis first"
-        )
-    f_comps = tuple(c.truncate(order) for c in f.components)
-    ok, residual = is_pdnf(f, order)
-    if not ok:
-        raise NotNormalFormError(
-            "the field must be in normal form for weight extraction", residual
-        )
-    rep = phi.truncate(order)
-    if not ideal.member(rep):
-        raise NotInvariantError(
-            "the series is not a member of the ideal",
-            witness=(rep, ideal.normal_form(rep)),
-        )
-    if rep.is_zero():
-        return (), None
-    certificate = _certify(
-        ideal, rep, f.eigenvalues, f.embedding, f_comps, f.g_components(order),
-        lg_nilpotency_bound(f, order),
-    )
-    return certificate.solution[:len(certificate.weights)], certificate
+def _extract(ideal, members, eigenvalues, embedding, f_comps, g_comps, cap):
+    """The certified extraction loop of both routes: each member must lie
+    in the ideal, each nonzero one gets the replayed certificate of
+    :func:`_certify`, and block 0 of every solution, the weight
+    components, is returned monic and deduplicated."""
+    pieces: List[Series] = []
+    certificates: List[ExtractionCertificate] = []
+    for phi in members:
+        rep = phi.truncate(ideal.trunc_order)
+        if not ideal.member(rep):
+            raise NotInvariantError(
+                "the series is not a member of the ideal",
+                witness=(rep, ideal.normal_form(rep)),
+            )
+        if rep.is_zero():
+            continue
+        certificate = _certify(ideal, rep, eigenvalues, embedding, f_comps, g_comps, cap)
+        certificates.append(certificate)
+        pieces.extend(certificate.solution[:len(certificate.weights)])
+    return _collect_generators(pieces), tuple(certificates)
 
 
 def lf_extract_semiinvariants(
@@ -618,12 +589,18 @@ def lf_extract_semiinvariants(
     """Semi-invariant generators from ``members`` of an L_f-invariant
     ideal, for f in normal form.
 
-    Each member is split into its weight components by the certified
-    confluent-Vandermonde extraction (:func:`extract_from_member`); the
-    components are returned monic and deduplicated, with one certificate
-    per nonzero member.  Every member must lie in the ideal.  Passing
-    ``ideal.generators`` proves that the ideal is generated by weight-
-    homogeneous elements (hence invariant under the semisimple part
+    The ideal's invariance is checked first.  Given any member, the field
+    is then checked once: a diagonal semisimple part, and normal form, so
+    that L_g (g = f - B_s x) is nilpotent and keeps each weight space.
+    Each member must lie in the ideal and gets the replayed confluent
+    Vandermonde certificate of its weight components (:func:`_certify`),
+    whose size q*m is the number of distinct weights times the
+    nilpotency index of L_g on the member.  Block 0 of the solutions,
+    ``cert.solution[:len(cert.weights)]``, is returned monic and
+    deduplicated, with one certificate per nonzero member.
+
+    Passing ``ideal.generators`` proves that the ideal is generated by
+    weight-homogeneous elements (hence invariant under the semisimple part
     alone).  After ``closed = close_under_lie(seed, f)``, passing the
     seed generators extracts from the original seeds rather than from
     the closure, as ``dulac extract --close`` does.  That command closes
@@ -639,14 +616,25 @@ def lf_extract_semiinvariants(
             "(pass --close to close it first)",
             witness=witness,
         )
-    pieces: List[Series] = []
-    certificates: List[ExtractionCertificate] = []
-    for g in members:
-        components, certificate = extract_from_member(g, ideal, f)
-        pieces.extend(components)
-        if certificate is not None:
-            certificates.append(certificate)
-    return _collect_generators(pieces), tuple(certificates)
+    members = list(members)
+    if not members:
+        return (), ()
+    order = ideal.trunc_order
+    if not f.chevalley.semisimple.is_diagonal():
+        raise NotDiagonalError(
+            "extraction indexes weights by position and needs a diagonal "
+            "semisimple part; normalize in the diagonalizing basis first"
+        )
+    ok, residual = is_pdnf(f, order)
+    if not ok:
+        raise NotNormalFormError(
+            "the field must be in normal form for weight extraction", residual
+        )
+    f_comps = tuple(c.truncate(order) for c in f.components)
+    return _extract(
+        ideal, members, f.eigenvalues, f.embedding, f_comps,
+        f.g_components(order), lg_nilpotency_bound(f, order),
+    )
 
 
 def single_resonance_primes(

@@ -86,7 +86,6 @@ __all__ = [
     "weight",
     "weight_decompose",
     "lie_derivative",
-    "lie_derivative_iter",
     "lie_bracket",
     "compose",
     "linear_components",
@@ -674,16 +673,6 @@ def lie_derivative(f: FieldLike, s: Series) -> Series:
             if d:
                 pairs.append((d, comp))
     return _dot(s.nvars, pairs, trunc)
-
-
-def lie_derivative_iter(f: FieldLike, s: Series, count: int) -> Series:
-    """The count-fold Lie derivative; count = 0 returns the series itself."""
-    if count < 0:
-        raise ValueError("iteration count must be nonnegative")
-    out = s
-    for _ in range(count):
-        out = lie_derivative(f, out)
-    return out
 
 
 def lie_bracket(f: FieldLike, g: FieldLike) -> Tuple[Series, ...]:

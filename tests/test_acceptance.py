@@ -17,9 +17,9 @@ from dulac.exprs import format_series, parse_expression
 from dulac.ideals import (
     IdealHandle,
     close_under_lie,
-    extract_from_member,
     extract_semiinvariants,
     is_invariant,
+    lf_extract_semiinvariants,
     single_resonance_primes,
 )
 from dulac.linalg import confluent_vandermonde_matrix, determinant
@@ -34,7 +34,6 @@ from dulac.poly import (
     Series,
     VectorField,
     lie_derivative,
-    lie_derivative_iter,
     weight_decompose,
 )
 
@@ -78,17 +77,20 @@ def test_criterion_1_golden_example():
     g = f.g_components()
     assert [format_series(c, ("x", "y")) for c in g] == ["0", "x^3"]
     assert lie_derivative(g, psi) == _series("x^3 + 2*x^3*y")
-    assert lie_derivative_iter(g, psi, 2) == _series("2*x^6")
-    assert lie_derivative_iter(g, psi, 3).is_zero()
-    assert lie_derivative_iter(g, psi, 4).is_zero()
+    twice = lie_derivative(g, lie_derivative(g, psi))
+    assert twice == _series("2*x^6")
+    assert lie_derivative(g, twice).is_zero()
+    assert lie_derivative(g, lie_derivative(g, twice)).is_zero()
 
     closed = close_under_lie(IdealHandle([psi], 8), f)
     assert [format_series(p, ("x", "y")) for p in closed.reduced_basis] == [
         "x^3",
         "y",
     ]
-    components, cert = extract_from_member(psi, closed, f)
+    generators, (cert,) = lf_extract_semiinvariants(closed, f, [psi])
+    components = cert.solution[:len(cert.weights)]
     assert [format_series(s, ("x", "y")) for s in components] == ["x^3 + y", "y^2"]
+    assert generators == components
     assert cert.matrix.nrows == 6 and cert.block_count == 3
     rows = [[int(cert.matrix[i, j].re) for j in range(6)] for i in range(6)]
     assert rows == GOLDEN_MATRIX
@@ -247,8 +249,9 @@ def test_criterion_6_derivative_degree_shift_and_nilpotency_bound():
     # member, respects the derived bound
     for f, closed, order in _suite3_instances():
         bound = lg_nilpotency_bound(f, order)
-        for generator in closed.generators:
-            _, cert = extract_from_member(generator, closed, f)
+        _, certs = lf_extract_semiinvariants(closed, f, closed.generators)
+        assert len(certs) == len(closed.generators)
+        for cert in certs:
             assert 1 <= cert.block_count <= bound
     _report(6, "degree shifts and nilpotency indices within the derived bound", started)
 

@@ -714,6 +714,9 @@ def _extract_head(mode):
     return {"command": "extract", "trunc_order": 6, "field_mode": mode, "variables": ["x", "y"]}
 
 
+_NOT_DIAGONAL = ("extraction indexes weights by position and needs a diagonal "
+                 "semisimple part; normalize in the diagonalizing basis first")
+
 CLOSE_CASES = {
     "semi-invariant seed split": (
         ["x", "3*y"], ["x^2 + y"], "rational", 0, {
@@ -758,11 +761,7 @@ CLOSE_CASES = {
     ),
     "rotation": (
         ["y", "-x"], ["x^2 + y^2"], "gaussian", 4, {
-            "error": {
-                "type": "NotDiagonalError",
-                "message": "extraction indexes weights by position and needs a "
-                "diagonal semisimple part; normalize in the diagonalizing basis first",
-            },
+            "error": {"type": "NotDiagonalError", "message": _NOT_DIAGONAL},
         },
     ),
 }
@@ -790,6 +789,64 @@ def test_extract_close_reports_are_pinned(problem, capsys, monkeypatch, case):
     if case == "semi-invariant seed split":
         # x^2 and y are invariant already: one basis, no closure round
         assert len(calls) == 1
+
+
+# extraction without --close: (field, ideal, mode, order, flags, code, tail)
+REFUSAL_CASES = {
+    "not invariant along the field": (
+        ["x", "3*y + x^3"], ["x^3 + y + y^2"], "rational", 8, [], 4, {
+            "error": {
+                "type": "NotInvariantError",
+                "message": "the ideal is not invariant along the field "
+                "(pass --close to close it first)",
+                "witness": {"generator": "x^3 + y^2 + y", "reduced_lie_derivative": "-y"},
+            },
+        },
+    ),
+    "not invariant under the semisimple part": (
+        ["x", "3*y + x^3"], ["x^3 + y + y^2"], "rational", 8, ["--semisimple"], 4, {
+            "error": {
+                "type": "NotInvariantError",
+                "message": "the ideal is not invariant under the semisimple derivation",
+                "witness": {"generator": "x^3 + y^2 + y", "reduced_lie_derivative": "3*y^2"},
+            },
+        },
+    ),
+    "field not in normal form": (
+        ["x", "2*y + x^3"], ["x", "y"], "rational", 6, [], 4, {
+            "error": {
+                "type": "NotNormalFormError",
+                "message": "the field must be in normal form for weight extraction",
+                "residual": ["0", "-x^3"],
+            },
+        },
+    ),
+    "no member, so no field check": (
+        ["x", "2*y + x^3"], ["0"], "rational", 6, [], 0, {
+            "ideal": "I",
+            "seed_generators": [],
+            "route": "lie-derivative",
+            "closed": False,
+            "generators": [],
+            "certificates": [],
+        },
+    ),
+    "rotation": (
+        ["-y", "x"], ["x", "y"], "gaussian", 6, [], 4, {
+            "error": {"type": "NotDiagonalError", "message": _NOT_DIAGONAL},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_CASES))
+def test_extract_refusal_reports_are_pinned(problem, capsys, case):
+    field, ideal, mode, order, flags, code, tail = REFUSAL_CASES[case]
+    path = problem({"variables": ["x", "y"], "field_mode": mode, "vector_field": field,
+                    "ideals": {"I": ideal}, "trunc_order": order})
+    assert main(["extract", path, *flags]) == code
+    head = {**_extract_head(mode), "trunc_order": order}
+    assert capsys.readouterr().out == json.dumps({**head, **tail}, indent=2) + "\n"
 
 
 def test_resonance_of_one_variable_takes_no_coefficients(problem, capsys):

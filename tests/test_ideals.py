@@ -23,7 +23,6 @@ from dulac.ideals import (
     IdealHandle,
     ReducedBasis,
     close_under_lie,
-    extract_from_member,
     extract_semiinvariants,
     groebner,
     is_invariant,
@@ -72,6 +71,12 @@ def _field(*component_terms, trunc):
     return VectorField.from_components(
         [_s(t, trunc, nvars=len(component_terms)) for t in component_terms]
     )
+
+
+def _maximal(order):
+    """<x, y>: invariant along every field vanishing at 0, so extraction
+    from it reaches the checks on the field and the member."""
+    return IdealHandle([_s({X: 1}, order), _s({Y: 1}, order)], order)
 
 
 # -- groebner ------------------------------------------------------------------
@@ -547,7 +552,8 @@ def test_closure_and_extraction_with_a_nilpotent_part_match_the_eager_pass(monke
 
     def report():
         closed = close_under_lie(IdealHandle([seed], order), f)
-        components, cert = extract_from_member(seed, closed, f)
+        _, (cert,) = lf_extract_semiinvariants(closed, f, [seed])
+        components = cert.solution[:len(cert.weights)]
         return (
             [format_series(p, names) for p in closed.reduced_basis],
             [format_series(c, names) for c in components],
@@ -691,14 +697,15 @@ _COARSE_CALLS = {
     # a field known only modulo <x>^4 against an ideal at order 6
     "is_invariant": lambda ideal, f4, f6: is_invariant(ideal, f4),
     "close_under_lie": lambda ideal, f4, f6: close_under_lie(ideal, f4),
-    "extract_from_member field": lambda ideal, f4, f6: extract_from_member(
-        ideal.generators[0], ideal, f4
+    # extraction from one member: along a coarse field, and of a coarse member
+    "extract_from_member field": lambda ideal, f4, f6: lf_extract_semiinvariants(
+        ideal, f4, [ideal.generators[0]]
     ),
     # a series known only modulo <x>^4 viewed at order 6
     "IdealHandle generator": lambda ideal, f4, f6: IdealHandle([_s({X: 1}, 4)], 6),
     "normal_form": lambda ideal, f4, f6: ideal.normal_form(_s({(2, 0): 1}, 4)),
-    "extract_from_member phi": lambda ideal, f4, f6: extract_from_member(
-        _s({(3, 0): 1, Y: 1}, 4), ideal, f6
+    "extract_from_member phi": lambda ideal, f4, f6: lf_extract_semiinvariants(
+        _maximal(6), f6, [_s({(3, 0): 1, Y: 1}, 4)]
     ),
 }
 
@@ -968,11 +975,10 @@ def test_block_count_is_the_nilpotency_index_on_random_normal_fields():
         f = pdnf_field(rng, n, order)
         seed = random_series(rng, n, order, max_terms=4, min_degree=1)
         closed = close_under_lie(IdealHandle([seed], order), f)
-        for member in (seed,) + closed.reduced_basis:
-            _, cert = extract_from_member(member, closed, f)
-            if cert is not None:
-                assert cert.block_count == _lg_walk(f, member, order)
-                counts.add(cert.block_count)
+        _, certs = lf_extract_semiinvariants(closed, f, (seed,) + closed.reduced_basis)
+        for cert in certs:
+            assert cert.block_count == _lg_walk(f, cert.source, order)
+            counts.add(cert.block_count)
     assert max(counts) >= 3
 
 
@@ -987,7 +993,7 @@ def test_block_count_is_bounded_on_random_normal_fields():
             continue
         # the maximal ideal is invariant along every field vanishing at 0
         maximal = IdealHandle([Series.variable(j, n, order) for j in range(n)], order)
-        _, cert = extract_from_member(psi, maximal, f)
+        _, (cert,) = lf_extract_semiinvariants(maximal, f, [psi])
         assert 1 <= cert.block_count <= lg_nilpotency_bound(f, order)
 
 
@@ -1015,12 +1021,11 @@ def test_certificate_replay_holds_on_a_scalar_product_loop():
         f = pdnf_field(rng, n, order)
         seed = random_series(rng, n, order, gaussian=True, max_terms=4, min_degree=1)
         closed = close_under_lie(IdealHandle([seed], order), f)
-        for member in (seed,) + closed.reduced_basis:
-            _, cert = extract_from_member(member, closed, f)
-            if cert is not None:
-                got = _scalar_matvec(cert.matrix, cert.solution)
-                assert got == [want.terms for want in cert.rhs]
-                replayed += cert.block_count > 1
+        _, certs = lf_extract_semiinvariants(closed, f, (seed,) + closed.reduced_basis)
+        for cert in certs:
+            got = _scalar_matvec(cert.matrix, cert.solution)
+            assert got == [want.terms for want in cert.rhs]
+            replayed += cert.block_count > 1
     assert replayed >= 10
 
 
@@ -1028,11 +1033,13 @@ def test_extract_from_member_golden():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     closed = IdealHandle([_s({(3, 0): 1}, 8), _s({Y: 1}, 8)], 8)
     psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
-    components, cert = extract_from_member(psi, closed, f)
+    generators, (cert,) = lf_extract_semiinvariants(closed, f, [psi])
+    components = cert.solution[:len(cert.weights)]
     assert [dict(c.terms) for c in components] == [
         {(3, 0): ONE, Y: ONE},
         {(0, 2): ONE},
     ]
+    assert generators == components
     assert cert.block_count == 3
     assert cert.matrix.nrows == 6
     assert abs(cert.determinant.re) == 19683
@@ -1044,30 +1051,63 @@ def test_extract_from_member_golden():
 def test_extract_from_member_rejects_non_members():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     closed = IdealHandle([_s({(3, 0): 1}, 8), _s({Y: 1}, 8)], 8)
-    with pytest.raises(NotInvariantError):
-        extract_from_member(_s({X: 1}, 8), closed, f)
+    with pytest.raises(NotInvariantError) as info:
+        lf_extract_semiinvariants(closed, f, [_s({X: 1}, 8)])
+    assert str(info.value) == "the series is not a member of the ideal"
 
 
 def test_extract_from_member_rejects_non_normal_fields():
     f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
-    handle = IdealHandle([_s({Y: 1}, 6)], 6)
     with pytest.raises(NotNormalFormError):
-        extract_from_member(_s({Y: 1}, 6), handle, f)
+        lf_extract_semiinvariants(_maximal(6), f, [_s({Y: 1}, 6)])
 
 
 def test_extract_from_member_rejects_non_diagonal_semisimple():
     f = _field({Y: -1}, {X: 1}, trunc=6)
-    handle = IdealHandle([_s({(1, 1): 1}, 6)], 6)
     with pytest.raises(NotDiagonalError):
-        extract_from_member(_s({(1, 1): 1}, 6), handle, f)
+        lf_extract_semiinvariants(_maximal(6), f, [_s({(1, 1): 1}, 6)])
 
 
 def test_extract_from_member_zero_series():
     f = _field({X: 1}, {Y: 3}, trunc=6)
     handle = IdealHandle([_s({Y: 1}, 6)], 6)
-    components, cert = extract_from_member(Series.zero(2, 6), handle, f)
-    assert components == ()
-    assert cert is None
+    assert lf_extract_semiinvariants(handle, f, [Series.zero(2, 6)]) == ((), ())
+
+
+def test_lf_extraction_checks_the_field_once_for_all_members(monkeypatch):
+    import dulac.ideals as ideals_module
+
+    calls = []
+    check = ideals_module.is_pdnf
+
+    def counting(f, order):
+        calls.append(order)
+        return check(f, order)
+
+    monkeypatch.setattr(ideals_module, "is_pdnf", counting)
+    f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
+    closed = IdealHandle([_s({(3, 0): 1}, 8), _s({Y: 1}, 8)], 8)
+    members = [_s({(3, 0): 1, Y: 1, (0, 2): 1}, 8), _s({(1, 1): 2}, 8)]
+    generators, certificates = lf_extract_semiinvariants(closed, f, members)
+    assert calls == [8]
+    assert len(certificates) == 2
+    assert [format_series(g, ("x", "y")) for g in generators] == [
+        "x^3 + y", "x*y", "y^2",
+    ]
+
+
+def test_lf_extraction_checks_invariance_before_the_field():
+    # (x, 2y + x^3) is not in normal form, and <y> is not invariant along it
+    f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
+    with pytest.raises(NotInvariantError) as info:
+        lf_extract_semiinvariants(IdealHandle([_s({Y: 1}, 6)], 6), f, [_s({Y: 1}, 6)])
+    assert str(info.value).startswith("the ideal is not invariant along the field")
+    # with no member there is nothing to extract, and the field goes unchecked
+    assert lf_extract_semiinvariants(_maximal(6), f, []) == ((), ())
+    assert lf_extract_semiinvariants(_maximal(6), f, iter(())) == ((), ())
+    # a zero member still needs a field in normal form
+    with pytest.raises(NotNormalFormError):
+        lf_extract_semiinvariants(_maximal(6), f, [Series.zero(2, 6)])
 
 
 def _readme_certificate():
@@ -1078,7 +1118,7 @@ def _readme_certificate():
     ])
     psi = parse_expression("x^3 + y + y^2", names, trunc_order=8)
     closed = close_under_lie(IdealHandle([psi], 8), f)
-    _, cert = extract_from_member(psi, closed, f)
+    _, (cert,) = lf_extract_semiinvariants(closed, f, [psi])
     return closed, cert
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dulac import linalg, normalform, poly
 from dulac.errors import NotNormalFormError, TruncationError
 from dulac.field import Scalar, weights_from_scalars
-from dulac.ideals import IdealHandle, extract_from_member
+from dulac.ideals import IdealHandle, lf_extract_semiinvariants
 from dulac.linalg import ExactMatrix, inverse
 from dulac.normalform import (
     _conjugate_components,
@@ -190,7 +190,7 @@ def test_lg_nilpotency_index_golden_value():
     f = _field({X: 1}, {Y: 3, (3, 0): 1}, trunc=8)
     psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
     for order, m in ((8, 3), (6, 2)):
-        _, cert = extract_from_member(psi, _maximal(order), f)
+        _, (cert,) = lf_extract_semiinvariants(_maximal(order), f, [psi])
         assert cert.block_count == m
         assert cert.matrix.nrows == 2 * m
 
@@ -208,8 +208,8 @@ def test_lg_nilpotency_index_builds_no_field(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(VectorField, "__init__", counting)
-    assert extract_from_member(psi, _maximal(8), f)[1].block_count == 3
-    assert extract_from_member(psi, _maximal(6), f)[1].block_count == 2
+    assert lf_extract_semiinvariants(_maximal(8), f, [psi])[1][0].block_count == 3
+    assert lf_extract_semiinvariants(_maximal(6), f, [psi])[1][0].block_count == 2
     assert built == []
 
 
@@ -219,7 +219,7 @@ def test_lg_nilpotency_index_rejects_non_normal_field():
     f = _field({X: 1}, {Y: 2, (3, 0): 1}, trunc=6)
     psi = _s({Y: 1}, 6)
     with pytest.raises(NotNormalFormError) as info:
-        extract_from_member(psi, IdealHandle([psi], 6), f)
+        lf_extract_semiinvariants(_maximal(6), f, [psi])
     assert str(info.value) == "the field must be in normal form for weight extraction"
     assert info.value.residual == is_pdnf(f, 6)[1]
     assert info.value.residual == (Series.zero(2, 6), _s({(3, 0): -1}, 6))

@@ -202,3 +202,24 @@ def test_format_from_the_triple_matches_the_fraction_form():
         s = s + Series(nvars, {(0,) * nvars: rng.choice(units)}, s.trunc)
         s = s + Series(nvars, {(1,) * nvars: rng.choice(units)}, s.trunc)
         assert format_series(s, names) == _format_series_by_fractions(s, names)
+
+
+def test_names_are_checked_once_per_name_list():
+    from dulac.exprs import _check_name_tuples
+
+    names = ["p", "q"]
+    s = parse_expression("p^2 - 3*q", names)
+    _check_name_tuples.cache_clear()
+    for _ in range(100):
+        assert format_series(s, names) == "p^2 - 3*q"
+    assert _check_name_tuples.cache_info().misses == 1
+    # an invalid list is refused on every call, from both functions
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid name '2y'"):
+            format_series(s, ["p", "2y"])
+        with pytest.raises(ValueError, match="invalid name '2y'"):
+            parse_expression("p", ["p", "2y"])
+    with pytest.raises(ValueError, match=r"invalid name \['q'\]"):
+        format_series(s, ["p", ["q"]])
+    with pytest.raises(ValueError, match="both variable and parameter"):
+        parse_expression("p", names, {"q": ONE})

@@ -29,7 +29,6 @@ from dulac.poly import (
     grlex_key,
     lie_bracket,
     lie_derivative,
-    lie_derivative_iter,
     matvec_series,
     weight,
     weight_decompose,
@@ -175,15 +174,6 @@ def test_lie_derivative_linear_diag_multiplies_by_weight():
     psi = _s({(3, 0): 1, (0, 2): 1}, 8)
     out = lie_derivative(f, psi)
     assert out == _s({(3, 0): 3, (0, 2): 6})
-
-
-def test_lie_derivative_iter_matches_repeated_application():
-    f = [_s({X: 1}, 8), _s({Y: 3, (3, 0): 1}, 8)]
-    psi = _s({(3, 0): 1, Y: 1, (0, 2): 1}, 8)
-    once = lie_derivative(f, psi)
-    twice = lie_derivative(f, once)
-    assert lie_derivative_iter(f, psi, 2) == twice
-    assert lie_derivative_iter(f, psi, 0) == psi
 
 
 def test_lie_derivative_rejects_constant_terms_in_field():

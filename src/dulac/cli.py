@@ -46,7 +46,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedSpectrumError,
 )
-from .exprs import _is_name, format_series, parse_expression
+from .exprs import _format_monomial, _is_name, format_series, parse_expression
 from .field import (
     Scalar,
     Weight,
@@ -431,8 +431,7 @@ def cmd_invariance(problem: Problem, args) -> Tuple[dict, int]:
     if args.basis:
         report["basis"] = _series_list(handle.reduced_basis, problem.variables)
         report["truncation_monomials"] = [
-            format_series(Series.monomial(m, 1), problem.variables)
-            for m in handle.truncation_monomials
+            _format_monomial(m, problem.variables) for m in handle.truncation_monomials
         ]
     report["invariant"] = invariant
     report["witness"] = (

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import functools
 import re
-from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExprSyntaxError
-from .field import ONE, Scalar, _decimal, format_scalar
+from .field import ONE, Scalar, _decimal, _reduced, format_scalar
 from .poly import Exponent, Series
 
 __all__ = ["parse_expression", "format_series"]
@@ -225,7 +224,7 @@ class _Parser:
             denominator = self.integer(den_tok)
             if denominator == 0:
                 raise self.fail("zero denominator", den_tok)
-        return Scalar(Fraction(sign * numerator, denominator))
+        return _reduced(sign * numerator, 0, denominator)
 
     def gaussian(self) -> Scalar:
         real = self.rational(signed=True)

@@ -9,7 +9,9 @@ triple on access, and ``as_gaussian_ratio`` returns the triple itself.
 A :class:`Weight` is a vector in Q^d over some fixed
 Q-linearly independent basis; weights track eigenvalue combinations
 exactly even when the eigenvalues are kept symbolic, and can be embedded
-back into Q(i) when concrete basis values are available.
+back into Q(i) when concrete basis values are available.  A weight is a
+value: the weights of monomials are computed in :mod:`dulac.poly` over
+integer numerators, not by vector arithmetic on weights.
 
 Serialization uses the plain-text forms ``p/q`` for rationals and
 ``p/q+r/s*i`` for Gaussian rationals; weights serialize as JSON arrays of
@@ -281,9 +283,10 @@ IMAG = Scalar(0, 1)
 class Weight:
     """A rational vector in Q^d over an abstract Q-linearly independent basis.
 
-    Monomial weights and eigenvalues live here.  Addition and rational
-    scaling are the only vector operations needed; equality and hashing
-    are defined on the exact coordinates.
+    Monomial weights and eigenvalues live here.  A weight is built from
+    its coordinates, compared and hashed on them, and printed; the
+    monomial weights themselves come from :func:`dulac.poly.weight` and
+    :func:`dulac.poly.weight_decompose`.
     """
 
     __slots__ = ("coords",)
@@ -296,16 +299,9 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
-    @classmethod
-    def zero(cls, dim: int) -> "Weight":
-        return cls((Fraction(0),) * dim)
-
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Weight):
@@ -314,30 +310,6 @@ class Weight:
 
     def __hash__(self):
         return hash(self.coords)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        if not isinstance(other, Weight):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("weight dimensions differ")
-        return Weight(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        if not isinstance(other, Weight):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("weight dimensions differ")
-        return Weight(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "Weight":
-        return Weight(-c for c in self.coords)
-
-    def scale(self, factor: RationalLike) -> "Weight":
-        factor = _as_fraction(factor)
-        return Weight(factor * c for c in self.coords)
-
-    def sort_key(self):
-        return self.coords
 
     def __repr__(self) -> str:
         return f"Weight(({', '.join(str(c) for c in self.coords)}))"

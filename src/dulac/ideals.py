@@ -398,7 +398,7 @@ class ExtractionCertificate:
     trunc_order: int
 
 
-def _series_sort_key(s: Series):
+def _series_order(s: Series):
     return tuple(
         (grlex_key(e), c.re, c.im) for e, c in s.sorted_terms()
     )
@@ -413,7 +413,7 @@ def _collect_generators(pieces: Iterable[Series]) -> Tuple[Series, ...]:
         p = p.monic()
         if all(p != q for q in unique):
             unique.append(p)
-    unique.sort(key=_series_sort_key, reverse=True)
+    unique.sort(key=_series_order, reverse=True)
     return tuple(unique)
 
 

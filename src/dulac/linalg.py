@@ -120,16 +120,8 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("matrix shapes are not compatible")
-            cols = other.ncols
-            return ExactMatrix(
-                [
-                    [
-                        _dot(self._rows[i], tuple(other._rows[k][j] for k in range(other.nrows)))
-                        for j in range(cols)
-                    ]
-                    for i in range(self.nrows)
-                ]
-            )
+            cols = tuple(zip(*other._rows))
+            return ExactMatrix([[_dot(row, col) for col in cols] for row in self._rows])
         if isinstance(other, (Scalar, int, Fraction)):
             c = other if isinstance(other, Scalar) else Scalar(other)
             return ExactMatrix([[a * c for a in row] for row in self._rows])

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, inf, lcm
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import TruncationError
-from .field import Scalar, Weight, _new
+from .field import Scalar, Weight, _new, weights_from_scalars
 from .poly import (
     Exponent,
     Series,
@@ -49,6 +48,8 @@ from .poly import (
     _graded,
     _partial,
     _triples,
+    _unpack,
+    _weight_numerators,
     compose,
     lie_bracket,
     lie_derivative,
@@ -166,28 +167,26 @@ def _inverse_weights(lam: Sequence[Scalar]):
     """D^-1 for the diagonal part D of the homological operator, applied
     to one component: ``invert(s, i)`` divides each term x^e of s by
     c(e, i) = sum_j e_j*lambda_j - lambda_i and drops the resonant terms,
-    where c = 0.  With lambda_j = (a_j + b_j*i) / D over one common
-    denominator D, c = (p + q*i) / D for the integers p = sum_j e_j*a_j -
-    a_i and q = sum_j e_j*b_j - b_i, so 1/c = D*(p - q*i) / (p^2 + q^2),
-    reduced with one gcd to a canonical Gaussian triple.  Each triple is
-    computed once per packed key and component, so every series passed
-    must share one ring."""
-    ratios = [c.as_gaussian_ratio() for c in lam]
-    den = lcm(*(e for _, _, e in ratios))
-    re_w = [a * (den // e) for a, _, e in ratios]
-    im_w = [b * (den // e) for _, b, e in ratios]
+    where c = 0.  That c is the weight of e with its i-th entry lowered
+    by one, and ``poly._weight_numerators`` gives it over the basis (1, i)
+    of :func:`~dulac.field.weights_from_scalars` as c = (p + q*i) / den
+    for integers p and q (q = 0 for a real spectrum), so 1/c =
+    den*(p - q*i) / (p^2 + q^2), reduced with one gcd to a canonical
+    Gaussian triple.  Each triple is computed once per packed key and
+    component, so every series passed must share one ring."""
+    den, num = _weight_numerators(weights_from_scalars(lam)[0])
     memo: List[dict] = [{} for _ in lam]
 
     def invert(s: Series, i: int) -> Series:
-        _, base, _, place, _ = s._r
+        ring = s._r
         cache = memo[i]
         scaled = []
         for k, x, y in _triples(s._re, s._im):
             r = cache.get(k)
             if r is None:
-                e = [k // v % base for v in place]
-                p = sum(map(mul, e, re_w)) - re_w[i]
-                q = sum(map(mul, e, im_w)) - im_w[i]
+                exps = list(_unpack(k, ring))
+                exps[i] -= 1
+                p, q = (*num(exps), 0)[:2]
                 norm = p * p + q * q
                 g = gcd(den * p, den * q, norm)
                 r = cache[k] = (den * p // g, -den * q // g, norm // g) if norm else ()

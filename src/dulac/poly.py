@@ -35,8 +35,14 @@ the largest base a product needs: B_a + B_b - 1 for a series factor and
 B_a for a rational one.  Likewise every grouping of a series' terms is
 one pass of ``_split`` over the packed keys, by degree (``_graded``) or
 by monomial weight (:func:`weight_decompose`), with each part made
-canonical once.  :class:`~dulac.field.Scalar` values and
-exponent tuples appear only at the boundary: the constructor,
+canonical once.  Monomial weights are computed in one place,
+``_weight_numerators``: the eigenvalue coordinates as integer numerators
+over their least common denominator D, dotted with the exponent digits.
+A weight split labels each key with that integer tuple, so its parts
+come in ascending coordinate order (D > 0) and one
+:class:`~dulac.field.Weight` is built per part.
+:class:`~dulac.field.Scalar` values and exponent tuples appear only at
+the boundary: the constructor,
 :attr:`Series.terms`, :meth:`Series.sorted_terms`,
 :meth:`Series.coefficient` and :meth:`Series.leading_coefficient`, and
 the private pair ``_scalar_terms``/``_scalar_series`` through which
@@ -600,10 +606,10 @@ def _partial(s: Series, j: int, cap=inf) -> Series:
     return _canonical(s._r, _derive(s._re, p, base, u, cap), im, s._d, s.trunc)
 
 
-def _split(s: Series, label, sort_key=None) -> Dict[object, Series]:
+def _split(s: Series, label) -> Dict[object, Series]:
     """The parts of s whose packed keys share a ``label(key)``, keyed by
-    label in ``sorted(labels, key=sort_key)`` order: one pass over its
-    terms, each part made canonical once."""
+    label in ascending order: one pass over its terms, each part made
+    canonical once."""
     re: Dict[object, _Nums] = {}
     im: Dict[object, _Nums] = {}
     for k, v in s._re.items():
@@ -611,7 +617,7 @@ def _split(s: Series, label, sort_key=None) -> Dict[object, Series]:
     for k, v in s._im.items():
         im.setdefault(label(k), {})[k] = v
     return {w: _canonical(s._r, re.get(w, {}), im.get(w, {}), s._d, s.trunc)
-            for w in sorted(re.keys() | im.keys(), key=sort_key)}
+            for w in sorted(re.keys() | im.keys())}
 
 
 def _graded(s: Series) -> Dict[int, Series]:
@@ -623,24 +629,44 @@ def _graded(s: Series) -> Dict[int, Series]:
 # -- weights ---------------------------------------------------------------
 
 
+def _weight_numerators(eigenvalues: Sequence[Weight]):
+    """``(den, num)`` for monomial weights under ``eigenvalues``: den > 0
+    is the least common denominator of their coordinates, and ``num(e)``
+    the numerators over den of the weight sum_j e_j*lambda_j, one per
+    coordinate, for exponent digits e (integers give integers).  Since
+    den > 0, numerator tuples order as the weights' coordinate tuples."""
+    if len({w.dim for w in eigenvalues}) > 1:
+        raise ValueError("weight dimensions differ")
+    den = lcm(*(c.denominator for w in eigenvalues for c in w.coords))
+    cols = [tuple(c.numerator * (den // c.denominator) for c in coords)
+            for coords in zip(*(w.coords for w in eigenvalues))]
+
+    def num(e) -> tuple:
+        return tuple(sum(map(mul, e, col)) for col in cols)
+
+    return den, num
+
+
 def weight(exps: Exponent, eigenvalues: Sequence[Weight]) -> Weight:
-    """Weight of a monomial: the eigenvalue combination sum_j e_j * lambda_j."""
+    """Weight of a monomial: the eigenvalue combination sum_j e_j * lambda_j;
+    rational exponents are allowed."""
     if len(exps) != len(eigenvalues):
         raise ValueError("exponent length does not match eigenvalue count")
-    total = Weight.zero(eigenvalues[0].dim)
-    for e, lam in zip(exps, eigenvalues):
-        if e:
-            total = total + lam.scale(e)
-    return total
+    den, num = _weight_numerators(eigenvalues)
+    return Weight(Fraction(c, den) for c in num(exps))
 
 
 def weight_decompose(s: Series, eigenvalues: Sequence[Weight]) -> Dict[Weight, Series]:
     """The weight-homogeneous parts of a series keyed by monomial weight,
-    in ascending :meth:`Weight.sort_key` order."""
+    in ascending coordinate order.  The split labels each packed key with
+    the integer numerators of its weight over one common denominator, so
+    one :class:`~dulac.field.Weight` is built per part."""
     if len(eigenvalues) != s.nvars:
         raise ValueError("eigenvalue count does not match variable count")
+    den, num = _weight_numerators(eigenvalues)
     ring = s._r
-    return _split(s, lambda k: weight(_unpack(k, ring), eigenvalues), Weight.sort_key)
+    parts = _split(s, lambda k: num(_unpack(k, ring)))
+    return {Weight(Fraction(c, den) for c in w): part for w, part in parts.items()}
 
 
 # -- derivations ------------------------------------------------------------

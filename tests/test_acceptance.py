@@ -274,7 +274,7 @@ def test_criterion_7_single_resonance_enumeration(tmp_path, capsys):
         coords[i] = Fraction(1)
         basis.append(Weight(tuple(coords)))
     alpha = [Fraction(-1), Fraction(-2)]
-    last = basis[0].scale(alpha[0]) + basis[1].scale(alpha[1])
+    last = Weight((Fraction(-1), Fraction(-2)))  # alpha_0*lambda_0 + alpha_1*lambda_1
     candidates, report = single_resonance_primes(basis + [last], alpha)
     expected = set()
     for r in range(1, n + 1):
@@ -285,7 +285,7 @@ def test_criterion_7_single_resonance_enumeration(tmp_path, capsys):
 
     try:
         single_resonance_primes(
-            [basis[0], basis[0].scale(2)], [Fraction(2)]
+            [basis[0], Weight((Fraction(2), Fraction(0)))], [Fraction(2)]
         )
         raise AssertionError("positive exponents must be rejected")
     except HypothesisError:

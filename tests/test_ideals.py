@@ -1273,7 +1273,7 @@ def _symbolic_basis(n):
 
 def test_single_resonance_candidates_all_subsets():
     basis = _symbolic_basis(2)
-    lam3 = basis[0].scale(-1) + basis[1].scale(-2)
+    lam3 = Weight((Fraction(-1), Fraction(-2)))  # -lambda_1 - 2*lambda_2
     candidates, report = single_resonance_primes(
         basis + [lam3], [Fraction(-1), Fraction(-2)]
     )
@@ -1289,14 +1289,14 @@ def test_single_resonance_rejects_positive_alpha():
     basis = _symbolic_basis(1)
     for alpha in (Fraction(2), Fraction(1, 2)):
         with pytest.raises(HypothesisError, match="nonpositive"):
-            single_resonance_primes(basis + [basis[0].scale(alpha)], [alpha])
+            single_resonance_primes(basis + [Weight((alpha,))], [alpha])
 
 
 def test_single_resonance_rejects_dependent_leading_eigenvalues():
-    w = Weight((Fraction(1), Fraction(0)))
     with pytest.raises(HypothesisError):
         single_resonance_primes(
-            [w, w.scale(2), w.scale(-3)], [Fraction(-1), Fraction(-1)]
+            [Weight((1, 0)), Weight((2, 0)), Weight((-3, 0))],
+            [Fraction(-1), Fraction(-1)],
         )
 
 
@@ -1311,7 +1311,7 @@ def test_single_resonance_rejects_broken_relation():
         single_resonance_primes(_symbolic_basis(3), [Fraction(-1), Fraction(-1)])
     # two eigenvalues: the relation lambda_2 = alpha*lambda_1 is checked too
     with pytest.raises(HypothesisError, match="resonance relation"):
-        single_resonance_primes([basis[0], basis[0].scale(2)], [Fraction(-1)])
+        single_resonance_primes([basis[0], Weight((2, 0))], [Fraction(-1)])
 
 
 def test_single_resonance_wrong_arity():

@@ -106,6 +106,57 @@ def test_is_pdnf_with_admissible_nilpotent_part():
     assert ok
 
 
+def _sympy_number(c):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator)
+
+
+def _sympy_pdnf_residual(f, xs):
+    """[f, B_s x]_i = sum_j S_ij f_j - sum_j (d f_i / d x_j) (S x)_j in sympy,
+    as one {exponent: coefficient} dict per component, cut below the order."""
+    n, order = f.nvars, f.trunc_order
+    s = [[_sympy_number(f.chevalley.semisimple[i, j]) for j in range(n)] for i in range(n)]
+    comps = [sum(_sympy_number(c) * sympy.prod(x**k for x, k in zip(xs, e))
+                 for e, c in comp.terms.items()) for comp in f.components]
+    sx = [sum(s[j][k] * xs[k] for k in range(n)) for j in range(n)]
+    out = []
+    for i in range(n):
+        expr = sympy.expand(sum(s[i][j] * comps[j] - sympy.diff(comps[i], xs[j]) * sx[j]
+                                for j in range(n)))
+        terms = sympy.Poly(expr, *xs).as_dict() if expr != 0 else {}
+        out.append({e: c for e, c in terms.items() if sum(e) < order and c != 0})
+    return out
+
+
+def test_is_pdnf_residual_matches_a_sympy_bracket():
+    # seeded PDNF fields, and the same fields with one non-resonant term
+    # of degree >= 2 added: is_pdnf's residual against [f, B_s x] in sympy
+    rng = random.Random(8086)
+    broken = 0
+    for case in range(10):
+        n, order = 2 + case % 2, rng.randint(4, 6)
+        f = pdnf_field(rng, n, order)
+        lam = f.chevalley.eigenvalues
+        fields = [f]
+        for _ in range(20):
+            i, exps = rng.randrange(n), random_exponent(rng, n, rng.randint(2, order - 1))
+            if sum((lam[j] * e for j, e in enumerate(exps)), Scalar(0)) != lam[i]:
+                comps = list(f.components)
+                comps[i] = comps[i] + Series.monomial(
+                    exps, random_scalar(rng, gaussian=True) or Scalar(1), order)
+                fields.append(VectorField(comps, f.chevalley))
+                broken += 1
+                break
+        xs = sympy.symbols(f"x0:{n}")
+        for g, want_ok in zip(fields, (True, False)):
+            ok, residual = is_pdnf(g)
+            want = _sympy_pdnf_residual(g, xs)
+            assert ok is want_ok is not any(want)
+            for r, w in zip(residual, want):
+                assert {e: _sympy_number(c) for e, c in r.terms.items()} == w
+    assert broken >= 8
+
+
 def test_normalize_removes_nonresonant_keeps_resonant():
     f = _field({X: 1}, {Y: 3, (2, 0): 1, (3, 0): 1}, trunc=6)
     result = normalize(f)

@@ -34,6 +34,9 @@ def test_parse_gaussian_coefficients_need_parentheses():
     s = parse_expression("(0+1*i)*x + (1-1/2*i)*y", XY)
     assert s.terms[(1, 0)] == IMAG
     assert s.terms[(0, 1)] == Scalar(1, Fraction(-1, 2))
+    # a sign inside the parentheses, explicit plus included
+    s = parse_expression("(+3/2)*x + (-6/4+2*i)*y", XY)
+    assert s.terms == {(1, 0): Scalar(Fraction(3, 2)), (0, 1): Scalar(Fraction(-3, 2), 2)}
     with pytest.raises(ExprSyntaxError):
         parse_expression("i*x", XY)
 

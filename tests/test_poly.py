@@ -126,9 +126,19 @@ def test_grlex_key_orders_by_degree_first():
     assert grlex_key((1, 1)) > grlex_key((0, 2))
 
 
+def _ref_weight(exps, eigenvalues):
+    """sum_j e_j*lambda_j summed coordinate by coordinate in Fractions,
+    sharing no code with ``poly``'s integer numerators."""
+    coords = [Fraction(0)] * eigenvalues[0].dim
+    for e, lam in zip(exps, eigenvalues):
+        for t, c in enumerate(lam.coords):
+            coords[t] += Fraction(e) * c
+    return Weight(coords)
+
+
 def test_weight_of_exponent():
     weights, _ = weights_from_scalars([Scalar(1), Scalar(3)])
-    assert weight((3, 0), weights) == weights[0].scale(3)
+    assert weight((3, 0), weights) == Weight((3,)) == _ref_weight((3, 0), weights)
     assert weight((3, 0), weights) == weights[1]  # 3*1 == 3
 
 
@@ -148,7 +158,7 @@ def test_weight_decompose_reconstructs():
             assert w not in seen
             seen.add(w)
             for exps in component.terms:
-                assert weight(exps, weights) == w
+                assert _ref_weight(exps, weights) == w
             total = total + component
         assert total == s
 
@@ -472,8 +482,8 @@ def _ref_sorted_terms(a):
 def _ref_weight_decompose(a, eigenvalues):
     buckets = {}
     for e, c in a[0].items():
-        buckets.setdefault(weight(e, eigenvalues), {})[e] = c
-    return [(w, (buckets[w], a[1])) for w in sorted(buckets, key=Weight.sort_key)]
+        buckets.setdefault(_ref_weight(e, eigenvalues), {})[e] = c
+    return [(w, (buckets[w], a[1])) for w in sorted(buckets, key=lambda w: w.coords)]
 
 
 # Eigenvalues with 1-, 2- and 3-dimensional weights for up to four
@@ -579,6 +589,48 @@ def test_packed_kernel_matches_the_tuple_keyed_reference():
             if s:
                 assert s.degree() == max(map(sum, s.terms))
                 assert s.min_degree() == min(map(sum, s.terms))
+
+
+def _symbolic_spectrum(draw, nvars, dim):
+    """Eigenvalues with coordinates p/q, |p| <= 30 and q <= 30; each one
+    after the first is fresh or a small integer combination of earlier
+    ones, so that distinct monomials share weights."""
+    coord = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+    spectrum = []
+    for j in range(nvars):
+        if j and draw(st.booleans()):
+            factors = draw(st.lists(st.integers(-2, 2), min_size=j, max_size=j))
+            coords = [sum(f * lam.coords[t] for f, lam in zip(factors, spectrum))
+                      for t in range(dim)]
+        else:
+            coords = draw(st.lists(coord, min_size=dim, max_size=dim))
+        spectrum.append(Weight(coords))
+    return spectrum
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), nvars=st.integers(1, 4), dim=st.integers(1, 3),
+       gaussian=st.booleans())
+def test_weight_split_matches_the_fraction_oracle(data, nvars, dim, gaussian):
+    spectrum = _symbolic_spectrum(data.draw, nvars, dim)
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    part = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 30))
+    coeffs = st.builds(Scalar, part, part if gaussian else st.just(0))
+    s = Series(nvars, data.draw(st.dictionaries(exponents, coeffs, max_size=12)),
+               data.draw(st.sampled_from([None, 3, 5, 9])))
+    parts = weight_decompose(s, spectrum)
+    want = _ref_weight_decompose(_ref(s), spectrum)
+    assert list(parts) == [w for w, _ in want]
+    for got, (_, ref_part) in zip(parts.values(), want):
+        _assert_matches(got, ref_part)
+    rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+    exps = data.draw(st.tuples(*[rational] * nvars))
+    assert weight(exps, spectrum) == _ref_weight(exps, spectrum)
+
+
+def test_weight_refuses_mixed_dimensions():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        weight((1, 1), [Weight((1,)), Weight((1, 2))])
 
 
 def test_packed_compose_matches_the_tuple_keyed_reference():

@@ -52,7 +52,6 @@ from .ideals import (
 from .linalg import (
     ExactMatrix,
     confluent_vandermonde_matrix,
-    determinant,
     jordan_chevalley,
 )
 from .normalform import (
@@ -104,7 +103,6 @@ __all__ = [
     "compose",
     "confluent_vandermonde_matrix",
     "conjugacy_residual",
-    "determinant",
     "extract_semiinvariants",
     "format_fraction",
     "format_scalar",

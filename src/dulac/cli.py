@@ -283,19 +283,22 @@ def build_field(problem: Problem) -> VectorField:
 
 
 def _weights_for_problem(problem: Problem) -> Tuple[List[Weight], Optional[Tuple[Scalar, ...]]]:
-    """Eigenvalues as weights plus a Q(i)-embedding when one exists."""
+    """Eigenvalues as weights plus a Q(i)-embedding when one exists.  A
+    field's own come first, after :func:`build_field` has cross-checked
+    any declared ones; a declared list is read by position only without
+    a field, so every command gives each variable the same weight."""
     if problem.field_mode == "symbolic":
         assert problem.eigenvalue_weights is not None
         return list(problem.eigenvalue_weights), None
-    if problem.eigenvalue_scalars is not None:
+    if problem.vector_field is None and problem.eigenvalue_scalars is not None:
         weights, embedding = weights_from_scalars(problem.eigenvalue_scalars)
         return list(weights), embedding
     field = build_field(problem)
     if not field.chevalley.semisimple.is_diagonal():
         raise NotDiagonalError(
             "weight operations index eigenvalues by variable position and "
-            "need a diagonal semisimple part; declare 'eigenvalues' "
-            "explicitly or normalize in the diagonalizing basis"
+            "need a diagonal semisimple part; normalize in the "
+            "diagonalizing basis first"
         )
     return list(field.eigenvalues), field.embedding
 

@@ -35,8 +35,9 @@ component is re-verified by membership.  Every derivative here is a
 
 The echelon form is the one elimination routine of :mod:`dulac.linalg`
 (``_insert_row`` and ``_substitute``) on packed monomial keys, called
-for the shifts whose leading terms meet a nonempty tail, and the
-certificate determinant is its forward pass on the matrix.  The echelon
+for the shifts whose leading terms meet a nonempty tail.  The
+certificate determinant takes no elimination: it is the closed form of
+the confluent Vandermonde matrix the certificate is built on.  The echelon
 rows are dicts from those keys to :class:`~dulac.field.Scalar` tails,
 while a :class:`~dulac.poly.Series` stores Gaussian-integer numerators
 over one denominator.  The two meet at exactly two boundaries, both
@@ -490,14 +491,17 @@ def _extract_symbolic(
     return _collect_generators(pieces)
 
 
-def _verify_certificate(ideal, matrix, rhs, solution) -> Scalar:
-    """Replay matrix * solution = rhs and recheck every membership.  A
-    nonzero determinant makes the solution unique, so it is the one an
-    exact solve would return; the determinant is returned for the
+def _verify_certificate(ideal, nodes, m, rhs, solution) -> Tuple[linalg.ExactMatrix, Scalar]:
+    """Build the confluent Vandermonde matrix with m blocks on the nodes,
+    replay matrix * solution = rhs and recheck every membership.  The
+    determinant, in closed form, is checked nonzero before the matrix is
+    built: it makes the solution unique, so it is the one an exact solve
+    would return.  The matrix and the determinant are returned for the
     certificate."""
-    det = linalg.determinant(matrix)
+    det = linalg._confluent_vandermonde_determinant(nodes, m)
     if det.is_zero():
         raise CertificateError("the certificate matrix is singular")
+    matrix = linalg.confluent_vandermonde_matrix(nodes, m)
     product = matvec_series(matrix, solution)
     for got, want in zip(product, rhs):
         if got != want:
@@ -513,7 +517,7 @@ def _verify_certificate(ideal, matrix, rhs, solution) -> Scalar:
             raise CertificateError(
                 "a solution entry failed the membership recheck"
             )
-    return det
+    return matrix, det
 
 
 def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, cap):
@@ -543,11 +547,10 @@ def _certify(ideal, source, eigenvalues, embedding, f_comps, g_comps, cap):
         solution.extend(block)
         block = [lie_derivative(g_comps, c) for c in block]
     m = len(solution) // q
-    matrix = linalg.confluent_vandermonde_matrix(nodes, m)
     rhs: List[Series] = [source]
     for _ in range(q * m - 1):
         rhs.append(lie_derivative(f_comps, rhs[-1]))
-    det = _verify_certificate(ideal, matrix, rhs, solution)
+    matrix, det = _verify_certificate(ideal, nodes, m, rhs, solution)
     return ExtractionCertificate(
         matrix=matrix,
         rhs=tuple(rhs),

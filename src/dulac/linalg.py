@@ -15,10 +15,10 @@ keys to :class:`~dulac.field.Scalar` entries, and the largest key of a
 row is its leading term: ``_insert_row`` reduces a row by its leading
 terms against the stored pivots and stores what is left, monic, under a
 new pivot, and ``_substitute`` back-substitutes reduced tails.
-:func:`determinant` reads the forward pass and :func:`rank`,
-:func:`inverse` and :func:`kernel_basis` the back-substituted form; all
-key column j of a matrix as ncols - 1 - j, while the ideal echelon form
-of :mod:`dulac.ideals` keys the columns by packed grlex monomials.
+:func:`rank`, :func:`inverse` and :func:`kernel_basis` read the
+back-substituted form and key column j of a matrix as ncols - 1 - j,
+while the ideal echelon form of :mod:`dulac.ideals` keys the columns by
+packed grlex monomials.  The certificate determinant is a closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import SingularMatrixError, UnsupportedSpectrumError
 from .field import ONE, ZERO, Scalar
@@ -35,7 +35,6 @@ from .field import ONE, ZERO, Scalar
 __all__ = [
     "ExactMatrix",
     "ChevalleyPair",
-    "determinant",
     "charpoly",
     "gaussian_roots",
     "jordan_chevalley",
@@ -189,10 +188,10 @@ def _subtract_multiple(
             acc[e] = val
 
 
-def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> Optional[Tuple[int, Scalar]]:
+def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> None:
     """Reduce the row by its leading terms against the stored pivots and
-    store what is left, made monic, under its new pivot.  Returns that
-    pivot and the divided-out coefficient, or None if the row vanishes."""
+    store what is left, made monic, under its new pivot; a row that
+    vanishes stores nothing."""
     while row:
         lm = max(row)
         c = row.pop(lm)
@@ -202,7 +201,7 @@ def _insert_row(tails: Tails, row: Dict[int, Scalar]) -> Optional[Tuple[int, Sca
                 inv = c.inverse()
                 row = {e: v * inv for e, v in row.items()}
             tails[lm] = row
-            return lm, c
+            return
         _subtract_multiple(row, c, tail)
 
 
@@ -219,47 +218,19 @@ def _substitute(terms: Dict[int, Scalar], tails: Tails) -> Dict[int, Scalar]:
     return out
 
 
-def _keyed_rows(matrix: ExactMatrix):
-    """The rows as sparse dicts, column j keyed ncols - 1 - j: leftmost leads."""
-    last = matrix.ncols - 1
-    return ({last - j: e for j, e in enumerate(row) if e} for row in matrix.rows())
-
-
 def _echelon(matrix: ExactMatrix) -> Tails:
-    """The reduced row-echelon form of the matrix on the keys of
-    :func:`_keyed_rows`: each pivot key maps to the tail of its monic
-    row.  A tail term is smaller than its pivot, so back-substituting in
-    ascending key order reads reduced tails only and leaves the keys of
-    non-pivot columns alone in every tail."""
+    """The reduced row-echelon form of the matrix, column j keyed
+    ncols - 1 - j so that the leftmost column leads: each pivot key maps
+    to the tail of its monic row.  A tail term is smaller than its pivot,
+    so back-substituting in ascending key order reads reduced tails only
+    and leaves the keys of non-pivot columns alone in every tail."""
+    last = matrix.ncols - 1
     tails: Tails = {}
-    for row in _keyed_rows(matrix):
-        _insert_row(tails, row)
+    for row in matrix.rows():
+        _insert_row(tails, {last - j: e for j, e in enumerate(row) if e})
     for m in sorted(tails):
         tails[m] = _substitute(tails[m], tails)
     return tails
-
-
-def determinant(matrix: ExactMatrix) -> Scalar:
-    """Exact determinant from the forward pass of :func:`_echelon`.
-
-    Subtracting multiples of stored rows keeps the determinant, and the
-    stored rows, monic with nothing left of their pivots, are a permuted
-    unit upper triangular matrix.  So the determinant is the product of
-    the leading coefficients divided out, times the sign of the permutation
-    that takes each row to its pivot column; zero once a row vanishes."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    tails: Tails = {}
-    det, pivots = ONE, []
-    for row in _keyed_rows(matrix):
-        stored = _insert_row(tails, row)
-        if stored is None:
-            return ZERO
-        pivots.append(stored[0])
-        det = det * stored[1]
-    # Keys run against columns, so a column inversion is an ascending key pair.
-    odd = sum(a < b for i, a in enumerate(pivots) for b in pivots[i + 1:]) % 2
-    return -det if odd else det
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -542,8 +513,14 @@ def confluent_vandermonde_matrix(nodes: Sequence[Scalar], m: int) -> ExactMatrix
     Block p (1-based, p <= m) holds entries C(l, p-1) * node^(l-p+1) in row
     l, with the entry defined as zero whenever l < p-1.  With m = 1 this
     is the plain Vandermonde matrix.  The order is q*m for q distinct
-    nodes, and the determinant has absolute value
-    prod_{i<j} |w_j - w_i|^(m^2).
+    nodes w_1..w_q, and the determinant, computed in closed form by
+    ``_confluent_vandermonde_determinant``, is
+
+        (-1)^(C(m,2) * C(q,2)) * prod_{i<j} (w_j - w_i)^(m^2):
+
+    the product is the determinant with the columns node by node (D.
+    Kalman, "The generalized Vandermonde matrix", Math. Mag. 57, 1984),
+    and the block-by-block order here is C(m,2) * C(q,2) inversions away.
     """
     q = len(nodes)
     if q == 0:
@@ -568,3 +545,15 @@ def confluent_vandermonde_matrix(nodes: Sequence[Scalar], m: int) -> ExactMatrix
                     row.append(powers[k][ell - p + 1] * math.comb(ell, p - 1))
         rows.append(row)
     return ExactMatrix(rows)
+
+
+def _confluent_vandermonde_determinant(nodes: Sequence[Scalar], m: int) -> Scalar:
+    """The determinant of ``confluent_vandermonde_matrix(nodes, m)`` in
+    closed form; zero when two nodes coincide, where that builder refuses."""
+    det = ONE
+    for i, w in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            det = det * (v - w)
+    det = det ** (m * m)
+    q = len(nodes)
+    return -det if math.comb(m, 2) * math.comb(q, 2) % 2 else det

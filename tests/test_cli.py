@@ -691,6 +691,47 @@ def test_weights_read_off_a_diagonal_field_without_declared_eigenvalues(problem,
     assert report["weights"] == {"3": "x^3 + y", "6": "y^2"}
 
 
+def test_weights_follow_the_field_not_the_order_of_declared_eigenvalues(problem, capsys):
+    # the declared list is a permutation of the spectrum, so build_field
+    # accepts it, and every command reads x at weight 1 and y at weight 3
+    data = {"variables": ["x", "y"], "eigenvalues": ["3", "1"],
+            "vector_field": ["x", "3*y + x^3"], "ideals": {"I": ["x^3 + y"]}}
+    path = problem(data)
+    code, report, _ = run(capsys, ["check-pdnf", path])
+    assert (code, report["eigenvalues"], report["pdnf"]) == (0, ["1", "3"], True)
+    code, report, _ = run(capsys, ["weights", path])
+    assert code == 0
+    assert report["eigenvalues"] == ["1", "3"]
+    assert report["weights"] == {"3": "x^3 + y"}
+    code, report, _ = run(capsys, ["extract", path, "--semisimple"])
+    assert code == 0
+    assert report["generators"] == ["x^3 + y"]
+    # with no field, the declared list is all there is, read by position
+    del data["vector_field"]
+    code, report, _ = run(capsys, ["weights", problem(data, "no_field.json")])
+    assert code == 0
+    assert report["weights"] == {"1": "y", "9": "x^3"}
+
+
+def test_declared_eigenvalues_of_a_non_diagonal_field_are_not_read_by_position(problem, capsys):
+    # the rotation is invariant under its semisimple part, which is not
+    # diagonal: weight commands refuse it rather than report it not invariant
+    path = problem({"variables": ["x", "y"], "field_mode": "gaussian",
+                    "eigenvalues": ["0+1*i", "0-1*i"], "vector_field": ["y", "-x"],
+                    "ideals": {"I": ["x^2 + y^2"]}})
+    code, report, _ = run(capsys, ["invariance", path, "--semisimple"])
+    assert (code, report["invariant"]) == (0, True)
+    for argv in (["extract", path, "--semisimple"], ["weights", path]):
+        code, report, _ = run(capsys, argv)
+        assert code == 4
+        assert report["error"] == {
+            "type": "NotDiagonalError",
+            "message": "weight operations index eigenvalues by variable position "
+            "and need a diagonal semisimple part; normalize in the "
+            "diagonalizing basis first",
+        }
+
+
 def test_invariance_reports_the_basis_only_when_asked(problem, capsys):
     path = problem(dict(GOLDEN, ideals={"J": ["y^2"]}))
     code, report, _ = run(capsys, ["invariance", path])

@@ -31,7 +31,7 @@ from dulac.ideals import (
     _rn_dimension,
     _verify_certificate,
 )
-from dulac.linalg import ExactMatrix, _insert_row, determinant
+from dulac.linalg import _insert_row
 from dulac.normalform import lg_nilpotency_bound, normalize
 from dulac.poly import (
     Series,
@@ -1128,11 +1128,31 @@ def _replace(seq, k, value):
     return out
 
 
+def _sympy_determinant(matrix):
+    sm = sympy.Matrix(
+        matrix.nrows, matrix.ncols,
+        lambda i, j: sympy.Rational(matrix[i, j].re) + sympy.I * sympy.Rational(matrix[i, j].im),
+    )
+    det = sympy.expand(sm.det())
+    return Scalar(Fraction(str(sympy.re(det))), Fraction(str(sympy.im(det))))
+
+
+def _replay(ideal, cert, nodes=None, rhs=None, solution=None):
+    return _verify_certificate(
+        ideal,
+        cert.nodes if nodes is None else nodes,
+        cert.block_count,
+        cert.rhs if rhs is None else rhs,
+        cert.solution if solution is None else solution,
+    )
+
+
 def test_certificate_replay_accepts_the_issued_certificate():
     closed, cert = _readme_certificate()
-    det = _verify_certificate(closed, cert.matrix, cert.rhs, cert.solution)
-    assert det == cert.determinant == determinant(cert.matrix)
-    assert abs(det.re) == 19683
+    matrix, det = _replay(closed, cert)
+    assert matrix == cert.matrix
+    assert det == cert.determinant == _sympy_determinant(cert.matrix)
+    assert det == Scalar(-19683)
 
 
 def test_certificate_replay_rejects_a_tampered_solution_entry():
@@ -1143,14 +1163,14 @@ def test_certificate_replay_rejects_a_tampered_solution_entry():
         tampered = _replace(cert.solution, k, cert.solution[k] + y)
         assert all(closed.member(e) for e in tampered)
         with pytest.raises(CertificateError, match="does not reproduce"):
-            _verify_certificate(closed, cert.matrix, cert.rhs, tampered)
+            _replay(closed, cert, solution=tampered)
 
 
 def test_certificate_replay_rejects_a_tampered_rhs_entry():
     closed, cert = _readme_certificate()
     tampered = _replace(cert.rhs, 2, cert.rhs[2] + _s({(3, 0): 1}, 8))
     with pytest.raises(CertificateError, match="does not reproduce"):
-        _verify_certificate(closed, cert.matrix, tampered, cert.solution)
+        _replay(closed, cert, rhs=tampered)
 
 
 def test_certificate_replay_names_the_source_when_an_rhs_entry_leaves_the_ideal():
@@ -1158,30 +1178,30 @@ def test_certificate_replay_names_the_source_when_an_rhs_entry_leaves_the_ideal(
     smaller = IdealHandle([_s({Y: 1}, 8)], 8)
     assert not smaller.member(cert.rhs[0])
     with pytest.raises(NotInvariantError, match="left the ideal") as caught:
-        _verify_certificate(smaller, cert.matrix, cert.rhs, cert.solution)
+        _replay(smaller, cert)
     assert caught.value.witness == (cert.rhs[0], smaller.normal_form(cert.rhs[0]))
 
 
 def test_certificate_replay_rejects_a_tampered_matrix_entry():
     closed, cert = _readme_certificate()
-    rows = [list(row) for row in cert.matrix.rows()]
-    rows[3][1] = rows[3][1] + ONE
-    tampered = ExactMatrix(rows)
-    assert not determinant(tampered).is_zero()
-    with pytest.raises(CertificateError, match="does not reproduce"):
-        _verify_certificate(closed, tampered, cert.rhs, cert.solution)
+    # a changed node that stays distinct changes the matrix, not its
+    # invertibility, so the replay is what fails
+    for k in range(len(cert.nodes)):
+        nodes = _replace(cert.nodes, k, cert.nodes[k] + ONE)
+        assert len(set(nodes)) == len(nodes)
+        with pytest.raises(CertificateError, match="does not reproduce"):
+            _replay(closed, cert, nodes=nodes)
 
 
 def test_certificate_replay_rejects_a_singular_matrix():
     closed, cert = _readme_certificate()
-    # Zero the last column and recompute the rhs from it: the identity
-    # and every membership still hold, and only the determinant fails.
-    rows = [list(row[:-1]) + [Scalar(0)] for row in cert.matrix.rows()]
-    singular = ExactMatrix(rows)
-    rhs = matvec_series(singular, cert.solution)
-    assert all(closed.member(e) for e in rhs)
-    with pytest.raises(CertificateError, match="singular"):
-        _verify_certificate(closed, singular, rhs, cert.solution)
+    # Repeated nodes: the closed-form determinant vanishes, and the replay
+    # refuses them before the matrix builder, which raises ValueError on
+    # them, is reached.
+    for k in range(len(cert.nodes)):
+        nodes = [cert.nodes[k]] * len(cert.nodes)
+        with pytest.raises(CertificateError, match="singular"):
+            _replay(closed, cert, nodes=nodes)
 
 
 def test_extract_semiinvariants_gaussian_embedding_certificate():
@@ -1198,7 +1218,7 @@ def test_extract_semiinvariants_gaussian_embedding_certificate():
     assert cert.determinant.magnitude_squared() == 4
     assert list(cert.solution) == list(weight_decompose(mixed, weights).values())
     assert matvec_series(cert.matrix, cert.solution) == list(cert.rhs)
-    assert _verify_certificate(handle, cert.matrix, cert.rhs, cert.solution) == cert.determinant
+    assert _replay(handle, cert) == (cert.matrix, cert.determinant)
 
 
 def test_lf_extract_semiinvariants_golden():

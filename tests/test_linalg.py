@@ -13,9 +13,9 @@ from dulac.field import IMAG, ONE, Scalar
 from dulac.linalg import (
     ChevalleyPair,
     ExactMatrix,
+    _confluent_vandermonde_determinant,
     charpoly,
     confluent_vandermonde_matrix,
-    determinant,
     gaussian_roots,
     inverse,
     jordan_chevalley,
@@ -65,58 +65,53 @@ def test_matrix_algebra():
     assert a * ExactMatrix.from_rows([[1], [1]]) == ExactMatrix.from_rows([[3], [7]])
 
 
-def _assert_sympy_determinant(m):
-    got = determinant(m)
-    want = sympy.expand(_to_sympy(m).det())
+def _closed_form_against_sympy(nodes, m):
+    got = _confluent_vandermonde_determinant(nodes, m)
+    want = sympy.expand(_to_sympy(confluent_vandermonde_matrix(nodes, m)).det())
     assert sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im) == want
     return got
 
 
+def _distinct_nodes(rng, q, gaussian):
+    nodes = []
+    while len(nodes) < q:
+        im = rng.randint(-3, 3) if gaussian else 0
+        z = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), im)
+        if z not in nodes:
+            nodes.append(z)
+    return nodes
+
+
 def test_determinant_against_sympy():
-    # determinant shares its elimination with rank and ideal membership, so
-    # sympy is the independent route here
+    # the certificate determinant is a closed form, so sympy's elimination
+    # of the built matrix is the independent route
     rng = random.Random(42)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        gaussian = rng.random() < 0.4
-        # integer entries, then entries with unlike denominators per row
-        _assert_sympy_determinant(_rand_matrix(rng, n, gaussian=gaussian))
-        _assert_sympy_determinant(ExactMatrix(_rand_rows(rng, n, n, gaussian)))
-    # every permutation matrix: the determinant is the parity
-    for n in range(1, 5):
-        for perm in itertools.permutations(range(n)):
-            m = ExactMatrix.from_rows([[int(j == perm[i]) for j in range(n)] for i in range(n)])
-            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-            assert _assert_sympy_determinant(m) == Scalar((-1) ** inversions)
-    # rank-deficient: one row is a combination of two others and vanishes
-    # only once the rows before it are subtracted
-    for gaussian in (False, True) * 6:
-        n = rng.randint(3, 5)
-        rows = _rand_rows(rng, n, n, gaussian)
-        a, b = _rand_entry(rng, gaussian) or ONE, _rand_entry(rng, gaussian) or ONE
-        combo = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-        if not any(combo):
-            continue
-        rows[rng.randint(2, n - 1)] = combo
-        assert _assert_sympy_determinant(ExactMatrix(rows)).is_zero()
-    # the certificate matrices: confluent Vandermonde on Gaussian nodes
-    for q in range(1, 9):
-        for m in range(1, 8 // q + 1):
-            nodes = []
-            while len(nodes) < q:
-                z = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), rng.randint(-3, 3))
-                if z not in nodes:
-                    nodes.append(z)
-            v = confluent_vandermonde_matrix(nodes, m)
-            assert not _assert_sympy_determinant(v).is_zero()
+    for gaussian in (False, True):
+        for q in range(1, 9):
+            for m in range(1, 8 // q + 1):
+                assert not _closed_form_against_sympy(_distinct_nodes(rng, q, gaussian), m).is_zero()
+    # ascending rational nodes make the product positive, so the sign is
+    # that of the block-by-block column order, C(m,2)*C(q,2) inversions
+    for q, m, sign in ((2, 2, -1), (4, 2, 1), (3, 2, -1), (3, 1, 1)):
+        nodes = sorted(_distinct_nodes(rng, q, False), key=lambda z: z.re)
+        product = ONE
+        for i in range(q):
+            for j in range(i + 1, q):
+                product = product * (nodes[j] - nodes[i]) ** (m * m)
+        assert _closed_form_against_sympy(nodes, m) == product * sign
 
 
 def test_determinant_of_known_matrices():
-    assert determinant(ExactMatrix.identity(4)) == ONE
-    m = ExactMatrix.from_rows([[2, 0], [0, Fraction(1, 2)]])
-    assert determinant(m) == ONE
-    rot = ExactMatrix.from_rows([[0, -1], [1, 0]])
-    assert determinant(rot) == ONE
+    det = _confluent_vandermonde_determinant
+    # one node: unit lower triangular
+    assert det([Scalar(5)], 3) == ONE
+    assert det([Scalar(1), Scalar(2), Scalar(4)], 1) == Scalar(6)
+    # the golden certificate: nodes 3 and 6 with three blocks, an odd order
+    assert det([Scalar(3), Scalar(6)], 3) == Scalar(-(3 ** 9))
+    assert det([IMAG, -IMAG], 1) == Scalar(0, -2)
+    # repeated nodes, which the matrix builder refuses
+    assert det([Scalar(2), Scalar(2)], 1).is_zero()
+    assert det([Scalar(1), IMAG, Scalar(1)], 2).is_zero()
 
 
 def test_rank_and_kernel():
@@ -135,7 +130,7 @@ def test_inverse_round_trip():
     done = 0
     while done < 20:
         m = _rand_matrix(rng, rng.randint(1, 4), gaussian=rng.random() < 0.3)
-        if determinant(m).is_zero():
+        if rank(m) < m.nrows:
             continue
         assert m * inverse(m) == ExactMatrix.identity(m.nrows)
         done += 1
@@ -202,6 +197,24 @@ def test_elimination_matches_sympy():
                 assert inverse(m) == ExactMatrix(
                     [[_from_sympy(want[i, j]) for j in range(ncols)] for i in range(nrows)]
                 )
+    # every permutation matrix: the inverse is the transpose
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            p = ExactMatrix.from_rows([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+            p_t = ExactMatrix.from_rows([[int(i == perm[j]) for j in range(n)] for i in range(n)])
+            assert inverse(p) == p_t
+    # one row is a combination of two others and vanishes only once the
+    # rows before it are subtracted
+    for gaussian in (False, True) * 6:
+        n = rng.randint(3, 5)
+        rows = _rand_rows(rng, n, n, gaussian)
+        a, b = _rand_entry(rng, gaussian) or ONE, _rand_entry(rng, gaussian) or ONE
+        combo = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if not any(combo):
+            continue
+        rows[rng.randint(2, n - 1)] = combo
+        m = ExactMatrix(rows)
+        assert rank(m) == _to_sympy(m).rank() < n
 
 
 def test_charpoly_matches_sympy():
@@ -288,7 +301,7 @@ def test_jordan_chevalley_of_conjugated_jordan_forms():
             start += size
         while True:
             p = ExactMatrix(_rand_rows(rng, n, n, gaussian))
-            if not determinant(p).is_zero():
+            if rank(p) == n:
                 break
         p_inv = inverse(p)
         pair = jordan_chevalley(p * ExactMatrix(j_rows) * p_inv)
@@ -407,7 +420,7 @@ def test_vandermonde_matrix_and_determinant():
     for i in range(3):
         for j in range(3):
             assert v[i, j] == nodes[j] ** i
-    det = determinant(v)
+    det = _confluent_vandermonde_determinant(nodes, 1)
     assert det == Scalar((2 - 1) * (4 - 1) * (4 - 2))
     with pytest.raises(ValueError):
         confluent_vandermonde_matrix([Scalar(1), Scalar(1)], 1)
@@ -420,5 +433,5 @@ def test_confluent_vandermonde_small_case():
         (Scalar(1), Scalar(0)),
         (Scalar(5), Scalar(1)),
     )
-    assert not determinant(w).is_zero()
+    assert _confluent_vandermonde_determinant([Scalar(5)], 2) == ONE
 

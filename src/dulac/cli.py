@@ -19,7 +19,7 @@ commands that work purely with weights are available.
 
 Exit codes: 0 success, 1 I/O failure, 2 parse or schema error,
 3 hypothesis violation, 4 mathematical failure (the report carries the
-witness), 5 unsupported spectrum or mode mismatch, 6 resource budget
+witness), 5 unsupported spectrum, field shape or mode, 6 resource budget
 exceeded (an integer of the report is longer than Python's int-to-str
 limit, 4300 digits by default).  Reports are deterministic: same input
 file, byte-identical output.
@@ -349,6 +349,15 @@ def _certificate_json(cert, names: Sequence[str]) -> dict:
     return out
 
 
+def _witness_json(witness: Tuple[Series, Series], names: Sequence[str]) -> dict:
+    """The witness of a failed invariance check, both for reports and errors."""
+    generator, residue = witness
+    return {
+        "generator": format_series(generator, names),
+        "reduced_lie_derivative": format_series(residue, names),
+    }
+
+
 def _base_report(problem: Problem, command: str) -> dict:
     return {
         "command": command,
@@ -437,14 +446,7 @@ def cmd_invariance(problem: Problem, args) -> Tuple[dict, int]:
             _format_monomial(m, problem.variables) for m in handle.truncation_monomials
         ]
     report["invariant"] = invariant
-    report["witness"] = (
-        None
-        if witness is None
-        else {
-            "generator": format_series(witness[0], problem.variables),
-            "reduced_lie_derivative": format_series(witness[1], problem.variables),
-        }
-    )
+    report["witness"] = None if witness is None else _witness_json(witness, problem.variables)
     return report, EXIT_OK if invariant else EXIT_MATH
 
 
@@ -612,11 +614,7 @@ def _error_payload(exc: Exception, variables: Optional[List[str]]) -> dict:
         "message": str(exc),
     }
     if isinstance(exc, NotInvariantError) and exc.witness is not None and variables:
-        generator, residue = exc.witness
-        payload["witness"] = {
-            "generator": format_series(generator, variables),
-            "reduced_lie_derivative": format_series(residue, variables),
-        }
+        payload["witness"] = _witness_json(exc.witness, variables)
     if isinstance(exc, NotNormalFormError) and exc.residual is not None and variables:
         payload["residual"] = [format_series(r, variables) for r in exc.residual]
     if isinstance(exc, SingularMatrixError):
@@ -628,7 +626,7 @@ def _error_payload(exc: Exception, variables: Optional[List[str]]) -> dict:
 _EXIT_BY_TYPE = (
     ((SchemaError, ExprSyntaxError), EXIT_PARSE),
     (HypothesisError, EXIT_HYPOTHESIS),
-    (UnsupportedSpectrumError, EXIT_MODE),
+    ((UnsupportedSpectrumError, NotDiagonalError), EXIT_MODE),
     (BudgetError, EXIT_BUDGET),
     ((DulacError, ArithmeticError), EXIT_MATH),
 )

@@ -21,9 +21,13 @@ standard monomials only.  Tails are back-substituted on demand: a query
 reduces only the pivots its terms reach, so a few membership tests on a
 large echelon form touch a small part of it.
 
-On top of the ideal arithmetic sit the semi-invariant extraction
-routines: the two certified routes check the ideal and the field once,
-then share one loop over the members.  The weight components of a
+On top of the ideal arithmetic sit one invariance pass and the
+semi-invariant extraction routines.  The pass, ``_residues``, yields each
+generator whose Lie derivative leaves the ideal, with the normal form of
+that derivative; :func:`is_invariant`, each round of
+:func:`close_under_lie` and the symbolic check all read it.  The two
+certified routes check the ideal and the field once, then share one loop
+over the members.  The weight components of a
 member, and their iterated images under L_g (g = f - B_s x, the
 non-semisimple rest of f) up to the first block that vanishes, are
 computed directly from the exponents; a (confluent) Vandermonde
@@ -54,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .errors import (
@@ -326,44 +330,48 @@ class IdealHandle:
         )
 
 
+def _residues(ideal: IdealHandle, f, gens: Iterable[Series]) -> Iterator[Tuple[Series, Series]]:
+    """The one invariance pass: ``(g, r)`` for each g of ``gens`` whose Lie
+    derivative along f leaves the ideal, r the normal form of L_f g, with
+    the components of f cut to the ideal's order."""
+    comps = _components(f, ideal.trunc_order)
+    for g in gens:
+        residue = ideal.normal_form(lie_derivative(comps, g))
+        if not residue.is_zero():
+            yield g, residue
+
+
+def _require_invariant(witness, along: str = "under the semisimple derivation") -> None:
+    """Refuse an ideal whose invariance pass found a witness."""
+    if witness is not None:
+        raise NotInvariantError(f"the ideal is not invariant {along}", witness=witness)
+
+
 def is_invariant(ideal: IdealHandle, f) -> Tuple[bool, Optional[Tuple[Series, Series]]]:
     """Whether the ideal is carried into itself by the derivation along f.
 
     Checking the generators suffices: the Lie derivative obeys the
     Leibniz rule, so membership of every L_f(generator) propagates to
-    every product.  On failure, returns the offending generator together
-    with the reduced (non-member) Lie derivative as a witness.
+    every product.  On failure, returns the first item of the invariance
+    pass as a witness: a generator and its reduced Lie derivative.
     """
-    comps = [c.truncate(ideal.trunc_order) for c in _components(f)]
-    for g in ideal.generators:
-        image = lie_derivative(comps, g)
-        residue = ideal.normal_form(image)
-        if not residue.is_zero():
-            return False, (g, residue)
-    return True, None
+    witness = next(_residues(ideal, f, ideal.generators), None)
+    return witness is None, witness
 
 
 def close_under_lie(ideal: IdealHandle, f) -> IdealHandle:
     """The smallest ideal containing the input that the derivation maps
-    into itself, computed by adjoining reduced Lie derivatives until
-    stable.  Terminates because R_N is finite-dimensional."""
-    comps = [c.truncate(ideal.trunc_order) for c in _components(f)]
+    into itself: each round adjoins the residues of the invariance pass
+    over the reduced basis, until none is left, as R_N's finite dimension
+    ensures."""
     current = ideal
     # Each round either stabilizes or strictly enlarges the ideal; the
     # chain is bounded by the dimension of R_N.
     for _ in range(_rn_dimension(ideal.nvars, ideal.trunc_order) + 1):
-        fresh = []
-        for g in current.reduced_basis:
-            residue = current.normal_form(lie_derivative(comps, g))
-            if not residue.is_zero():
-                fresh.append(residue)
+        fresh = tuple(r for _, r in _residues(current, f, current.reduced_basis))
         if not fresh:
             return current
-        current = IdealHandle(
-            current.reduced_basis + tuple(fresh),
-            ideal.trunc_order,
-            ideal.nvars,
-        )
+        current = IdealHandle(current.reduced_basis + fresh, ideal.trunc_order, ideal.nvars)
     raise ArithmeticError("ideal closure failed to stabilize")  # pragma: no cover
 
 
@@ -452,12 +460,7 @@ def extract_semiinvariants(
 
     lam = [weight_embed(w, embedding) for w in eigenvalues]
     diag = linear_components(linalg.ExactMatrix.diagonal(lam))
-    invariant, witness = is_invariant(ideal, diag)
-    if not invariant:
-        raise NotInvariantError(
-            "the ideal is not invariant under the semisimple derivation",
-            witness=witness,
-        )
+    _require_invariant(is_invariant(ideal, diag)[1])
     # diag(lambda) is its own semisimple part: its g is 0, so every
     # certificate has the one block of the weight components
     no_g = [Series.zero(ideal.nvars, ideal.trunc_order)] * ideal.nvars
@@ -472,14 +475,9 @@ def _extract_symbolic(
     the ideal is invariant exactly when it is under every D_k."""
     diagonals = ([Scalar(w.coords[k]) for w in eigenvalues] for k in range(eigenvalues[0].dim))
     derivations = [linear_components(linalg.ExactMatrix.diagonal(d)) for d in diagonals]
-    for g in ideal.generators:
-        for d in derivations:
-            residue = ideal.normal_form(lie_derivative(d, g))
-            if not residue.is_zero():
-                raise NotInvariantError(
-                    "the ideal is not invariant under the semisimple derivation",
-                    witness=(g, residue),
-                )
+    residues = (item for g in ideal.generators for d in derivations
+                for item in _residues(ideal, d, (g,)))
+    _require_invariant(next(residues, None))
     pieces: List[Series] = []
     for g in ideal.generators:
         for component in weight_decompose(g, eigenvalues).values():
@@ -612,13 +610,8 @@ def lf_extract_semiinvariants(
     semisimple part, so the closure of the seeds already holds their
     weight components, and both closures are the same ideal.
     """
-    invariant, witness = is_invariant(ideal, f)
-    if not invariant:
-        raise NotInvariantError(
-            "the ideal is not invariant along the field "
-            "(pass --close to close it first)",
-            witness=witness,
-        )
+    _require_invariant(is_invariant(ideal, f)[1],
+                       "along the field (pass --close to close it first)")
     members = list(members)
     if not members:
         return (), ()
@@ -633,9 +626,8 @@ def lf_extract_semiinvariants(
         raise NotNormalFormError(
             "the field must be in normal form for weight extraction", residual
         )
-    f_comps = tuple(c.truncate(order) for c in f.components)
     return _extract(
-        ideal, members, f.eigenvalues, f.embedding, f_comps,
+        ideal, members, f.eigenvalues, f.embedding, _components(f, order),
         f.g_components(order), lg_nilpotency_bound(f, order),
     )
 

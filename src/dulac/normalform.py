@@ -43,6 +43,7 @@ from .poly import (
     VectorField,
     _PLUS,
     _canonical,
+    _components,
     _compose_all,
     _dot,
     _graded,
@@ -87,8 +88,7 @@ def is_pdnf(f: VectorField, order: Optional[int] = None) -> Tuple[bool, Tuple[Se
     the zero vector precisely when the field is in normal form.  The
     truncated components are bracketed directly; no field is built.
     """
-    comps = f.components if order is None else [c.truncate(order) for c in f.components]
-    residual = lie_bracket(comps, f.semisimple_components())
+    residual = lie_bracket(_components(f, order), f.semisimple_components())
     return not any(residual), residual
 
 
@@ -255,7 +255,7 @@ def normalize(f: VectorField) -> NormalFormResult:
     m_order = f.trunc_order
     if m_order is None:
         raise TruncationError("normalize requires a truncation order")
-    comps = [c.truncate(m_order) for c in f.components]
+    comps = _components(f, m_order)
     nvars = f.nvars
 
     pair = f.chevalley
@@ -309,14 +309,9 @@ def normalize(f: VectorField) -> NormalFormResult:
 
 def conjugacy_residual(f: VectorField, result: NormalFormResult) -> Tuple[Series, ...]:
     """Dh . normalized - f o h, which must vanish modulo the truncation ideal."""
-    h = result.transformation
-    norm_comps = result.normalized.components
-    out = []
-    for h_i, f_i in zip(h, f.truncate(result.trunc_order).components):
-        lhs = lie_derivative(norm_comps, h_i)
-        rhs = compose(f_i, h)
-        out.append(lhs - rhs)
-    return tuple(out)
+    h, normalized = result.transformation, result.normalized
+    return tuple(lie_derivative(normalized, h_i) - compose(f_i, h)
+                 for h_i, f_i in zip(h, _components(f, result.trunc_order)))
 
 
 def lg_nilpotency_bound(f: VectorField, order: int) -> int:

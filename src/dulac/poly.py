@@ -674,10 +674,13 @@ def weight_decompose(s: Series, eigenvalues: Sequence[Weight]) -> Dict[Weight, S
 FieldLike = Union["VectorField", Sequence[Series]]
 
 
-def _components(f: FieldLike) -> Tuple[Series, ...]:
-    if isinstance(f, VectorField):
-        return f.components
-    return tuple(f)
+def _components(f: FieldLike, order: Optional[int] = None) -> Tuple[Series, ...]:
+    """The components of a field, modulo <x>^order when an order is given.
+    This is the one place where a field's components are cut to an order."""
+    comps = f.components if isinstance(f, VectorField) else tuple(f)
+    if order is None:
+        return comps
+    return tuple(c.truncate(order) for c in comps)
 
 
 def lie_derivative(f: FieldLike, s: Series) -> Series:
@@ -877,12 +880,12 @@ class VectorField:
     def g_components(self, order: Optional[int] = None) -> Tuple[Series, ...]:
         """f minus its semisimple linear part, modulo <x>^order when an
         order is given: the operand of L_g."""
-        comps = self.components if order is None else [c.truncate(order) for c in self.components]
+        comps = _components(self, order)
         return tuple(comp - bs for comp, bs in zip(comps, self.semisimple_components()))
 
     def truncate(self, order: int) -> "VectorField":
         """This field modulo <x>^order; itself when no component changes."""
-        comps = tuple(c.truncate(order) for c in self.components)
+        comps = _components(self, order)
         if all(a is b for a, b in zip(comps, self.components)):
             return self
         return VectorField(comps, self.chevalley)

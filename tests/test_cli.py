@@ -14,6 +14,7 @@ import sys
 import time
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ import dulac
 from dulac import cli
 from dulac.cli import build_parser, main
 from dulac.exprs import format_series, parse_expression
+from dulac.field import parse_scalar
 
 GOLDEN = {
     "variables": ["x", "y"],
@@ -158,6 +160,64 @@ def test_extract_semisimple_close_needs_concrete_weights(problem, capsys):
     assert report["error"]["type"] == "UnsupportedSpectrumError"
 
 
+def test_one_dimensional_symbolic_weights_take_the_certified_route(problem, capsys):
+    # weights of dimension one embed as (1,), so the semisimple route
+    # certifies them, while --close still refuses the symbolic mode
+    path = problem({"variables": ["x", "y"], "field_mode": "symbolic",
+                    "eigenvalues": [["1"], ["3"]], "ideals": {"I": ["x^3 + y", "y^2"]}})
+    code, report, _ = run(capsys, ["extract", path, "--semisimple"])
+    assert code == 0
+    assert report["generators"] == ["x^3 + y", "y^2"]
+    assert [c["nodes"] for c in report["certificates"]] == [["3"], ["6"]]
+    code, report, _ = run(capsys, ["extract", path, "--semisimple", "--close"])
+    assert code == 5
+    assert report["error"] == {
+        "type": "UnsupportedSpectrumError",
+        "message": "closure needs a concrete derivation; symbolic mode cannot close ideals",
+    }
+
+
+def test_the_symbolic_check_names_the_first_generator_that_fails(problem, capsys):
+    # x + z fails only the second weight coordinate and y + z only the
+    # first: each generator meets every coordinate derivation before the
+    # next generator is checked
+    path = problem({"variables": ["x", "y", "z"], "field_mode": "symbolic",
+                    "eigenvalues": [["1", "0"], ["0", "1"], ["1", "1"]],
+                    "ideals": {"I": ["x + z", "y + z"]}, "trunc_order": 4})
+    assert main(["extract", path, "--semisimple"]) == 4
+    assert capsys.readouterr().out == json.dumps({
+        "command": "extract", "trunc_order": 4, "field_mode": "symbolic",
+        "variables": ["x", "y", "z"],
+        "error": {
+            "type": "NotInvariantError",
+            "message": "the ideal is not invariant under the semisimple derivation",
+            "witness": {"generator": "x + z", "reduced_lie_derivative": "z"},
+        },
+    }, indent=2) + "\n"
+
+
+def _sympy_scalar(text):
+    s = parse_scalar(text)
+    return sympy.Rational(s.re.numerator, s.re.denominator) + sympy.I * sympy.Rational(
+        s.im.numerator, s.im.denominator)
+
+
+def test_gaussian_certificate_reports_the_squared_modulus(problem, capsys):
+    path = problem({"variables": ["x", "y"], "field_mode": "gaussian",
+                    "vector_field": ["(0+1*i)*x", "(0-1*i)*y"],
+                    "ideals": {"I": ["x + y"]}, "trunc_order": 4})
+    code, report, _ = run(capsys, ["extract", path, "--close"])
+    assert code == 0
+    [cert] = report["certificates"]
+    assert cert["nodes"] == ["0-1*i", "0+1*i"]
+    assert (cert["determinant"], cert["abs_determinant_squared"]) == ("0+2*i", "4")
+    assert "abs_determinant" not in cert
+    det = sympy.Matrix([[_sympy_scalar(v) for v in row] for row in cert["matrix"]]).det()
+    assert sympy.expand(det - _sympy_scalar(cert["determinant"])) == 0
+    assert _sympy_scalar(cert["abs_determinant_squared"]) == sympy.expand(
+        det * sympy.conjugate(det))
+
+
 def test_weights_of_a_field_need_a_diagonal_semisimple_part(problem, capsys):
     path = problem(
         {
@@ -169,7 +229,7 @@ def test_weights_of_a_field_need_a_diagonal_semisimple_part(problem, capsys):
         }
     )
     code, report, _ = run(capsys, ["weights", path])
-    assert code == 4
+    assert code == 5
     assert report["error"]["type"] == "NotDiagonalError"
 
 
@@ -646,6 +706,30 @@ def test_non_object_parameters_or_ideals_exit_2(problem, capsys, command, key, v
                                 "message": f"{key!r} must be a JSON object"}}
 
 
+_NOT_RATIONAL = "invalid rational {!r}: expected INT or INT/INT"
+
+
+@pytest.mark.parametrize("command, data, report", [
+    ("check-pdnf", {"parameters": {"beta": "1.5"}, "vector_field": ["x", "beta*y"]},
+     {"error": {"type": "SchemaError",
+                "message": "parameter 'beta': " + _NOT_RATIONAL.format("1.5")}}),
+    ("check-pdnf", {"eigenvalues": ["1", "x"], "vector_field": ["x", "y"]},
+     {"error": {"type": "SchemaError",
+                "message": "bad eigenvalue entry: " + _NOT_RATIONAL.format("x")}}),
+    ("weights", {"field_mode": "symbolic", "eigenvalues": [["1"], ["q"]]},
+     {"error": {"type": "SchemaError",
+                "message": "bad eigenvalue entry: " + _NOT_RATIONAL.format("q")}}),
+    ("check-pdnf", {},
+     {"command": "check-pdnf", "trunc_order": 8, "field_mode": "rational",
+      "variables": ["x", "y"],
+      "error": {"type": "SchemaError", "message": "the problem file declares no 'vector_field'"}}),
+], ids=["fractional parameter", "concrete eigenvalue", "symbolic eigenvalue", "no field"])
+def test_schema_refusals_exit_2_with_a_report(problem, capsys, command, data, report):
+    path = problem({"variables": ["x", "y"], "ideals": {"I": ["x"]}, **data})
+    code, got, _ = run(capsys, [command, path])
+    assert (code, got) == (2, report)
+
+
 @pytest.mark.parametrize("value", [None, [], 0, "", False, {}], ids=repr)
 def test_falsy_parameters_mean_none(problem, capsys, value):
     data = {k: v for k, v in GOLDEN.items() if k != "parameters"}
@@ -723,7 +807,7 @@ def test_declared_eigenvalues_of_a_non_diagonal_field_are_not_read_by_position(p
     assert (code, report["invariant"]) == (0, True)
     for argv in (["extract", path, "--semisimple"], ["weights", path]):
         code, report, _ = run(capsys, argv)
-        assert code == 4
+        assert code == 5
         assert report["error"] == {
             "type": "NotDiagonalError",
             "message": "weight operations index eigenvalues by variable position "
@@ -801,7 +885,7 @@ CLOSE_CASES = {
         },
     ),
     "rotation": (
-        ["y", "-x"], ["x^2 + y^2"], "gaussian", 4, {
+        ["y", "-x"], ["x^2 + y^2"], "gaussian", 5, {
             "error": {"type": "NotDiagonalError", "message": _NOT_DIAGONAL},
         },
     ),
@@ -873,7 +957,7 @@ REFUSAL_CASES = {
         },
     ),
     "rotation": (
-        ["-y", "x"], ["x", "y"], "gaussian", 6, [], 4, {
+        ["-y", "x"], ["x", "y"], "gaussian", 6, [], 5, {
             "error": {"type": "NotDiagonalError", "message": _NOT_DIAGONAL},
         },
     ),

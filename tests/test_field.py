@@ -82,6 +82,8 @@ def test_scalar_text_forms():
     assert format_scalar(Scalar(0, Fraction(-1, 3))) == "0-1/3*i"
     assert parse_scalar("0+1*i") == IMAG
     assert parse_scalar("-5/4") == Scalar(Fraction(-5, 4))
+    assert parse_scalar("3*i") == Scalar(0, 3)
+    assert parse_scalar("-1/2*i") == Scalar(0, Fraction(-1, 2))
 
 
 def test_parse_scalar_rejects_garbage():

@@ -808,6 +808,15 @@ def test_close_under_lie_is_identity_on_invariant_ideals():
     assert closed.reduced_basis == handle.reduced_basis
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_close_under_lie_in_r1_stops_after_one_round(nvars):
+    # R_1 holds only constants, which every field kills, and dim R_1 = 1:
+    # the round bound must still admit the one round that sees it stable
+    ideal = IdealHandle([Series.constant(ONE, nvars, 1)], 1, nvars)
+    closed = close_under_lie(ideal, [Series.zero(nvars, 1)] * nvars)
+    assert closed.reduced_basis == (Series.constant(ONE, nvars, 1),)
+
+
 def test_closures_along_normalized_fields_are_semisimple_invariant():
     # The paper's theorem as an oracle: along a field in normal form, every
     # invariant ideal is also invariant under the semisimple part B_s.

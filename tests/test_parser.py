@@ -83,6 +83,10 @@ def test_parse_error_positions():
         ("2 x", 1, 3, "unexpected 'x'"),
         ("3/0*x", 1, 3, "zero denominator"),
         ("x\n+ y^", 2, 4, "exponent"),
+        ("1/", 1, 3, "expected a denominator after '/'"),
+        ("(1+2 i)", 1, 6, "expected '*' before the imaginary unit"),
+        ("(1+2*j)", 1, 6, "expected the imaginary unit 'i'"),
+        ("(+x)", 1, 3, "expected a number"),
     ]
     for text, line, column, fragment in cases:
         with pytest.raises(ExprSyntaxError) as info:

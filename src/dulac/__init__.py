@@ -22,7 +22,9 @@ from .errors import (
     TruncationError,
     UnsupportedSpectrumError,
 )
-from .exprs import format_series, parse_expression
+from .exprs import (
+    format_series, parse_expression, parse_fraction, parse_scalar, parse_weight,
+)
 from .field import (
     IMAG,
     ONE,
@@ -32,9 +34,6 @@ from .field import (
     format_fraction,
     format_scalar,
     format_weight,
-    parse_fraction,
-    parse_scalar,
-    parse_weight,
     weight_embed,
     weights_from_scalars,
 )

@@ -46,16 +46,17 @@ from .errors import (
     SingularMatrixError,
     UnsupportedSpectrumError,
 )
-from .exprs import _format_monomial, _is_name, format_series, parse_expression
+from .exprs import (
+    _format_monomial, _is_name, format_series, parse_expression,
+    parse_fraction, parse_scalar, parse_weight,
+)
 from .field import (
+    ONE,
     Scalar,
     Weight,
     format_fraction,
     format_scalar,
     format_weight,
-    parse_fraction,
-    parse_scalar,
-    parse_weight,
     weight_embed,
     weights_from_scalars,
 )
@@ -286,10 +287,12 @@ def _weights_for_problem(problem: Problem) -> Tuple[List[Weight], Optional[Tuple
     """Eigenvalues as weights plus a Q(i)-embedding when one exists.  A
     field's own come first, after :func:`build_field` has cross-checked
     any declared ones; a declared list is read by position only without
-    a field, so every command gives each variable the same weight."""
+    a field, so every command gives each variable the same weight.
+    Symbolic weights of dimension 1 are rationals and embed as (1,), as
+    :func:`weights_from_scalars` embeds rational eigenvalues."""
     if problem.field_mode == "symbolic":
-        assert problem.eigenvalue_weights is not None
-        return list(problem.eigenvalue_weights), None
+        weights = list(problem.eigenvalue_weights)
+        return weights, (ONE,) if weights[0].dim == 1 else None
     if problem.vector_field is None and problem.eigenvalue_scalars is not None:
         weights, embedding = weights_from_scalars(problem.eigenvalue_scalars)
         return list(weights), embedding

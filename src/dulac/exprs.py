@@ -1,18 +1,20 @@
 """The textual expression language: parsing and canonical printing.
 
-Grammar (whitespace-insensitive)::
+Grammar (whitespace-insensitive); the numbers of a problem file follow it
+too, each text read whole by :func:`parse_fraction` (a signed ``rational``),
+:func:`parse_scalar` (a ``gaussian``) or :func:`parse_weight` (rationals)::
 
     expr     := [ '+' | '-' ] term { ( '+' | '-' ) term }
     term     := factor { '*' factor }
     factor   := '(' gaussian ')' | rational | IDENT [ '^' INT ]
-    gaussian := [ '+' | '-' ] rational [ ( '+' | '-' ) rational '*' 'i' ]
+    gaussian := [ '+' | '-' ] rational [ '*' 'i' | ( '+' | '-' ) rational '*' 'i' ]
     rational := INT [ '/' INT ]
 
 Identifiers name either declared variables or named rational parameters
 bound by the caller (so a file can say ``beta*x^3`` with ``beta = 1``).
 The identifier ``i`` is reserved: the imaginary unit is only legal
-inside a parenthesized coefficient such as ``(0+1*i)``, which keeps the
-printed form unambiguous.
+inside a parenthesized coefficient such as ``(0+1*i)`` or ``(3*i)``,
+which keeps the printed form unambiguous.
 
 The printer is canonical — terms in descending graded-lexicographic
 order, unit coefficients elided, Gaussian coefficients always
@@ -24,13 +26,15 @@ from __future__ import annotations
 
 import functools
 import re
+from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExprSyntaxError
-from .field import ONE, Scalar, _decimal, _reduced, format_scalar
+from .field import IMAG, ONE, ZERO, Scalar, Weight, _decimal, _reduced, format_scalar
 from .poly import Exponent, Series
 
-__all__ = ["parse_expression", "format_series"]
+__all__ = ["parse_expression", "format_series",
+           "parse_fraction", "parse_scalar", "parse_weight"]
 
 _EXPONENT_CAP = 10**6
 
@@ -228,17 +232,28 @@ class _Parser:
 
     def gaussian(self) -> Scalar:
         real = self.rational(signed=True)
-        if self.peek().kind not in "+-":
+        kind = self.peek().kind
+        if kind == "*":  # the pure-imaginary form r/s*i
+            real, imag = ZERO, real
+        elif kind in "+-":
+            self.advance()
+            imag = self.rational(signed=False) * (-1 if kind == "-" else 1)
+        else:
             return real
-        sign = -1 if self.advance().kind == "-" else 1
-        imag = self.rational(signed=False)
         star = self.advance()
         if star.kind != "*":
             raise self.fail("expected '*' before the imaginary unit", star)
         unit = self.advance()
         if unit.kind != "ident" or unit.text != "i":
             raise self.fail("expected the imaginary unit 'i'", unit)
-        return real + Scalar(0, 1) * imag * sign
+        return real + IMAG * imag
+
+    def finish(self, value):
+        """``value``, once it is all of the input."""
+        tok = self.peek()
+        if tok.kind != "end":
+            raise self.fail(f"unexpected {tok.text!r}", tok)
+        return value
 
 
 def parse_expression(
@@ -259,6 +274,30 @@ def parse_expression(
         raise ExprSyntaxError("empty expression", 1, 1)
     parser = _Parser(_tokenize(src), names, params, trunc_order)
     return parser.parse()
+
+
+def _number_parser(text: str) -> _Parser:
+    if not isinstance(text, str):
+        raise ValueError(f"invalid rational {text!r}: not a string")
+    return _Parser(_tokenize(text), (), {}, None)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Parse a signed rational ``p`` or ``p/q``; errors carry positions."""
+    parser = _number_parser(text)
+    return parser.finish(parser.rational(signed=True)).re
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse a Gaussian rational such as ``p/q``, ``p/q+r/s*i`` or
+    ``r/s*i``: the body of a parenthesized coefficient."""
+    parser = _number_parser(text)
+    return parser.finish(parser.gaussian())
+
+
+def parse_weight(values: Sequence[str]) -> Weight:
+    """Parse a JSON array of rational strings."""
+    return Weight(parse_fraction(v) for v in values)
 
 
 def _check_names(names: Iterable[str], params: Iterable[str] = ()) -> None:

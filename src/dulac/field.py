@@ -15,7 +15,8 @@ integer numerators, not by vector arithmetic on weights.
 
 Serialization uses the plain-text forms ``p/q`` for rationals and
 ``p/q+r/s*i`` for Gaussian rationals; weights serialize as JSON arrays of
-rational strings.
+rational strings.  This module prints them; :mod:`dulac.exprs` reads
+them back with its expression grammar, the one reader of numbers.
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ __all__ = [
     "weight_embed",
     "weights_from_scalars",
     "format_fraction",
-    "parse_fraction",
     "format_scalar",
-    "parse_scalar",
     "format_weight",
-    "parse_weight",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -349,24 +347,7 @@ def weights_from_scalars(values: Sequence[Scalar]):
 
 def format_fraction(value: Fraction) -> str:
     value = _as_fraction(value)
-    if value.denominator == 1:
-        return _decimal(value.numerator)
-    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` with integer parts; no decimals or exponents."""
-    if not isinstance(text, str):
-        raise ValueError(f"invalid rational {text!r}: not a string")
-    s = text.strip()
-    body = s[1:] if s[:1] in "+-" else s
-    num, slash, den = body.partition("/")
-    if not num.isdigit() or (slash and not den.isdigit()):
-        raise ValueError(f"invalid rational {text!r}: expected INT or INT/INT")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
+    return _format_ratio(value.numerator, value.denominator)
 
 
 def _decimal(n: int) -> str:
@@ -400,37 +381,9 @@ def format_scalar(value: Scalar) -> str:
     return f"{_format_ratio(a, d)}{sign}{_format_ratio(abs(b), d)}*i"
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse ``p/q``, ``p/q+r/s*i`` or ``p/q-r/s*i`` (whitespace tolerated)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    if s.endswith("*i"):
-        body = s[:-2]
-        # Split at the last +/- that is not the leading sign.
-        split = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                split = k
-                break
-        if split == -1:
-            return Scalar(0, parse_fraction(body))
-        re_part = parse_fraction(body[:split])
-        im_text = body[split:]
-        im_part = parse_fraction(im_text[1:])
-        if im_text[0] == "-":
-            im_part = -im_part
-        return Scalar(re_part, im_part)
-    return Scalar(parse_fraction(s))
-
-
 def format_weight(w: Weight) -> str:
     """Compact form: a bare rational for d = 1, else ``[c1, c2, ...]``."""
     if w.dim == 1:
         return format_fraction(w.coords[0])
     return "[" + ", ".join(format_fraction(c) for c in w.coords) + "]"
 
-
-def parse_weight(values: Sequence[str]) -> Weight:
-    """Parse a JSON array of rational strings."""
-    return Weight(parse_fraction(v) for v in values)

@@ -112,9 +112,6 @@ class ExactMatrix:
             ]
         )
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self._rows])
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
@@ -124,11 +121,6 @@ class ExactMatrix:
         if isinstance(other, (Scalar, int, Fraction)):
             c = other if isinstance(other, Scalar) else Scalar(other)
             return ExactMatrix([[a * c for a in row] for row in self._rows])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self * other
         return NotImplemented
 
     def trace(self) -> Scalar:

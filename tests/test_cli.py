@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import dulac
 from dulac import cli
 from dulac.cli import build_parser, main
-from dulac.exprs import format_series, parse_expression
-from dulac.field import parse_scalar
+from dulac.exprs import format_series, parse_expression, parse_scalar
 
 GOLDEN = {
     "variables": ["x", "y"],
@@ -161,14 +160,31 @@ def test_extract_semisimple_close_needs_concrete_weights(problem, capsys):
 
 
 def test_one_dimensional_symbolic_weights_take_the_certified_route(problem, capsys):
-    # weights of dimension one embed as (1,), so the semisimple route
-    # certifies them, while --close still refuses the symbolic mode
-    path = problem({"variables": ["x", "y"], "field_mode": "symbolic",
-                    "eigenvalues": [["1"], ["3"]], "ideals": {"I": ["x^3 + y", "y^2"]}})
+    # weights of dimension one are rationals and embed as (1,), so the
+    # semisimple route certifies them, with or without --close, and the
+    # closed report is the one the same rational eigenvalues give
+    data = {"variables": ["x", "y"], "field_mode": "symbolic",
+            "eigenvalues": [["1"], ["3"]], "ideals": {"I": ["x^3 + y", "y^2"]}}
+    path = problem(data)
     code, report, _ = run(capsys, ["extract", path, "--semisimple"])
     assert code == 0
     assert report["generators"] == ["x^3 + y", "y^2"]
     assert [c["nodes"] for c in report["certificates"]] == [["3"], ["6"]]
+    code, report, _ = run(capsys, ["extract", path, "--semisimple", "--close"])
+    assert code == 0
+    assert (report["route"], report["closed"]) == ("semisimple", True)
+    assert report["generators"] == ["x^3 + y", "y^2"]
+    rational = dict(data, field_mode="rational", eigenvalues=["1", "3"])
+    code, concrete, _ = run(capsys, ["extract", problem(rational, "rational.json"),
+                                     "--semisimple", "--close"])
+    assert code == 0
+    assert concrete == dict(report, field_mode="rational")
+
+
+def test_symbolic_weights_of_dimension_two_cannot_be_closed(problem, capsys):
+    path = problem({"variables": ["x", "y"], "field_mode": "symbolic",
+                    "eigenvalues": [["1", "0"], ["0", "1"]],
+                    "ideals": {"I": ["x", "y"]}})
     code, report, _ = run(capsys, ["extract", path, "--semisimple", "--close"])
     assert code == 5
     assert report["error"] == {
@@ -706,24 +722,34 @@ def test_non_object_parameters_or_ideals_exit_2(problem, capsys, command, key, v
                                 "message": f"{key!r} must be a JSON object"}}
 
 
-_NOT_RATIONAL = "invalid rational {!r}: expected INT or INT/INT"
+_NOT_A_NUMBER = "expected a number (line 1, column 1)"
 
 
 @pytest.mark.parametrize("command, data, report", [
     ("check-pdnf", {"parameters": {"beta": "1.5"}, "vector_field": ["x", "beta*y"]},
-     {"error": {"type": "SchemaError",
-                "message": "parameter 'beta': " + _NOT_RATIONAL.format("1.5")}}),
+     {"error": {"type": "SchemaError", "message":
+                "parameter 'beta': unexpected character '.' (line 1, column 2)"}}),
     ("check-pdnf", {"eigenvalues": ["1", "x"], "vector_field": ["x", "y"]},
      {"error": {"type": "SchemaError",
-                "message": "bad eigenvalue entry: " + _NOT_RATIONAL.format("x")}}),
+                "message": "bad eigenvalue entry: " + _NOT_A_NUMBER}}),
     ("weights", {"field_mode": "symbolic", "eigenvalues": [["1"], ["q"]]},
      {"error": {"type": "SchemaError",
-                "message": "bad eigenvalue entry: " + _NOT_RATIONAL.format("q")}}),
+                "message": "bad eigenvalue entry: " + _NOT_A_NUMBER}}),
+    ("weights", {"eigenvalues": ["1 2", "3"]},
+     {"error": {"type": "SchemaError",
+                "message": "bad eigenvalue entry: unexpected '2' (line 1, column 3)"}}),
+    ("check-pdnf", {"parameters": {"beta": 5}, "vector_field": ["x", "beta*y"]},
+     {"error": {"type": "SchemaError",
+                "message": "parameter 'beta': invalid rational 5: not a string"}}),
+    ("resonance", {"eigenvalues": ["1", "3"], "resonance": ["-1--2"]},
+     {"error": {"type": "SchemaError",
+                "message": "bad resonance entry: unexpected '-' (line 1, column 3)"}}),
     ("check-pdnf", {},
      {"command": "check-pdnf", "trunc_order": 8, "field_mode": "rational",
       "variables": ["x", "y"],
       "error": {"type": "SchemaError", "message": "the problem file declares no 'vector_field'"}}),
-], ids=["fractional parameter", "concrete eigenvalue", "symbolic eigenvalue", "no field"])
+], ids=["fractional parameter", "concrete eigenvalue", "symbolic eigenvalue",
+        "split eigenvalue", "non-string parameter", "resonance", "no field"])
 def test_schema_refusals_exit_2_with_a_report(problem, capsys, command, data, report):
     path = problem({"variables": ["x", "y"], "ideals": {"I": ["x"]}, **data})
     code, got, _ = run(capsys, [command, path])

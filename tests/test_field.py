@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac.exprs import parse_fraction, parse_scalar, parse_weight
 from dulac.field import (
     IMAG,
     ONE,
@@ -16,9 +17,6 @@ from dulac.field import (
     format_fraction,
     format_scalar,
     format_weight,
-    parse_fraction,
-    parse_scalar,
-    parse_weight,
     weight_embed,
     weights_from_scalars,
 )
@@ -73,6 +71,16 @@ def test_format_parse_scalar_round_trip():
         im = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
         s = Scalar(re, im) if rng.random() < 0.5 else Scalar(re)
         assert parse_scalar(format_scalar(s)) == s
+    # pure imaginary values, printed as 0+r/s*i and written as r/s*i, and
+    # parts of thousands of bits (up to about 3600 digits each)
+    for bits in (1, 2000, 6000, 12000):
+        for _ in range(20):
+            re = Fraction(rng.getrandbits(bits) - rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+            im = Fraction(rng.getrandbits(bits) - rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+            for s in (Scalar(re, im), Scalar(0, im), Scalar(re)):
+                assert parse_scalar(format_scalar(s)) == s
+            assert parse_scalar(format_fraction(im) + "*i") == Scalar(0, im)
+            assert parse_fraction(format_fraction(re)) == re
 
 
 def test_scalar_text_forms():

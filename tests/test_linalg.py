@@ -63,6 +63,15 @@ def test_matrix_algebra():
     assert a * Scalar(2) == ExactMatrix.from_rows([[2, 4], [6, 8]])
     assert a.trace() == Scalar(5)
     assert a * ExactMatrix.from_rows([[1], [1]]) == ExactMatrix.from_rows([[3], [7]])
+    # a scalar factor goes on the right; with any other right operand the
+    # operand's own reflected product decides
+    class Right:
+        def __rmul__(self, other):
+            return "reflected"
+
+    assert a * Right() == "reflected"
+    with pytest.raises(TypeError):
+        2 * a
 
 
 def _closed_form_against_sympy(nodes, m):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from dulac.errors import ExprSyntaxError
-from dulac.exprs import _format_monomial, format_series, parse_expression
+from dulac.exprs import (
+    _format_monomial, format_series, parse_expression, parse_fraction, parse_scalar,
+)
 from dulac.field import IMAG, ONE, Scalar, format_fraction, format_scalar
 from dulac.poly import Series
 
@@ -230,3 +232,50 @@ def test_names_are_checked_once_per_name_list():
         format_series(s, ["p", ["q"]])
     with pytest.raises(ValueError, match="both variable and parameter"):
         parse_expression("p", names, {"q": ONE})
+
+
+# One grammar for numbers: each text as a problem-file number and as the
+# body of a parenthesized coefficient; None marks a refusal.
+_NUMBERS = [
+    ("1 2", None),
+    ("1--2*i", None),
+    ("1+-2*i", None),
+    ("3*i", Scalar(0, 3)),
+    ("-1/2*i", Scalar(0, Fraction(-1, 2))),
+    (" 1 / 2 ", Scalar(Fraction(1, 2))),
+    ("1/0", None),
+    ("1.5", None),
+    ("0+1*i", IMAG),
+    ("9" * 4301, None),
+    ("9" * 4300, Scalar(10**4300 - 1)),
+    ("", None),
+    ("+7", Scalar(7)),
+    ("-6/4", Scalar(Fraction(-3, 2))),
+    ("1-1/2*i", Scalar(1, Fraction(-1, 2))),
+    ("-2 * i", Scalar(0, -2)),
+    ("1/2*i+1", None),
+    ("i", None),
+    ("3*x", None),
+    ("1+2", None),
+    ("1+2*i)", None),
+    ("(1)", None),
+]
+
+
+@pytest.mark.parametrize("text, value", _NUMBERS, ids=lambda v: repr(v)[:12])
+def test_numbers_read_as_parenthesized_coefficients(text, value):
+    if value is None:
+        with pytest.raises(ExprSyntaxError):
+            parse_scalar(text)
+        with pytest.raises(ExprSyntaxError):
+            parse_expression(f"({text})*x", ["x"])
+    else:
+        assert parse_scalar(text) == value
+        assert parse_expression(f"({text})*x", ["x"]).terms == {(1,): value}
+    # a rational is a number without an imaginary part
+    if value is None or not value.is_rational():
+        with pytest.raises(ExprSyntaxError):
+            parse_fraction(text)
+    else:
+        assert parse_fraction(text) == value.re
+

@@ -57,7 +57,6 @@ from .normalform import (
     NormalFormResult,
     conjugacy_residual,
     is_pdnf,
-    is_resonant,
     lg_nilpotency_bound,
     normalize,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "groebner",
     "is_invariant",
     "is_pdnf",
-    "is_resonant",
     "jordan_chevalley",
     "lf_extract_semiinvariants",
     "lg_nilpotency_bound",

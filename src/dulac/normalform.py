@@ -9,17 +9,18 @@ basis that diagonalizes B_s.  There D multiplies the term x^e of
 component i by c(e, i) = sum_j e_j*lambda_j - lambda_i, and ad_N is the
 Lie bracket [N y, .] with the nilpotent linear field.  It keeps each
 eigenspace of D, so on the non-resonant terms h_k is the finite series
-sum_m (-D^-1 ad_N)^m D^-1 F_k, one loop for every eigenvalue at once
-(Murdock, *Normal Forms and Unfoldings for Local Dynamical
-Systems*, ch. 4).  Resonant terms, where c = 0, are left in place, i.e.
-the normalized field keeps exactly the resonant terms it must.  Each
-substitution is a Taylor sum cut at the last degree that can survive the
-truncation, as in the truncated composition of Brent and Kung ("Fast
-algorithms for manipulating formal power series", J. ACM 25, 1978); its
-powers h^alpha are shared by the field and the transformation.  The
-components are held split into homogeneous parts, and the new components
-g solve ``(I + Dh_k) g = f(x + h_k)`` one degree at a time, since Dh_k
-raises degrees by k - 1.  Degrees that hold no term are skipped.
+sum_m (-D^-1 ad_N)^m D^-1 F_k, one loop for every eigenvalue at once,
+each round applying -ad_N as the bracket [u, N y] (Murdock, *Normal
+Forms and Unfoldings for Local Dynamical Systems*, ch. 4).  Resonant
+terms, where c = 0, are left in place, i.e. the normalized field keeps
+exactly the resonant terms it must.  Each substitution is a Taylor sum
+cut at the last degree that can survive the truncation, as in the
+truncated composition of Brent and Kung ("Fast algorithms for
+manipulating formal power series", J. ACM 25, 1978); its powers h^alpha
+are shared by the field and the transformation.  The components are held
+split into homogeneous parts, and the new components g solve
+``(I + Dh_k) g = f(x + h_k)`` one degree at a time, since Dh_k raises
+degrees by k - 1.  Degrees that hold no term are skipped.
 
 All transformations are composed and returned, so the conjugacy identity
 ``Dh(x) . normalized(x) = f(h(x))`` holds exactly modulo the truncation
@@ -36,9 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import TruncationError
-from .field import Scalar, Weight, _new, weights_from_scalars
+from .field import Scalar, weights_from_scalars
 from .poly import (
-    Exponent,
     Series,
     VectorField,
     _PLUS,
@@ -56,28 +56,15 @@ from .poly import (
     lie_derivative,
     linear_components,
     matvec_series,
-    weight,
 )
 
 __all__ = [
     "NormalFormResult",
-    "is_resonant",
     "is_pdnf",
     "normalize",
     "conjugacy_residual",
     "lg_nilpotency_bound",
 ]
-
-
-def is_resonant(alpha: Exponent, index: int, eigenvalues: Sequence[Weight]) -> bool:
-    """Whether the monomial x^alpha in component ``index`` is resonant,
-    i.e. its weight equals the component's eigenvalue.  Only meaningful
-    for degree >= 2 monomials."""
-    if sum(alpha) < 2:
-        raise ValueError("resonance is defined for monomials of degree >= 2")
-    if not 0 <= index < len(eigenvalues):
-        raise ValueError("component index out of range")
-    return weight(alpha, eigenvalues) == eigenvalues[index]
 
 
 def is_pdnf(f: VectorField, order: Optional[int] = None) -> Tuple[bool, Tuple[Series, ...]]:
@@ -111,7 +98,8 @@ def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Serie
 
     The multi-indices alpha are walked as nondecreasing tuples of variable
     indices; a child tuple appends j >= its parent's last index and derives
-    d^alpha s from its parent's.  ``powers`` maps each tuple to h^alpha,
+    d^alpha s / alpha! from its parent's, dividing by the new multiplicity
+    of j inside the derivative.  ``powers`` maps each tuple to h^alpha,
     built from its parent's power on first use, so every series shifted by
     the same h shares them.  With k the lowest degree of h, a term of
     d^alpha s of degree d contributes at degrees >= d + k*|alpha| only, so
@@ -133,12 +121,10 @@ def _shift(s: Series, h: Sequence[Series], powers: Dict[tuple, Series]) -> Serie
         for alpha, run, d in frontier:
             last = alpha[-1] if alpha else 0
             for j in range(last, s.nvars):
-                dj = _partial(d, j, cap)
+                m = run + 1 if j == last else 1
+                dj = _partial(d, j, cap, m)
                 if dj.is_zero():
                     continue
-                m = run + 1 if j == last else 1
-                if m > 1:
-                    dj = dj * _new(1, 0, m)
                 child = alpha + (j,)
                 pj = powers.get(child)
                 if pj is None:
@@ -210,15 +196,15 @@ def _homological_solution(
     """The h without resonant terms that solves (D + ad_N) h = the
     non-resonant part of the homogeneous ``parts``, with ``invert`` as
     from :func:`_inverse_weights`.  ad_N u = Du . (N y) - N u is the Lie
-    bracket [N y, u] with the linear field whose components are
-    ``nil_comps``.  It keeps every eigenspace of D, so it commutes with
-    D^-1 and h = sum_m (-D^-1 ad_N)^m D^-1 parts, a finite sum since ad_N
-    is nilpotent on each homogeneous degree."""
+    bracket [N y, u] with the linear field N y of ``nil_comps``.  It keeps
+    every eigenspace of D, so it commutes with D^-1 and h = sum_m
+    (-D^-1 ad_N)^m D^-1 parts, a finite sum since ad_N is nilpotent on
+    each homogeneous degree.  Each round applies -ad_N as [u, N y]."""
     h = term = [invert(p, i) for i, p in enumerate(parts)]
     if not any(nil_comps):
         return h
     for _ in range(len(parts) * (parts[0].trunc + 1) ** len(parts)):
-        term = [invert(-u, i) for i, u in enumerate(lie_bracket(nil_comps, term))]
+        term = [invert(u, i) for i, u in enumerate(lie_bracket(term, nil_comps))]
         if not any(term):
             return h
         h = [a + b for a, b in zip(h, term)]
@@ -308,10 +294,11 @@ def normalize(f: VectorField) -> NormalFormResult:
 
 
 def conjugacy_residual(f: VectorField, result: NormalFormResult) -> Tuple[Series, ...]:
-    """Dh . normalized - f o h, which must vanish modulo the truncation ideal."""
-    h, normalized = result.transformation, result.normalized
-    return tuple(lie_derivative(normalized, h_i) - compose(f_i, h)
-                 for h_i, f_i in zip(h, _components(f, result.trunc_order)))
+    """Dh . normalized - f o h, which must vanish modulo the truncation
+    ideal; an operand known to a lower order raises TruncationError."""
+    h, g, fc = (_components(v, result.trunc_order)
+                for v in (result.transformation, result.normalized, f))
+    return tuple(lie_derivative(g, h_i) - compose(f_i, h) for h_i, f_i in zip(h, fc))
 
 
 def lg_nilpotency_bound(f: VectorField, order: int) -> int:

@@ -593,8 +593,9 @@ def _derive(nums: _Nums, p: int, base: int, u: int, cap=inf) -> _Nums:
     return out
 
 
-def _partial(s: Series, j: int, cap=inf) -> Series:
-    """d/dx_j applied to the stored terms whose packed keys lie below cap.
+def _partial(s: Series, j: int, cap=inf, div: int = 1) -> Series:
+    """d/dx_j applied to the stored terms whose packed keys lie below cap,
+    divided by the positive integer ``div`` in the same canonicalization.
 
     The result is only used inside products with zero-constant-term
     factors, where the final truncation restores a sound claim; it keeps
@@ -603,7 +604,7 @@ def _partial(s: Series, j: int, cap=inf) -> Series:
     _, base, _, pows, units = s._r
     p, u = pows[j], units[j]
     im = _derive(s._im, p, base, u, cap) if s._im else {}
-    return _canonical(s._r, _derive(s._re, p, base, u, cap), im, s._d, s.trunc)
+    return _canonical(s._r, _derive(s._re, p, base, u, cap), im, s._d * div, s.trunc)
 
 
 def _split(s: Series, label) -> Dict[object, Series]:

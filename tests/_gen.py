@@ -1,6 +1,8 @@
 """Seeded builders for the randomized suites: fields, ideals, spectra."""
 
+import importlib.util
 import itertools
+import os
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -8,6 +10,20 @@ from typing import List, Optional, Sequence, Tuple
 from dulac.field import Scalar, Weight
 from dulac.linalg import ExactMatrix, inverse
 from dulac.poly import Series, VectorField, compose, matvec_series, weight
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def catalog_workloads():
+    """The benchmark catalog's workloads by name, loaded from
+    ``perfbench/workloads.py``, which is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def iter_exponents(nvars: int, total: int):
@@ -77,16 +93,18 @@ def _diag_weights(spectrum: Sequence[int]) -> List[Weight]:
     return list(weights)
 
 
+def resonant(alpha: Tuple[int, ...], index: int, eigenvalues: Sequence[Weight]) -> bool:
+    """Whether the monomial x^alpha in component ``index`` is resonant: its
+    weight equals that component's eigenvalue."""
+    return weight(alpha, eigenvalues) == eigenvalues[index]
+
+
 def resonant_exponents(
     eigenvalues: Sequence[Weight], nvars: int, degree: int, index: int
 ) -> List[Tuple[int, ...]]:
     """All exponents of the given total degree with weight equal to
     ``eigenvalues[index]``."""
-    out = []
-    for exps in iter_exponents(nvars, degree):
-        if weight(exps, eigenvalues) == eigenvalues[index]:
-            out.append(exps)
-    return out
+    return [e for e in iter_exponents(nvars, degree) if resonant(e, index, eigenvalues)]
 
 
 def admissible_nilpotent(

@@ -27,7 +27,6 @@ from dulac.linalg import _confluent_vandermonde_determinant, confluent_vandermon
 from dulac.normalform import (
     conjugacy_residual,
     is_pdnf,
-    is_resonant,
     lg_nilpotency_bound,
     normalize,
 )
@@ -43,6 +42,7 @@ from _gen import (
     field_with_linear_part,
     pdnf_field,
     random_series,
+    resonant,
     scrambled_generators,
     splitting_linear_part,
     weight_homogeneous_generators,
@@ -237,7 +237,7 @@ def test_criterion_5_normalization_conjugacy_and_resonance():
         for index, comp in enumerate(comps):
             for exps in comp.terms:
                 if sum(exps) >= 2:
-                    assert is_resonant(exps, index, f.eigenvalues)
+                    assert resonant(exps, index, f.eigenvalues)
         done += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

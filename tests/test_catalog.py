@@ -3,12 +3,12 @@
 For each perfbench workload, one fixed variant of every catalog slot is
 replayed through ``dulac.cli.main``; the exit code and the sha256 of the
 report must match the record in ``perfbench/expected/``.  The problem
-texts come from ``perfbench/workloads.py``, which is only read here.
+texts come from ``perfbench/workloads.py``, which the tests only read
+(through ``_gen.catalog_workloads``).
 """
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -19,20 +19,10 @@ from dulac import cli
 from dulac.ideals import IdealHandle, close_under_lie
 from dulac.poly import weight_decompose
 
-PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+from _gen import PERFBENCH, catalog_workloads
+
 VARIANT = 0
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _workloads()
+WORKLOADS = catalog_workloads()
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

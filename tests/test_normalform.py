@@ -8,19 +8,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac import linalg, normalform, poly
+from dulac import cli, linalg, normalform, poly
 from dulac.errors import NotNormalFormError, TruncationError
-from dulac.field import Scalar, weights_from_scalars
+from dulac.field import Scalar
 from dulac.ideals import IdealHandle, lf_extract_semiinvariants
 from dulac.linalg import ExactMatrix, inverse
 from dulac.normalform import (
+    NormalFormResult,
     _conjugate_components,
     _homological_solution,
     _inverse_weights,
     _shift,
     conjugacy_residual,
     is_pdnf,
-    is_resonant,
     lg_nilpotency_bound,
     normalize,
 )
@@ -36,6 +36,7 @@ from dulac.poly import (
 )
 
 from _gen import (
+    catalog_workloads,
     diagonalized_components,
     field_with_linear_part,
     homogeneous_part,
@@ -43,6 +44,7 @@ from _gen import (
     random_exponent,
     random_scalar,
     random_series,
+    resonant,
     splitting_linear_part,
 )
 
@@ -58,26 +60,6 @@ def _field(*component_terms, trunc):
     return VectorField.from_components(
         [_s(t, trunc, nvars=len(component_terms)) for t in component_terms]
     )
-
-
-def test_is_resonant_basic():
-    weights, _ = weights_from_scalars([Scalar(1), Scalar(3)])
-    # w(3,0) = 3 = lambda_y: resonant in component 1 only
-    assert is_resonant((3, 0), 1, weights)
-    assert not is_resonant((3, 0), 0, weights)
-    # w(2,0) = 2 matches nothing
-    assert not is_resonant((2, 0), 0, weights)
-    assert not is_resonant((2, 0), 1, weights)
-    # w(1,1) = 4; w(4,0) = 4; neither is an eigenvalue
-    assert not is_resonant((1, 1), 1, weights)
-
-
-def test_is_resonant_rejects_low_degree_and_bad_index():
-    weights, _ = weights_from_scalars([Scalar(1), Scalar(3)])
-    with pytest.raises(ValueError):
-        is_resonant((1, 0), 0, weights)
-    with pytest.raises(ValueError):
-        is_resonant((2, 1), 5, weights)
 
 
 def test_is_pdnf_reports_bracket_residual():
@@ -173,6 +155,24 @@ def test_normalize_conjugacy_identity_exact():
     result = normalize(f)
     residuals = conjugacy_residual(f, result)
     assert all(r.is_zero() for r in residuals)
+
+
+def test_conjugacy_residual_refuses_operands_known_to_a_lower_order():
+    # the linear part as "normal form" and the identity as "transformation",
+    # known only mod <x>^2, once passed a check claimed mod <x>^5 with
+    # residuals 0 mod <x>^2
+    f = _field({X: 1, (2, 0): 1, (1, 1): 1}, {Y: 3, (0, 2): 1}, trunc=5)
+    linear = {t: _field({X: 1}, {Y: 3}, trunc=t) for t in (2, 5)}
+    identity = {t: (_s({X: 1}, t), _s({Y: 1}, t)) for t in (2, 5)}
+    for field_order, map_order in [(2, 2), (2, 5), (5, 2)]:
+        coarse = NormalFormResult(linear[field_order], identity[map_order], 5)
+        with pytest.raises(TruncationError):
+            conjugacy_residual(f, coarse)
+    with pytest.raises(TruncationError):
+        conjugacy_residual(f.truncate(2), NormalFormResult(linear[5], identity[5], 5))
+    assert any(conjugacy_residual(f, NormalFormResult(linear[5], identity[5], 5)))
+    residuals = conjugacy_residual(f, normalize(f))
+    assert all(r.is_zero() and r.trunc == 5 for r in residuals)
 
 
 def test_normalize_is_idempotent_on_normal_fields():
@@ -295,7 +295,7 @@ def test_normalize_diagonalized_output_matches_direct_diagonal_run():
     for i, comp in enumerate(comps_d):
         for exps in comp.terms:
             if sum(exps) >= 2:
-                assert is_resonant(exps, i, f.eigenvalues)
+                assert resonant(exps, i, f.eigenvalues)
 
 
 def _varied_fields(seed, count, orders):
@@ -507,7 +507,7 @@ def test_homological_solution_inverts_the_operator_termwise(kind, monkeypatch):
         most_rounds = max(most_rounds, len(rounds))
         nonresonant = [
             Series(n, {e: c for e, c in p.terms.items()
-                       if not is_resonant(e, i, f.eigenvalues)}, order)
+                       if not resonant(e, i, f.eigenvalues)}, order)
             for i, p in enumerate(parts)
         ]
         resonant_seen |= nonresonant != parts
@@ -517,7 +517,7 @@ def test_homological_solution_inverts_the_operator_termwise(kind, monkeypatch):
         ad_h = _ad_nilpotent(nil, nil_comps, h)
         assert [a + b for a, b in zip(d_h, ad_h)] == nonresonant
         for i, h_i in enumerate(h):
-            assert not any(is_resonant(e, i, f.eigenvalues) for e in h_i.terms)
+            assert not any(resonant(e, i, f.eigenvalues) for e in h_i.terms)
     assert solved
     if kind == "jordan-3x3":
         assert most_rounds >= 3
@@ -687,3 +687,89 @@ def test_diagonalizer_inverse_is_carried_and_normalize_inverts_nothing(monkeypat
     for f in (diagonal, rotation, sheared):
         assert normalize(f).normalized.chevalley is f.chevalley
     assert calls == []
+
+
+# -- coordinate relations: naturality and idempotence --------------------------
+
+CATALOG_SLOTS = range(0, 100, 4)
+
+
+def _catalog_fields(tmp_path):
+    """The fields of a fixed subset of the `normalize` benchmark catalog
+    (variant 0), read as the CLI reads them."""
+    workload = catalog_workloads()["normalize"]
+    path = tmp_path / "problem.json"
+    for slot in CATALOG_SLOTS:
+        path.write_text(workload.problem(slot, 0), encoding="utf-8")
+        yield cli.build_field(cli.load_problem(str(path)))
+
+
+def _changes(n):
+    """Unimodular changes (T, T^-1): the shear I + E_12 and the reversal of
+    the variables.  Each maps an upper triangular linear part to a
+    triangular one, so its eigenvalues are still read off the diagonal
+    rather than searched for as Gaussian roots."""
+    def matrix(entry):
+        return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+    shear = matrix(lambda i, j: int(i == j) + int((i, j) == (0, 1)))
+    unshear = matrix(lambda i, j: int(i == j) - int((i, j) == (0, 1)))
+    reverse = matrix(lambda i, j: int(i + j == n - 1))
+    return [(shear, unshear), (reverse, reverse)]
+
+
+def _changed(t, t_inv, series):
+    """T . s(T^-1 y) for the components ``series`` of one map, computed in
+    sympy's sparse polynomials over QQ_I, not with dulac's compose."""
+    n, trunc = len(series), series[0].trunc
+    ring, *ys = sympy.polys.rings.ring(f"y0:{n}", sympy.QQ_I)
+    x = [sum((c * y for c, y in zip(row, ys)), ring.zero) for row in t_inv]
+    pulled = []
+    for s in series:
+        p = ring.zero
+        for exps, c in s.terms.items():
+            term = ring.ground_new(sympy.QQ_I(sympy.Rational(c.re), sympy.Rational(c.im)))
+            for x_j, k in zip(x, exps):
+                term *= x_j**k
+            p += term
+        pulled.append(p)
+
+    def fraction(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    return [
+        Series(n, {e: Scalar(fraction(c.x), fraction(c.y))
+                   for e, c in sum((a * p for a, p in zip(row, pulled)), ring.zero).items()},
+               trunc)
+        for row in t
+    ]
+
+
+def _assert_natural_and_idempotent(f):
+    result = normalize(f)
+    normal, phi = list(result.normalized.components), list(result.transformation)
+    for t, t_inv in _changes(f.nvars):
+        moved = normalize(VectorField.from_components(_changed(t, t_inv, f.components)))
+        assert list(moved.normalized.components) == _changed(t, t_inv, normal)
+        assert list(moved.transformation) == _changed(t, t_inv, phi)
+        assert moved.trunc_order == result.trunc_order
+    again = normalize(result.normalized)
+    assert list(again.normalized.components) == normal
+    assert list(again.transformation) == [
+        Series.variable(i, f.nvars, f.trunc_order) for i in range(f.nvars)
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32), gaussian=st.booleans())
+def test_normalize_is_natural_under_linear_changes_and_idempotent(seed, gaussian):
+    rng = random.Random(seed)
+    linear = splitting_linear_part(rng, rng.choice([2, 3]))
+    _assert_natural_and_idempotent(
+        field_with_linear_part(rng, linear, rng.choice([4, 5, 6]), gaussian=gaussian)
+    )
+
+
+def test_normalize_is_natural_and_idempotent_on_catalog_fields(tmp_path):
+    for f in _catalog_fields(tmp_path):
+        _assert_natural_and_idempotent(f)

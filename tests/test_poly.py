@@ -808,6 +808,25 @@ def test_graded_parts_rejoin_to_the_series(data, nvars):
     assert _storage(joined) == _storage(s) and joined.trunc == s.trunc
 
 
+def test_partial_divides_inside_its_one_canonicalization():
+    # d/dx_j s / m in one step is the derivative times 1/m, storage included,
+    # below a degree cap and without one
+    rng = random.Random(4106)
+    for case in range(48):
+        nvars, gaussian = 1 + case % 3, case % 2 == 1
+        trunc = rng.choice([None, 3, 5, 7])
+        terms = _random_terms(rng, nvars, rng.randint(1, 5 if trunc is None else trunc - 1),
+                              gaussian)
+        s = Series(nvars, terms, trunc) * Fraction(rng.choice([1, 2, 6]), rng.randint(1, 3))
+        for j in range(nvars):
+            for cap in (inf, rng.randint(1, 6) * s._r[2]):
+                for m in range(1, 5):
+                    got = _partial(s, j, cap, m)
+                    want = _partial(s, j, cap) * Fraction(1, m)
+                    _assert_numerators_canonical(got)
+                    assert _storage(got) == _storage(want) and got.trunc == s.trunc
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(data=st.data(), nvars=st.integers(1, 3), target=st.integers(1, 3))
 def test_compose_all_matches_compose_on_each_series(data, nvars, target):
